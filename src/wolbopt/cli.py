@@ -40,8 +40,8 @@ from .params import (
 )
 from .scenarios import (
     Scenario,
+    best_ga_plan,
     build_scenario,
-    epsilon_config,
     ga_cell,
     ga_config,
     ocp_config,
@@ -130,11 +130,7 @@ _STAGE_FIELDS = {
         "tol_bc": float, "tol_h": float, "sweep_relaxation": float,
         "max_outer_iterations": int, "t_init": float, "max_horizon": float,
     },
-    "ga": {
-        "pop_n": int, "generations_g": int, "elite_m": int,
-        "mutation_rate": float, "relocate_in_block": bool,
-        "fitness_substeps": int, "n_workers": int,
-    },
+    "ga": {"pop_n": int, "generations_g": int, "mutation_rate": float},
     "sim": {
         "rel_tol": float, "abs_tol": float, "max_step": float,
         "t_end": float, "dense_output_stride": float,
@@ -152,10 +148,7 @@ def _stage_overrides(cfg: configparser.ConfigParser, section: str) -> dict:
         key = key.strip().lower()
         if key not in fields:
             raise UsageError(f"unknown [{section}] option {key!r}")
-        kind = fields[key]
-        if kind is bool:
-            out[key] = raw.strip().lower() in ("1", "true", "yes", "on")
-        elif kind is int:
+        if fields[key] is int:
             out[key] = int(raw)
         else:
             out[key] = parse_number(raw)
@@ -381,7 +374,7 @@ def cmd_ga(args) -> int:
         result = run_ga(gcfg, horizon, scenario.params, target, scenario.initial_wild)
         plan, report, history = result.best, result.report, result.history
         fileio.write_history_csv(out / f"ga_{name}_history.csv", history)
-    sched = plan_schedule(plan)
+    sched = plan.schedule()
     fileio.write_schedule_csv(out / f"ga_{name}_plan.csv", sched)
     verify = evaluate_schedule(
         scenario.params, sched, target, scenario.initial_wild,
@@ -405,17 +398,6 @@ def cmd_ga(args) -> int:
         f"feasible={report.feasible}"
     )
     return EXIT_OK if report.feasible else EXIT_FAILED
-
-
-def plan_schedule(plan):
-    from .sim import ImpulseSchedule
-
-    entries = tuple(
-        (float(day), int(size))
-        for day, size in enumerate(plan.genes.tolist(), start=1)
-        if size > 0
-    )
-    return ImpulseSchedule(entries=entries, period_m=plan.block_p, rule_tag="ga")
 
 
 def cmd_phase(args) -> int:
@@ -499,36 +481,13 @@ def _reproduce_table4(args) -> int:
     seeds = list(range(args.seed or 0, (args.seed or 0) + args.seeds))
     for name in PRESET_NAMES:
         for freq in (1, 7, 14):
-            cell = ga_cell(name, freq)
             ref_cell = reference.GA[name][freq]
-            best = None
-            for seed in seeds:
-                scenario = build_scenario(preset(name), frequency=freq, seed=seed)
-                gcfg = ga_config(scenario)
-                if cell.floor_search:
-                    res = epsilon_loop(
-                        epsilon_config(cell, freq),
-                        gcfg,
-                        scenario.params,
-                        scenario.target,
-                        scenario.initial_wild,
-                    )
-                    if res.best is None:
-                        continue
-                    plan, report = res.best, res.report
-                else:
-                    result = run_ga(
-                        gcfg, cell.horizon, scenario.params,
-                        scenario.target, scenario.initial_wild,
-                    )
-                    plan, report = result.best, result.report
-                if report.feasible and (best is None or report.j_value < best[1].j_value):
-                    best = (plan, report)
+            best = best_ga_plan(preset(name), freq, seeds)
             if best is None:
                 print(f"{name} p={freq}: no feasible plan found", file=sys.stderr)
                 status = EXIT_FAILED
                 continue
-            plan, report = best
+            plan, report, _, _ = best
             _print_comparison(
                 f"=== discrete search: {name} p={freq} ===",
                 [

@@ -6,8 +6,8 @@ for p > 1 each p-day block holds at most one nonzero gene bounded by pL.
 Fitness is the reciprocal of the released total, penalized by p*L*T when
 the end state misses the secure region, so any feasible plan outranks
 every infeasible one.  Evolution uses tournament selection, block-aligned
-two-point crossover, segment mutation, and truncation survival with a
-single elite.
+two-point crossover, segment mutation, and truncation survival, which
+never loses the best plan.
 
 The outer epsilon loop shrinks the horizon while feasible plans keep
 appearing, warm-starting each round with truncations of the previous
@@ -16,7 +16,6 @@ round's best plans.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -24,6 +23,7 @@ import numpy as np
 
 from .model import rhs_arrays
 from .params import StrainParams
+from .sim import ImpulseSchedule
 
 
 @dataclass(frozen=True)
@@ -44,6 +44,15 @@ class ReleasePlan:
     @property
     def num_releases(self) -> int:
         return int(np.count_nonzero(self.genes))
+
+    def schedule(self) -> ImpulseSchedule:
+        """Day d's gene as a release at t = d, as ``simulate_batch`` applies it."""
+        entries = tuple(
+            (float(day), size)
+            for day, size in enumerate(self.genes.tolist(), start=1)
+            if size > 0
+        )
+        return ImpulseSchedule(entries=entries, period_m=self.block_p, rule_tag="ga")
 
 
 def validate_plan(plan: ReleasePlan, cap_l: float) -> None:
@@ -70,20 +79,14 @@ def validate_plan(plan: ReleasePlan, cap_l: float) -> None:
 class GAConfig:
     pop_n: int = 100
     generations_g: int = 100
-    elite_m: int = 1
     cap_l: float = 750.0
     block_p: int = 1
     mutation_rate: float = 0.05
     rng_seed: int = 0
-    relocate_in_block: bool = False  # optional extra exploration for p > 1
-    fitness_substeps: int = 4
-    n_workers: int = 0
 
     def __post_init__(self) -> None:
         if self.pop_n <= 0 or self.generations_g < 0:
             raise ValueError("pop_n must be positive, generations_g nonnegative")
-        if not 0 <= self.elite_m < self.pop_n:
-            raise ValueError("elite size must be below the population size")
         if not 0.0 <= self.mutation_rate <= 1.0:
             raise ValueError("mutation_rate must lie in [0, 1]")
         if self.block_p < 1:
@@ -187,28 +190,11 @@ def evaluate_population(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Fitness, J, feasibility, entry times for a gene matrix.
 
-    ``n_workers`` > 1 splits the batch into row chunks evaluated on a
-    thread pool; results are identical to the serial path because each
-    row evolves independently through elementwise arithmetic.
+    Each row evolves independently through elementwise arithmetic, so a
+    row's results do not depend on which other rows share the batch.
     """
-    b = genes.shape[0]
     pen = _penalty(cfg, genes.shape[1])
-
-    def run(chunk: np.ndarray):
-        return simulate_batch(
-            params, chunk, initial_wild, cfg.fitness_substeps, target
-        )
-
-    if cfg.n_workers > 1 and b > 1:
-        bounds = np.linspace(0, b, cfg.n_workers + 1).astype(int)
-        chunks = [genes[lo:hi] for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
-        with ThreadPoolExecutor(max_workers=cfg.n_workers) as pool:
-            parts = list(pool.map(run, chunks))
-        x = np.concatenate([p[0] for p in parts])
-        y = np.concatenate([p[1] for p in parts])
-        entry = np.concatenate([p[2] for p in parts])
-    else:
-        x, y, entry = run(genes)
+    x, y, entry = simulate_batch(params, genes, initial_wild, target=target)
     feas = (x < target[0]) & (y > target[1])
     j = genes.sum(axis=1).astype(float)
     fitness = 1.0 / (j + pen * (~feas))
@@ -289,8 +275,8 @@ def mutate(
 
     For p = 1 a random day range is refilled with uniform integers in
     [0, L].  For p > 1 the nonzero gene of each block in a random block
-    range is redrawn in [0, pL] (position kept unless relocation is
-    enabled; an all-zero block gets a uniform position).
+    range is redrawn in [0, pL] (position kept; an all-zero block gets a
+    uniform position).
     """
     if rng.random() >= cfg.mutation_rate:
         return genes
@@ -313,8 +299,6 @@ def mutate(
             pos = int(nz[0])
         else:
             pos = int(rng.integers(0, p))
-        if cfg.relocate_in_block:
-            pos = int(rng.integers(0, p))
         block[:] = 0
         block[pos] = rng.integers(0, p * cap + 1)
     return out
@@ -327,7 +311,6 @@ class PopulationState:
     j: np.ndarray
     feasible: np.ndarray
     entry: np.ndarray
-    elite_idx: int
 
 
 def _truncate(
@@ -354,8 +337,8 @@ def evolve(
     """One generation: select, pair, cross, mutate, evaluate, truncate.
 
     Survivors are the best pop_n of the union of the current population
-    and the offspring, so the elite (any elite_m, in fact the whole
-    current top) can never be lost and best fitness is nondecreasing.
+    and the offspring, so the whole current top survives and best fitness
+    is nondecreasing.
     """
     n = cfg.pop_n
     selected = [tournament_select(state.fitness, rng) for _ in range(n)]
@@ -380,10 +363,7 @@ def evolve(
     genes, fit, feas, j, entry = _truncate(
         pool_genes, pool_fit, pool_feas, pool_j, pool_entry, n
     )
-    return PopulationState(
-        genes=genes, fitness=fit, j=j, feasible=feas, entry=entry,
-        elite_idx=int(np.argmax(fit)),
-    )
+    return PopulationState(genes=genes, fitness=fit, j=j, feasible=feas, entry=entry)
 
 
 def run_ga(
@@ -409,14 +389,11 @@ def run_ga(
     fit, j, feas, entry = evaluate_population(
         params, genes, target, initial_wild, cfg
     )
-    state = PopulationState(
-        genes=genes, fitness=fit, j=j, feasible=feas, entry=entry,
-        elite_idx=int(np.argmax(fit)),
-    )
+    state = PopulationState(genes=genes, fitness=fit, j=j, feasible=feas, entry=entry)
     history: list[GenerationRecord] = []
     for gen in range(cfg.generations_g):
         state = evolve(state, params, target, initial_wild, cfg, rng)
-        best = state.elite_idx
+        best = int(np.argmax(state.fitness))
         history.append(
             GenerationRecord(
                 generation=gen + 1,
@@ -425,7 +402,7 @@ def run_ga(
                 feasible_count=int(state.feasible.sum()),
             )
         )
-    best = state.elite_idx
+    best = int(np.argmax(state.fitness))
     plan = ReleasePlan(genes=state.genes[best].copy(), block_p=cfg.block_p)
     et = None if np.isnan(state.entry[best]) else float(state.entry[best])
     report = FitnessReport(

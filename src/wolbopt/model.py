@@ -65,11 +65,15 @@ class EquilibriumSet:
         return self.ex.state.x
 
 
-def make_rhs(params: StrainParams) -> Callable[[float, float, float], tuple[float, float]]:
-    """Return a fast scalar closure (x, y, u) -> (dx/dt, dy/dt).
+def make_rhs(
+    params: StrainParams, exp: Callable = math.exp
+) -> Callable[[float, float, float], tuple[float, float]]:
+    """Return the closure (x, y, u) -> (dx/dt, dy/dt).
 
-    This is the single authoritative statement of the vector field; the
-    array and convenience wrappers below delegate to the same formulas.
+    This is the only statement of the vector field: ``rhs`` and
+    ``rhs_arrays`` call it, and ``make_jacobian`` is its derivative.  With
+    the default ``math.exp`` it is the fast scalar path; with
+    ``exp=np.exp`` the same arithmetic runs elementwise on arrays.
     """
     rho_n = params.rho_n
     one_eta = 1.0 - params.eta
@@ -79,12 +83,14 @@ def make_rhs(params: StrainParams) -> Callable[[float, float, float], tuple[floa
     delta_n = params.delta_n
     decay_w = params.omega + params.delta_w
     sigma = params.sigma
-    exp = math.exp
 
-    def rhs(x: float, y: float, u: float) -> tuple[float, float]:
+    def rhs(x, y, u):
         s = x + y
         e = exp(-sigma * s)
-        frac = x * (x + one_eta * y) / s if s > 0.0 else 0.0
+        # Branch-free so the same line serves floats and arrays: 1e-300 is
+        # below one ulp of any reachable positive population, and at the
+        # origin 0 / 1e-300 gives the continuous limit 0.
+        frac = x * (x + one_eta * y) / (s + 1e-300)
         dx = (rho_n * frac + leak * y) * e + omega * y - delta_n * x
         dy = nu_rw * y * e - decay_w * y + u
         return dx, dy
@@ -135,15 +141,8 @@ def rhs(params: StrainParams, state: State, u: float = 0.0) -> tuple[float, floa
 
 
 def rhs_arrays(params: StrainParams, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized uncontrolled vector field for batch simulation."""
-    s = x + y
-    e = np.exp(-params.sigma * s)
-    safe = np.where(s > 0.0, s, 1.0)
-    frac = np.where(s > 0.0, x * (x + (1.0 - params.eta) * y) / safe, 0.0)
-    dx = (params.rho_n * frac + (1.0 - params.nu) * params.rho_w * y) * e \
-        + params.omega * y - params.delta_n * x
-    dy = params.nu * params.rho_w * y * e - (params.omega + params.delta_w) * y
-    return dx, dy
+    """Uncontrolled vector field on arrays, for batch simulation."""
+    return make_rhs(params, np.exp)(x, y, 0.0)
 
 
 def jacobian(params: StrainParams, state: State) -> np.ndarray:

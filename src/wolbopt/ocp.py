@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .model import State, equilibria, make_jacobian, make_rhs
+from .model import State, equilibria, make_jacobian, make_rhs, rhs_arrays
 from .params import StrainParams
 
 
@@ -98,6 +98,13 @@ class OCPSolution:
         )
 
 
+def _hamiltonian(f, l1, l2, u, weight_p: float):
+    """-P - u^2/2 + l1 f1 + l2 (f2 + u), where f = (f1, f2) is the
+    uncontrolled field; every argument may be a float or an array."""
+    fx, fy = f
+    return -weight_p - 0.5 * u * u + l1 * fx + l2 * (fy + u)
+
+
 def hamiltonian(
     params: StrainParams,
     s: State,
@@ -106,9 +113,7 @@ def hamiltonian(
     weight_p: float,
 ) -> float:
     """Pontryagin Hamiltonian: -P - u^2/2 + adjoints dotted with the flow."""
-    fx, fy = make_rhs(params)(s.x, s.y, 0.0)
-    l1, l2 = adj
-    return -weight_p - 0.5 * u * u + l1 * fx + l2 * (fy + u)
+    return _hamiltonian(make_rhs(params)(s.x, s.y, 0.0), *adj, u, weight_p)
 
 
 def adjoint_rhs(
@@ -279,9 +284,10 @@ class _Sweeper:
         phi1, phi2 = _backward_unit(self.jac, xs, ys, h)
         l1 = [mu * v for v in phi1]
         l2 = [mu * v for v in phi2]
-        fx, fy = self.rhs(xs[-1], ys[-1], 0.0)
         u_T = min(max(l2[-1], 0.0), self.cfg.cap_l)
-        h_T = -self.cfg.weight_p - 0.5 * u_T * u_T + l1[-1] * fx + l2[-1] * (fy + u_T)
+        h_T = _hamiltonian(
+            self.rhs(xs[-1], ys[-1], 0.0), l1[-1], l2[-1], u_T, self.cfg.weight_p
+        )
         return dict(
             u=u, xs=xs, ys=ys, l1=l1, l2=l2, mu=mu, h=h,
             h_terminal=h_T, x_terminal=xs[-1], sweep_delta=du, sweeps=sweep + 1,
@@ -403,11 +409,10 @@ def solve(params: StrainParams, cfg: OCPConfig) -> OCPSolution:
     control = ContinuousControl(times=times, values=values, t_star=T, cap_l=cfg.cap_l)
 
     p = cfg.weight_p
-    fx, fy = np.empty(n + 1), np.empty(n + 1)
-    rhs = make_rhs(params)
-    for i in range(n + 1):
-        fx[i], fy[i] = rhs(states[i, 0], states[i, 1], 0.0)
-    h_grid = -p - 0.5 * values**2 + adjoints[:, 0] * fx + adjoints[:, 1] * (fy + values)
+    h_grid = _hamiltonian(
+        rhs_arrays(params, states[:, 0], states[:, 1]),
+        adjoints[:, 0], adjoints[:, 1], values, p,
+    )
 
     clamp_gap = float(np.max(np.abs(values - np.clip(adjoints[:, 1], 0.0, cfg.cap_l))))
     residuals = {

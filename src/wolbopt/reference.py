@@ -40,15 +40,5 @@ GA = MappingProxyType(
     }
 )
 
-# Scenario horizons used when reproducing the genetic-search table:
-# the impulsive-schedule spans for each strain and release period.
-GA_HORIZONS = MappingProxyType(
-    {
-        "wmel": {1: 14, 7: 14, 14: 14},
-        "wmelpop": {1: 65, 7: 63, 14: 70},
-    }
-)
-
-
 def deviation_pct(actual: float, reference: float) -> float:
     return 100.0 * (actual - reference) / reference

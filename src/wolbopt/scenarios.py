@@ -11,9 +11,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
-from .ga import EpsilonLoopConfig, GAConfig
+from .ga import (
+    EpsilonLoopConfig,
+    FitnessReport,
+    GAConfig,
+    ReleasePlan,
+    epsilon_loop,
+    run_ga,
+)
 from .model import equilibria, secure_region
 from .ocp import OCPConfig
 from .params import PRESET_CAP_L, StrainParams
@@ -124,3 +131,36 @@ def epsilon_config(cell: GACell, frequency: int, restarts: int = 1) -> EpsilonLo
         step=frequency,
         restarts_per_epsilon=restarts,
     )
+
+
+def best_ga_plan(
+    params: StrainParams, frequency: int, seeds: Iterable[int]
+) -> Optional[tuple[ReleasePlan, FitnessReport, int, Scenario]]:
+    """Best feasible (plan, report, horizon, scenario) over GA seeds, or None.
+
+    Each seed runs its cell's search: the epsilon loop for floor-search
+    cells, one GA run at the published horizon otherwise.  The lowest J
+    wins; ties keep the earlier seed.
+    """
+    cell = ga_cell(params.name, frequency)
+    best = None
+    for seed in seeds:
+        scenario = build_scenario(params, frequency=frequency, seed=seed)
+        cfg = ga_config(scenario)
+        if cell.floor_search:
+            res = epsilon_loop(
+                epsilon_config(cell, frequency), cfg, scenario.params,
+                scenario.target, scenario.initial_wild,
+            )
+            if res.best is None:
+                continue
+            plan, report, horizon = res.best, res.report, res.horizon
+        else:
+            out = run_ga(
+                cfg, cell.horizon, scenario.params, scenario.target,
+                scenario.initial_wild,
+            )
+            plan, report, horizon = out.best, out.report, cell.horizon
+        if report.feasible and (best is None or report.j_value < best[1].j_value):
+            best = (plan, report, horizon, scenario)
+    return best

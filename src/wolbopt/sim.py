@@ -198,8 +198,15 @@ def simulate_impulsive(
 
     Each release instant adds the (integer) release size to the infected
     population exactly and records the pre/post states.
+
+    Raises:
+        ValueError: A release is scheduled after ``opts.t_end``.
     """
-    entries = [(t, size) for t, size in sched.entries if t <= opts.t_end]
+    late = [(t, size) for t, size in sched.entries if t > opts.t_end]
+    if late:
+        raise ValueError(
+            f"release of {late[0][1]} at t={late[0][0]:g} is after t_end={opts.t_end:g}"
+        )
     times_out: list[np.ndarray] = []
     states_out: list[np.ndarray] = []
     jumps: list[Jump] = []
@@ -207,7 +214,7 @@ def simulate_impulsive(
     t_cur = 0.0
     u_zero = lambda t: 0.0  # noqa: E731
 
-    for t_rel, size in entries:
+    for t_rel, size in sched.entries:
         if t_rel > t_cur:
             sol = _solve_segment(params, (x, y), (t_cur, t_rel), u_zero, opts)
             ts = _sample_times(t_cur, t_rel, opts.dense_output_stride)

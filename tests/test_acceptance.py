@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from wolbopt import reference
-from wolbopt.ga import epsilon_loop, run_ga
+from wolbopt.ga import evaluate_population, init_population, run_ga
 from wolbopt.impulsive import (
     aggregate_periodic,
     daily_impulses,
@@ -20,14 +20,12 @@ from wolbopt.model import State, absorbing_bound, equilibria, jacobian, rhs
 from wolbopt.ocp import hamiltonian, adjoint_rhs
 from wolbopt.params import preset
 from wolbopt.scenarios import (
+    best_ga_plan,
     build_scenario,
     computed_x_sharp,
-    epsilon_config,
-    ga_cell,
     ga_config,
 )
 from wolbopt.sim import (
-    ImpulseSchedule,
     SimOptions,
     classify_endpoint,
     separatrix,
@@ -166,41 +164,18 @@ GA_SEEDS = range(5)
     "strain,freq", [(s, f) for s in ("wmel", "wmelpop") for f in (1, 7, 14)]
 )
 def test_criterion5_ga_reproduction(strain, freq):
-    cell = ga_cell(strain, freq)
     ref_count, ref_j = reference.GA[strain][freq]
     table2_count = reference.IMPULSIVE[strain][freq][0]
-    best = None
-    for seed in GA_SEEDS:
-        scenario = build_scenario(preset(strain), frequency=freq, seed=seed)
-        cfg = ga_config(scenario)
-        if cell.floor_search:
-            res = epsilon_loop(
-                epsilon_config(cell, freq), cfg, scenario.params,
-                scenario.target, scenario.initial_wild,
-            )
-            if res.best is None:
-                continue
-            plan, rep, horizon = res.best, res.report, res.horizon
-        else:
-            out = run_ga(
-                cfg, cell.horizon, scenario.params, scenario.target,
-                scenario.initial_wild,
-            )
-            plan, rep, horizon = out.best, out.report, cell.horizon
-        if rep.feasible and (best is None or rep.j_value < best[1].j_value):
-            best = (plan, rep, horizon, scenario)
+    best = best_ga_plan(preset(strain), freq, GA_SEEDS)
     assert best is not None, "no feasible plan in any seed"
     plan, rep, horizon, scenario = best
     dev = abs(rep.j_value - ref_j) / ref_j
     count_ok = plan.num_releases <= table2_count
     # Independent re-verification with the adaptive integrator.
-    entries = tuple(
-        (float(d), int(v)) for d, v in enumerate(plan.genes, start=1) if v
-    )
     traj = simulate_impulsive(
         scenario.params,
         State(scenario.initial_wild, 0.0),
-        ImpulseSchedule(entries=entries),
+        plan.schedule(),
         SimOptions(t_end=float(horizon)),
     )
     fx, fy = traj.final_state
@@ -321,15 +296,29 @@ def test_criterion6_operator_invariants():
     report("criterion 6 [operator invariants]", True, f"{applications} operator applications validated")
 
 
-def test_criterion6_determinism_parallel_toggle():
+def test_criterion6_determinism_row_independence():
     scenario = build_scenario(preset("wmel"), frequency=7, seed=21)
-    serial = ga_config(scenario, pop_n=20, generations_g=8, n_workers=0)
-    parallel = ga_config(scenario, pop_n=20, generations_g=8, n_workers=4)
-    a = run_ga(serial, 14, scenario.params, scenario.target, scenario.initial_wild)
-    b = run_ga(parallel, 14, scenario.params, scenario.target, scenario.initial_wild)
+    cfg = ga_config(scenario, pop_n=20, generations_g=8)
+    target, x0 = scenario.target, scenario.initial_wild
+    a = run_ga(cfg, 14, scenario.params, target, x0)
+    b = run_ga(cfg, 14, scenario.params, target, x0)
     assert np.array_equal(a.best.genes, b.best.genes)
     assert [r.best_fitness for r in a.history] == [r.best_fitness for r in b.history]
-    report("criterion 6 [determinism]", True, "identical history with parallel fitness on/off")
+    # A row's fitness must not depend on the rows batched with it.
+    batch_cfg = ga_config(scenario)  # pop_n = 100, the batch size the GA evaluates
+    genes = init_population(batch_cfg, 14, np.random.default_rng(21))
+    full = evaluate_population(scenario.params, genes, target, x0, batch_cfg)
+    for step in (7, 1):
+        parts = [
+            evaluate_population(scenario.params, genes[lo:lo + step], target, x0, batch_cfg)
+            for lo in range(0, genes.shape[0], step)
+        ]
+        for k, whole in enumerate(full):
+            assert whole.tobytes() == np.concatenate([p[k] for p in parts]).tobytes()
+    report(
+        "criterion 6 [determinism]", True,
+        "identical reruns; 100-row batch bit-identical in 7-row chunks and row by row",
+    )
 
 
 # --- Criterion 7: bistability sanity --------------------------------------

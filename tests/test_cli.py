@@ -76,6 +76,18 @@ def test_simulate_malformed_schedule(tmp_path, capsys):
     assert ":2:" in capsys.readouterr().err
 
 
+def test_simulate_rejects_release_after_t_end(tmp_path, capsys):
+    sched = tmp_path / "late.csv"
+    sched.write_text("day,size\n1,3000\n70,1500\n")
+    code = run(
+        ["simulate", "--strain", "wmel", "--schedule", str(sched), "--t-end", "60"],
+        tmp_path,
+    )
+    assert code == 2
+    assert "1500 at t=70 is after t_end=60" in capsys.readouterr().err
+    assert not (tmp_path / "simulate_wmel.json").exists()
+
+
 def test_impulsive_requires_control(tmp_path, capsys):
     assert run(["impulsive", "--strain", "wmel"], tmp_path) == 2
     assert "--control" in capsys.readouterr().err
@@ -198,11 +210,13 @@ def test_config_file_stage_sections_with_flag_precedence(tmp_path):
 
 
 def test_config_file_unknown_stage_key(tmp_path, capsys):
-    cfg = tmp_path / "scenario.ini"
-    cfg.write_text("[scenario]\nstrain = wmel\n\n[ocp]\nnot_a_knob = 1\n")
-    code = main(["ocp", "--config", str(cfg), "--out", str(tmp_path)])
-    assert code == 2
-    assert "not_a_knob" in capsys.readouterr().err
+    # n_workers is a removed [ga] knob: old configs must fail loudly.
+    for stage, key in (("ocp", "not_a_knob"), ("ga", "n_workers")):
+        cfg = tmp_path / "scenario.ini"
+        cfg.write_text(f"[scenario]\nstrain = wmel\n\n[{stage}]\n{key} = 1\n")
+        code = main([stage, "--config", str(cfg), "--out", str(tmp_path)])
+        assert code == 2
+        assert key in capsys.readouterr().err
 
 
 def test_outdir_env_var(tmp_path, monkeypatch):

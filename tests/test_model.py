@@ -9,7 +9,9 @@ from wolbopt.model import (
     absorbing_bound,
     equilibria,
     jacobian,
+    make_rhs,
     rhs,
+    rhs_arrays,
     secure_region,
 )
 from wolbopt.params import StrainParams, offspring_numbers
@@ -46,6 +48,24 @@ def test_rhs_on_infected_axis_matches_substitution(wmel):
     assert dy == pytest.approx(
         wmel.nu * wmel.rho_w * y0 * e - (wmel.omega + wmel.delta_w) * y0, rel=1e-12
     )
+
+
+def test_rhs_arrays_equal_scalar_field(wmel, wmelpop):
+    # The origin, a point on each axis, and two interior states.
+    xs = np.array([0.0, 6786.0, 0.0, 4592.0, 0.5])
+    ys = np.array([0.0, 0.0, 1234.5, 1793.0, 7000.0])
+    for params in (wmel, wmelpop):
+        dx, dy = rhs_arrays(params, xs, ys)
+        # Bit for bit against the scalar closure with the same exp ...
+        scalar = make_rhs(params, np.exp)
+        got = list(zip(dx.tolist(), dy.tolist()))
+        assert got == [scalar(x, y, 0.0) for x, y in zip(xs.tolist(), ys.tolist())]
+        assert got[0] == (0.0, 0.0)
+        # ... and to exp rounding against the math.exp fast path.
+        for (gx, gy), x, y in zip(got, xs, ys):
+            fx, fy = rhs(params, State(x, y))
+            assert gx == pytest.approx(fx, rel=1e-12, abs=1e-9)
+            assert gy == pytest.approx(fy, rel=1e-12, abs=1e-9)
 
 
 def test_rhs_rejects_negative_inputs(wmel):

@@ -80,6 +80,19 @@ def test_jump_records_conserve_total(wmel, wmel_scenario):
     assert jumped == sched.total
 
 
+def test_release_after_t_end_rejected(wmel, wmel_scenario):
+    s0 = State(wmel_scenario.initial_wild, 0.0)
+    late = ImpulseSchedule(entries=((5.0, 100), (12.0, 200), (15.0, 300)))
+    with pytest.raises(ValueError, match="200 at t=12 is after t_end=10"):
+        simulate_impulsive(wmel, s0, late, SimOptions(t_end=10.0))
+    # A release exactly at t_end is applied and is the last sample.
+    at_end = ImpulseSchedule(entries=((10.0, 100),))
+    traj = simulate_impulsive(wmel, s0, at_end, SimOptions(t_end=10.0))
+    assert [j.time for j in traj.jumps] == [10.0]
+    assert traj.times[-1] == 10.0
+    assert traj.final_state == traj.jumps[0].post
+
+
 def test_tolerance_halving_consistency(wmel, wmel_scenario):
     x0 = wmel_scenario.initial_wild
     loose = SimOptions(rel_tol=1e-6, abs_tol=1e-8, t_end=100.0)
