@@ -30,6 +30,7 @@ from .model import (
     EquilibriumSet,
     State,
     equilibria,
+    in_secure_region,
     jacobian,
     rhs,
     secure_region,
@@ -93,6 +94,7 @@ __all__ = [
     "excess_periodic",
     "first_basin_entry",
     "hamiltonian",
+    "in_secure_region",
     "integrate",
     "jacobian",
     "objective",

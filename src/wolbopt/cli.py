@@ -28,7 +28,7 @@ from .impulsive import (
     evaluate_schedule,
     select_rule,
 )
-from .model import State, equilibria, secure_region
+from .model import State, absorbing_bound, equilibria, in_secure_region, secure_region
 from .ocp import CapInfeasibleError, NonConvergenceError, solve
 from .params import (
     PRESET_NAMES,
@@ -282,8 +282,7 @@ def cmd_ocp(args) -> int:
 
 def cmd_impulsive(args) -> int:
     if not args.control:
-        print("impulsive requires --control CONTROL_CSV", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError("impulsive requires --control CONTROL_CSV")
     cfg = _read_config(args.config)
     scenario = _resolve_scenario(args, cfg)
     ctrl = fileio.read_control_csv(Path(args.control))
@@ -297,15 +296,7 @@ def cmd_impulsive(args) -> int:
     )
     name = scenario.params.name
     fileio.write_schedule_csv(out / f"impulsive_{name}_daily.csv", sched)
-    cells = {
-        "daily": {
-            "num_releases": rep.num_releases,
-            "overall_size": rep.overall_size,
-            "basin_entry_time": rep.basin_entry_time,
-            "feasible": rep.feasible,
-            "rule": "daily",
-        }
-    }
+    cells = {"daily": {**asdict(rep), "rule": "daily"}}
     status = EXIT_OK if rep.feasible else EXIT_FAILED
     if scenario.frequency > 1:
         try:
@@ -315,13 +306,7 @@ def cmd_impulsive(args) -> int:
             fileio.write_schedule_csv(
                 out / f"impulsive_{name}_m{scenario.frequency}.csv", seq.schedule()
             )
-            cells[f"m{scenario.frequency}"] = {
-                "num_releases": rep_m.num_releases,
-                "overall_size": rep_m.overall_size,
-                "basin_entry_time": rep_m.basin_entry_time,
-                "feasible": rep_m.feasible,
-                "rule": seq.rule,
-            }
+            cells[f"m{scenario.frequency}"] = {**asdict(rep_m), "rule": seq.rule}
         except NoFeasibleRuleError as err:
             print(str(err), file=sys.stderr)
             status = EXIT_FAILED
@@ -376,8 +361,9 @@ def cmd_ga(args) -> int:
         fileio.write_history_csv(out / f"ga_{name}_history.csv", history)
     sched = plan.schedule()
     fileio.write_schedule_csv(out / f"ga_{name}_plan.csv", sched)
-    verify = evaluate_schedule(
-        scenario.params, sched, target, scenario.initial_wild,
+    # The GA's own rule, on the adaptive trajectory: the state at the horizon.
+    verify = simulate_impulsive(
+        scenario.params, State(scenario.initial_wild, 0.0), sched,
         SimOptions(t_end=float(horizon)),
     )
     summary.update(
@@ -387,8 +373,7 @@ def cmd_ga(args) -> int:
             "num_releases": plan.num_releases,
             "feasible": report.feasible,
             "entry_time": report.entry_time,
-            "verified_feasible": verify.basin_entry_time is not None
-            and verify.basin_entry_time <= horizon,
+            "verified_feasible": bool(in_secure_region(*verify.final_state, target)),
             "ga_config": asdict(gcfg),
         }
     )
@@ -401,11 +386,11 @@ def cmd_ga(args) -> int:
 
 
 def cmd_phase(args) -> int:
+    if args.grid < 2:
+        raise UsageError("--grid must be at least 2")
     cfg = _read_config(args.config)
     scenario = _resolve_scenario(args, cfg)
     eq = equilibria(scenario.params)
-    from .model import absorbing_bound
-
     bound = absorbing_bound(scenario.params)
     n = args.grid
     xs = np.linspace(0.0, 1.1 * bound, n)
@@ -477,6 +462,8 @@ def _reproduce_table2(args) -> int:
 
 
 def _reproduce_table4(args) -> int:
+    if args.seeds < 1:
+        raise UsageError("--seeds must be at least 1")
     status = EXIT_OK
     seeds = list(range(args.seed or 0, (args.seed or 0) + args.seeds))
     for name in PRESET_NAMES:
@@ -574,21 +561,14 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as err:
-        print(str(err), file=sys.stderr)
-        return EXIT_USAGE
-    except fileio.ScheduleParseError as err:
-        print(str(err), file=sys.stderr)
-        return EXIT_USAGE
-    except UnknownStrainError as err:
+    # Bad input: a missing or unreadable file, a malformed config or CSV,
+    # an out-of-range value.
+    except (UsageError, UnknownStrainError, ValueError, OSError, configparser.Error) as err:
         print(str(err), file=sys.stderr)
         return EXIT_USAGE
     except (CapInfeasibleError, NonConvergenceError, NoFeasibleRuleError, IntegrationError) as err:
         print(str(err), file=sys.stderr)
         return EXIT_FAILED
-    except ValueError as err:
-        print(str(err), file=sys.stderr)
-        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -53,17 +53,12 @@ def write_trajectory_csv(path: Path, traj: Trajectory) -> None:
             writer.writerow([f"{v:.10g}" for v in row])
 
 
-def write_schedule_csv(path: Path, sched: ImpulseSchedule, with_rule: bool = True) -> None:
+def write_schedule_csv(path: Path, sched: ImpulseSchedule) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        if with_rule:
-            writer.writerow(["day", "size", "rule"])
-            for t, size in sched.entries:
-                writer.writerow([f"{t:.10g}", size, sched.rule_tag])
-        else:
-            writer.writerow(["day", "size"])
-            for t, size in sched.entries:
-                writer.writerow([f"{t:.10g}", size])
+        writer.writerow(["day", "size", "rule"])
+        for t, size in sched.entries:
+            writer.writerow([f"{t:.10g}", size, sched.rule_tag])
 
 
 def read_schedule_csv(path: Path) -> ImpulseSchedule:

@@ -21,9 +21,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .model import rhs_arrays
+from .model import in_secure_region, rhs_arrays
 from .params import StrainParams
-from .sim import ImpulseSchedule
+from .sim import ImpulseSchedule, rk4
 
 
 @dataclass(frozen=True)
@@ -100,6 +100,16 @@ class FitnessReport:
     fitness_f: float
     entry_time: Optional[float]
 
+    @classmethod
+    def from_row(cls, i: int, fit, j, feas, entry) -> FitnessReport:
+        """Row i of the arrays ``evaluate_population`` returns."""
+        return cls(
+            j_value=int(j[i]),
+            feasible=bool(feas[i]),
+            fitness_f=float(fit[i]),
+            entry_time=None if np.isnan(entry[i]) else float(entry[i]),
+        )
+
 
 @dataclass(frozen=True)
 class EpsilonLoopConfig:
@@ -158,21 +168,21 @@ def simulate_batch(
     entry = None
     if target is not None:
         entry = np.full(b, np.nan)
+    # Looked up in the module at each call, so a wrapped ``rhs_arrays``
+    # sees every evaluation.
+    field = lambda x, y, u: rhs_arrays(params, x, y)  # noqa: E731
+    zero_control = [0.0] * (substeps + 1)
     for day in range(1, t_days + 1):
-        for k in range(substeps):
-            k1x, k1y = rhs_arrays(params, x, y)
-            k2x, k2y = rhs_arrays(params, x + 0.5 * h * k1x, y + 0.5 * h * k1y)
-            k3x, k3y = rhs_arrays(params, x + 0.5 * h * k2x, y + 0.5 * h * k2y)
-            k4x, k4y = rhs_arrays(params, x + h * k3x, y + h * k3y)
-            x = x + (h / 6.0) * (k1x + 2.0 * (k2x + k3x) + k4x)
-            y = y + (h / 6.0) * (k1y + 2.0 * (k2y + k3y) + k4y)
-            if entry is not None:
+        xs, ys = rk4(field, x, y, zero_control, h)
+        x, y = xs[-1], ys[-1]
+        if entry is not None:
+            for k in range(substeps):
                 now = day - 1 + (k + 1) * h
-                hit = np.isnan(entry) & (x < target[0]) & (y > target[1])
+                hit = np.isnan(entry) & in_secure_region(xs[k + 1], ys[k + 1], target)
                 entry[hit] = now
         y = y + genes[:, day - 1]
         if entry is not None:
-            hit = np.isnan(entry) & (x < target[0]) & (y > target[1])
+            hit = np.isnan(entry) & in_secure_region(x, y, target)
             entry[hit] = float(day)
     return x, y, entry
 
@@ -195,7 +205,7 @@ def evaluate_population(
     """
     pen = _penalty(cfg, genes.shape[1])
     x, y, entry = simulate_batch(params, genes, initial_wild, target=target)
-    feas = (x < target[0]) & (y > target[1])
+    feas = in_secure_region(x, y, target)
     j = genes.sum(axis=1).astype(float)
     fitness = 1.0 / (j + pen * (~feas))
     return fitness, j, feas, entry
@@ -209,12 +219,8 @@ def fitness(
     cfg: GAConfig,
 ) -> FitnessReport:
     """Evaluate one plan; the batch kernel with a single row."""
-    f, j, feas, entry = evaluate_population(
-        params, plan.genes[None, :], target, initial_wild, cfg
-    )
-    et = None if np.isnan(entry[0]) else float(entry[0])
-    return FitnessReport(
-        j_value=int(j[0]), feasible=bool(feas[0]), fitness_f=float(f[0]), entry_time=et
+    return FitnessReport.from_row(
+        0, *evaluate_population(params, plan.genes[None, :], target, initial_wild, cfg)
     )
 
 
@@ -404,12 +410,8 @@ def run_ga(
         )
     best = int(np.argmax(state.fitness))
     plan = ReleasePlan(genes=state.genes[best].copy(), block_p=cfg.block_p)
-    et = None if np.isnan(state.entry[best]) else float(state.entry[best])
-    report = FitnessReport(
-        j_value=int(state.j[best]),
-        feasible=bool(state.feasible[best]),
-        fitness_f=float(state.fitness[best]),
-        entry_time=et,
+    report = FitnessReport.from_row(
+        best, state.fitness, state.j, state.feasible, state.entry
     )
     return GAResult(best=plan, report=report, history=history)
 

@@ -220,6 +220,11 @@ def secure_region(eq: EquilibriumSet) -> tuple[float, float]:
     return eq.eu.state.x, eq.eu.state.y
 
 
+def in_secure_region(x, y, target: tuple[float, float]):
+    """Strict x < x_u and y > y_u; elementwise when x and y are arrays."""
+    return (x < target[0]) & (y > target[1])
+
+
 def absorbing_bound(params: StrainParams) -> float:
     """Upper bound on x + y that uncontrolled trajectories eventually obey."""
     q = offspring_numbers(params)

@@ -23,6 +23,7 @@ import numpy as np
 
 from .model import State, equilibria, make_jacobian, make_rhs, rhs_arrays
 from .params import StrainParams
+from .sim import Trajectory, rk4
 
 
 class CapInfeasibleError(RuntimeError):
@@ -89,8 +90,6 @@ class OCPSolution:
     def state_trajectory(self):
         """The optimal state path as a sim trajectory (with the control
         attached as the applied rate)."""
-        from .sim import Trajectory
-
         return Trajectory(
             times=self.control.times.copy(),
             states=self.states.copy(),
@@ -142,27 +141,6 @@ def objective(control: ContinuousControl, weight_p: float) -> float:
     """Composite trapezoidal quadrature of P + u^2/2 over [0, t_star]."""
     integrand = weight_p + 0.5 * control.values**2
     return float(np.trapezoid(integrand, control.times))
-
-
-def _forward(rhs, x0: float, u: list[float], h: float) -> tuple[list[float], list[float]]:
-    """Fixed-step RK4 with the control linearly interpolated inside steps."""
-    n = len(u) - 1
-    xs = [0.0] * (n + 1)
-    ys = [0.0] * (n + 1)
-    xs[0] = x = x0
-    ys[0] = y = 0.0
-    h2, h6 = 0.5 * h, h / 6.0
-    for i in range(n):
-        u0, u1 = u[i], u[i + 1]
-        um = 0.5 * (u0 + u1)
-        k1x, k1y = rhs(x, y, u0)
-        k2x, k2y = rhs(x + h2 * k1x, y + h2 * k1y, um)
-        k3x, k3y = rhs(x + h2 * k2x, y + h2 * k2y, um)
-        k4x, k4y = rhs(x + h * k3x, y + h * k3y, u1)
-        x += h6 * (k1x + 2.0 * (k2x + k3x) + k4x)
-        y += h6 * (k1y + 2.0 * (k2y + k3y) + k4y)
-        xs[i + 1], ys[i + 1] = x, y
-    return xs, ys
 
 
 def _backward_unit(jac, xs: list[float], ys: list[float], h: float) -> tuple[list[float], list[float]]:
@@ -220,7 +198,7 @@ class _Sweeper:
 
         def resid(mu: float):
             u = self._control(mu, phi2)
-            xs, ys = _forward(self.rhs, self.x0, u, h)
+            xs, ys = rk4(self.rhs, self.x0, 0.0, u, h)
             return xs[-1] - self.x_target, u, xs, ys
 
         hi = 0.0
@@ -271,7 +249,7 @@ class _Sweeper:
         # fraction of the control tolerance being asked for.
         xtol = max(0.2 * du_tol_rel * self.cfg.cap_l, 1e-6)
         for sweep in range(max_sweeps):
-            xs, ys = _forward(self.rhs, self.x0, u, h)
+            xs, ys = rk4(self.rhs, self.x0, 0.0, u, h)
             phi1, phi2 = _backward_unit(self.jac, xs, ys, h)
             mu, u_star, xs, ys = self._mu_secant(phi2, h, mu, xtol)
             du = max(abs(a - b) for a, b in zip(u_star, u))
@@ -280,7 +258,7 @@ class _Sweeper:
                 break
             for i in range(len(u)):
                 u[i] += alpha * (u_star[i] - u[i])
-        xs, ys = _forward(self.rhs, self.x0, u, h)
+        xs, ys = rk4(self.rhs, self.x0, 0.0, u, h)
         phi1, phi2 = _backward_unit(self.jac, xs, ys, h)
         l1 = [mu * v for v in phi1]
         l2 = [mu * v for v in phi2]

@@ -1,9 +1,11 @@
 """Trajectory integration, impulsive releases, basin entry, separatrix.
 
-Continuous segments run through scipy's adaptive RK45 (Dormand-Prince
-5(4) embedded pair) with dense output.  Impulsive releases are pure jumps
-of the infected population between segments: the flow between release
-instants is the uncontrolled model.
+Two integrators.  ``rk4`` is the fixed-step RK4 pass on a uniform grid,
+for floats (the OCP sweeps) or arrays (the GA batch kernel).  Everything
+else here runs scipy's adaptive RK45 (Dormand-Prince 5(4) embedded pair)
+with dense output, one segment at a time through ``_segment``.  Impulsive
+releases are pure jumps of the infected population between segments: the
+flow between release instants is the uncontrolled model.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from .model import (
     State,
     absorbing_bound,
     equilibria,
+    in_secure_region,
     jacobian,
     make_rhs,
 )
@@ -126,13 +129,41 @@ class IntegrationError(RuntimeError):
     """Integrator failure or tolerance-violating negativity."""
 
 
-def _solve_segment(
+def rk4(rhs, x, y, u: Sequence, h: float) -> tuple[list, list]:
+    """Fixed-step RK4 from (x, y), the control linearly interpolated inside
+    steps; returns the node lists (len(u) nodes).
+
+    The one fixed-step integrator: the OCP sweeps run it on floats, the GA
+    kernel on arrays (one row per plan).
+    """
+    n = len(u) - 1
+    xs = [x] * (n + 1)
+    ys = [y] * (n + 1)
+    h2, h6 = 0.5 * h, h / 6.0
+    for i in range(n):
+        u0, u1 = u[i], u[i + 1]
+        um = 0.5 * (u0 + u1)
+        k1x, k1y = rhs(x, y, u0)
+        k2x, k2y = rhs(x + h2 * k1x, y + h2 * k1y, um)
+        k3x, k3y = rhs(x + h2 * k2x, y + h2 * k2y, um)
+        k4x, k4y = rhs(x + h * k3x, y + h * k3y, u1)
+        # Rebind, never ``+=``: on arrays that would write in place and
+        # every stored node would alias one array.
+        x = x + h6 * (k1x + 2.0 * (k2x + k3x) + k4x)
+        y = y + h6 * (k1y + 2.0 * (k2y + k3y) + k4y)
+        xs[i + 1], ys[i + 1] = x, y
+    return xs, ys
+
+
+def _segment(
     params: StrainParams,
     state0: tuple[float, float],
     span: tuple[float, float],
     u_fn: Callable[[float], float],
     opts: SimOptions,
-):
+) -> tuple[np.ndarray, np.ndarray]:
+    """Adaptive RK45 over ``span``, sampled at the output stride (both ends
+    included) and clamped at zero; returns (times, states)."""
     rhs = make_rhs(params)
 
     def f(t, z):
@@ -150,16 +181,14 @@ def _solve_segment(
     )
     if not sol.success:
         raise IntegrationError(sol.message)
-    return sol
-
-
-def _clamp_nonnegative(states: np.ndarray, abs_tol: float) -> np.ndarray:
+    ts = _sample_times(span[0], span[1], opts.dense_output_stride)
+    states = sol.sol(ts).T
     low = states.min()
-    if low < -abs_tol * 100.0:
+    if low < -opts.abs_tol * 100.0:
         raise IntegrationError(
             f"negative excursion {low:.3e} exceeds tolerance; integrator misconfigured"
         )
-    return np.clip(states, 0.0, None)
+    return ts, np.clip(states, 0.0, None)
 
 
 def _sample_times(t0: float, t1: float, stride: float) -> np.ndarray:
@@ -181,9 +210,7 @@ def integrate(
     and zero extension outside the grid.
     """
     u_fn = _control_function(control)
-    sol = _solve_segment(params, (s0.x, s0.y), span, u_fn, opts)
-    ts = _sample_times(span[0], span[1], opts.dense_output_stride)
-    states = _clamp_nonnegative(sol.sol(ts).T, opts.abs_tol)
+    ts, states = _segment(params, (s0.x, s0.y), span, u_fn, opts)
     u_vals = np.array([u_fn(t) for t in ts])
     return Trajectory(times=ts, states=states, u_applied=u_vals)
 
@@ -214,28 +241,22 @@ def simulate_impulsive(
     t_cur = 0.0
     u_zero = lambda t: 0.0  # noqa: E731
 
-    for t_rel, size in sched.entries:
+    # The sentinel (t_end, None) flows the tail; None, not 0, marks it so
+    # that a size-0 release still records its jump.
+    for t_rel, size in (*sched.entries, (opts.t_end, None)):
         if t_rel > t_cur:
-            sol = _solve_segment(params, (x, y), (t_cur, t_rel), u_zero, opts)
-            ts = _sample_times(t_cur, t_rel, opts.dense_output_stride)
-            seg = _clamp_nonnegative(sol.sol(ts).T, opts.abs_tol)
+            ts, seg = _segment(params, (x, y), (t_cur, t_rel), u_zero, opts)
             times_out.append(ts[:-1])
             states_out.append(seg[:-1])
             x, y = float(seg[-1, 0]), float(seg[-1, 1])
             t_cur = t_rel
+        if size is None:
+            break
         pre = (x, y)
         y += size
         jumps.append(Jump(time=t_rel, pre=pre, post=(x, y)))
-
-    if opts.t_end > t_cur:
-        sol = _solve_segment(params, (x, y), (t_cur, opts.t_end), u_zero, opts)
-        ts = _sample_times(t_cur, opts.t_end, opts.dense_output_stride)
-        seg = _clamp_nonnegative(sol.sol(ts).T, opts.abs_tol)
-        times_out.append(ts)
-        states_out.append(seg)
-    else:
-        times_out.append(np.array([t_cur]))
-        states_out.append(np.array([[x, y]]))
+    times_out.append(np.array([t_cur]))
+    states_out.append(np.array([[x, y]]))
 
     times = np.concatenate(times_out)
     states = np.vstack(states_out)
@@ -245,21 +266,17 @@ def simulate_impulsive(
 def first_basin_entry(
     traj: Trajectory, target: tuple[float, float], resolution: float = 1e-6
 ) -> Optional[float]:
-    """Earliest time at which x < x_u and y > y_u both hold strictly.
+    """Earliest time at which the state is in the secure region
+    (``in_secure_region``: both thresholds strict).
 
     Jump records are consulted so that entries caused by a release are
     timed at the release instant.  Between samples the entry time is
     located by bisection on linear interpolants down to ``resolution``
     days; returns None when the trajectory never enters.
     """
-    x_u, y_u = target
     times, states = traj.times, traj.states
-    inside = (states[:, 0] < x_u) & (states[:, 1] > y_u)
-    jump_entries = [
-        j.time
-        for j in traj.jumps
-        if j.post[0] < x_u and j.post[1] > y_u
-    ]
+    inside = in_secure_region(states[:, 0], states[:, 1], target)
+    jump_entries = [j.time for j in traj.jumps if in_secure_region(*j.post, target)]
     idx = np.nonzero(inside)[0]
     sample_entry = None
     if idx.size:
@@ -274,7 +291,7 @@ def first_basin_entry(
                 w = (mid - lo_t) / (hi_t - lo_t) if hi_t > lo_t else 0.0
                 sx = lo_s[0] + w * (hi_s[0] - lo_s[0])
                 sy = lo_s[1] + w * (hi_s[1] - lo_s[1])
-                if sx < x_u and sy > y_u:
+                if in_secure_region(sx, sy, target):
                     hi_t = mid
                 else:
                     lo_t = mid

@@ -16,7 +16,7 @@ from wolbopt.impulsive import (
     excess_periodic,
     select_rule,
 )
-from wolbopt.model import State, absorbing_bound, equilibria, jacobian, rhs
+from wolbopt.model import State, absorbing_bound, equilibria, in_secure_region, jacobian, rhs
 from wolbopt.ocp import hamiltonian, adjoint_rhs
 from wolbopt.params import preset
 from wolbopt.scenarios import (
@@ -179,7 +179,7 @@ def test_criterion5_ga_reproduction(strain, freq):
         SimOptions(t_end=float(horizon)),
     )
     fx, fy = traj.final_state
-    verified = fx < scenario.target[0] and fy > scenario.target[1]
+    verified = in_secure_region(fx, fy, scenario.target)
     table2_total = reference.IMPULSIVE[strain][freq][1]
     dominates = rep.j_value <= table2_total
     ok = dev <= 0.15 and count_ok and verified and dominates

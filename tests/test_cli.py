@@ -74,6 +74,10 @@ def test_simulate_malformed_schedule(tmp_path, capsys):
     code = run(["simulate", "--strain", "wmel", "--schedule", str(sched)], tmp_path)
     assert code == 2
     assert ":2:" in capsys.readouterr().err
+    missing = str(tmp_path / "missing.csv")
+    for flag in ("--schedule", "--control"):
+        assert run(["simulate", "--strain", "wmel", flag, missing], tmp_path) == 2
+        assert "missing.csv" in capsys.readouterr().err
 
 
 def test_simulate_rejects_release_after_t_end(tmp_path, capsys):
@@ -91,17 +95,25 @@ def test_simulate_rejects_release_after_t_end(tmp_path, capsys):
 def test_impulsive_requires_control(tmp_path, capsys):
     assert run(["impulsive", "--strain", "wmel"], tmp_path) == 2
     assert "--control" in capsys.readouterr().err
+    missing = str(tmp_path / "missing.csv")
+    assert run(["impulsive", "--strain", "wmel", "--control", missing], tmp_path) == 2
+    assert "missing.csv" in capsys.readouterr().err
 
 
-def test_phase_command(tmp_path):
+def test_phase_command(tmp_path, capsys):
     assert run(["phase", "--strain", "wmel", "--grid", "10"], tmp_path) == 0
     rows = (tmp_path / "phase_wmel.csv").read_text().splitlines()
     assert rows[0] == "x,y,dx,dy"
     assert len(rows) == 101
     assert (tmp_path / "separatrix_wmel.csv").exists()
+    capsys.readouterr()
+    for grid in ("0", "1"):
+        assert run(["phase", "--strain", "wmel", "--grid", grid], tmp_path / grid) == 2
+        assert "--grid" in capsys.readouterr().err
+        assert not (tmp_path / grid).exists()
 
 
-def test_ga_command_small(tmp_path):
+def test_ga_command_small(tmp_path, capsys):
     code = run(
         [
             "ga", "--strain", "wmel", "--frequency", "14", "--horizon", "14",
@@ -116,6 +128,9 @@ def test_ga_command_small(tmp_path):
     plan_rows = (tmp_path / "ga_wmel_plan.csv").read_text().splitlines()
     assert plan_rows[0] == "day,size,rule"
     assert (tmp_path / "ga_wmel_history.csv").exists()
+    capsys.readouterr()
+    assert run(["ga", "--reproduce", "table4", "--seeds", "0"], tmp_path) == 2
+    assert "--seeds" in capsys.readouterr().err
 
 
 def test_ocp_command_small_grid(tmp_path):
@@ -217,6 +232,10 @@ def test_config_file_unknown_stage_key(tmp_path, capsys):
         code = main([stage, "--config", str(cfg), "--out", str(tmp_path)])
         assert code == 2
         assert key in capsys.readouterr().err
+    # A config file without any section header is malformed, not a crash.
+    cfg.write_text("strain = wmel\n")
+    assert main(["equilibria", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert "section header" in capsys.readouterr().err
 
 
 def test_outdir_env_var(tmp_path, monkeypatch):

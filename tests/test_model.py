@@ -8,6 +8,7 @@ from wolbopt.model import (
     State,
     absorbing_bound,
     equilibria,
+    in_secure_region,
     jacobian,
     make_rhs,
     rhs,
@@ -171,6 +172,13 @@ def test_secure_region(wmel):
     eq = equilibria(wmel)
     xu, yu = secure_region(eq)
     assert (xu, yu) == (eq.eu.state.x, eq.eu.state.y)
+    # Strict on both thresholds, for floats and elementwise for arrays.
+    assert in_secure_region(xu - 1.0, yu + 1.0, (xu, yu))
+    for x, y in ((xu, yu + 1.0), (xu - 1.0, yu), (xu, yu), (xu + 1.0, yu + 1.0)):
+        assert not in_secure_region(x, y, (xu, yu))
+    xs = np.array([xu - 1.0, xu, xu - 1.0, xu])
+    ys = np.array([yu + 1.0, yu + 1.0, yu, yu])
+    assert in_secure_region(xs, ys, (xu, yu)).tolist() == [True, False, False, False]
 
 
 def test_infected_only_equilibrium_perfect_corner(wmel):

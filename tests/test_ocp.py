@@ -6,7 +6,6 @@ from wolbopt.ocp import (
     CapInfeasibleError,
     ContinuousControl,
     OCPConfig,
-    _forward,
     adjoint_rhs,
     control_from_adjoint,
     hamiltonian,
@@ -14,6 +13,7 @@ from wolbopt.ocp import (
     solve,
 )
 from wolbopt.scenarios import build_scenario, ocp_config
+from wolbopt.sim import rk4
 
 P_DEFAULT = 1e6
 
@@ -153,7 +153,7 @@ class TestSolvedWmel:
         h = c.times[1] - c.times[0]
         eps = 1e-3
         u_pert = list(c.values + eps * delta)
-        xs_p, _ = _forward(rhs, sol.states[0, 0], u_pert, h)
+        xs_p, _ = rk4(rhs, sol.states[0, 0], 0.0, u_pert, h)
         d_j = np.trapezoid(
             (0.5 * (c.values + eps * delta) ** 2 - 0.5 * c.values**2), c.times
         ) / eps

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from wolbopt.model import State, absorbing_bound, equilibria
+from wolbopt.model import State, absorbing_bound, equilibria, make_rhs, rhs_arrays
 from wolbopt.params import offspring_numbers
 from wolbopt.sim import (
     ImpulseSchedule,
@@ -12,12 +12,30 @@ from wolbopt.sim import (
     first_basin_entry,
     integrate,
     phase_field,
+    rk4,
     separatrix,
     separatrix_height,
     simulate_impulsive,
 )
 
 LONG = SimOptions(t_end=600.0)
+
+
+def test_rk4_arrays_match_scalar_rows(wmel, wmelpop):
+    # The GA kernel runs rk4 on arrays, the OCP on floats: every stored
+    # node of every row must agree (to exp rounding: np.exp vs math.exp).
+    zero = [0.0] * 41
+    for params in (wmel, wmelpop):
+        x_sharp = equilibria(params).ex.state.x
+        x0 = np.array([x_sharp, x_sharp, 0.6 * x_sharp, 0.5])
+        y0 = np.array([0.0, 3000.0, 1800.0, 7000.0])
+        xs, ys = rk4(lambda x, y, u: rhs_arrays(params, x, y), x0, y0, zero, 0.25)
+        assert len(xs) == len(ys) == 41
+        for r in range(x0.size):
+            sx, sy = rk4(make_rhs(params), float(x0[r]), float(y0[r]), zero, 0.25)
+            assert [a[r] for a in xs] == pytest.approx(sx, rel=1e-12, abs=1e-9)
+            assert [a[r] for a in ys] == pytest.approx(sy, rel=1e-12, abs=1e-9)
+        assert xs[1][1] != xs[-1][1]  # nodes are snapshots, not one aliased array
 
 
 def test_equilibrium_persists(wmel):
