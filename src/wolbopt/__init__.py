@@ -14,6 +14,7 @@ from .ga import (
     ReleasePlan,
     epsilon_loop,
     run_ga,
+    verify_plan,
 )
 from .impulsive import (
     DailyImpulseSequence,
@@ -108,4 +109,5 @@ __all__ = [
     "separatrix",
     "simulate_impulsive",
     "solve",
+    "verify_plan",
 ]

@@ -14,22 +14,16 @@ import argparse
 import configparser
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
-from typing import Optional
+from typing import Optional, get_type_hints
 
 import numpy as np
 
 from . import fileio, reference
-from .ga import EpsilonLoopConfig, epsilon_loop, run_ga
-from .impulsive import (
-    NoFeasibleRuleError,
-    daily_impulses,
-    evaluate_schedule,
-    select_rule,
-)
-from .model import State, absorbing_bound, equilibria, in_secure_region, secure_region
-from .ocp import CapInfeasibleError, NonConvergenceError, solve
+from .ga import EpsilonLoopConfig, GAConfig, epsilon_loop, run_ga, verify_plan
+from .model import State, absorbing_bound, equilibria, secure_region
+from .ocp import CapInfeasibleError, NonConvergenceError, OCPConfig, solve
 from .params import (
     PRESET_NAMES,
     StrainParams,
@@ -44,6 +38,7 @@ from .scenarios import (
     build_scenario,
     ga_cell,
     ga_config,
+    impulsive_cells,
     ocp_config,
 )
 from .sim import (
@@ -74,9 +69,8 @@ def _read_config(path: Optional[str]) -> configparser.ConfigParser:
     return cfg
 
 
-def _resolve_params(args, cfg: configparser.ConfigParser) -> StrainParams:
-    name = args.strain or cfg.get("scenario", "strain", fallback=None)
-    if name is None:
+def _resolve_params(args, name: Optional[str], cfg: configparser.ConfigParser) -> StrainParams:
+    if not name:
         raise UsageError("no strain given (use --strain or a config file)")
     try:
         params = preset(name)
@@ -97,24 +91,48 @@ def _resolve_params(args, cfg: configparser.ConfigParser) -> StrainParams:
     return params
 
 
+def _section_keys(cls, supplied_by_scenario=()) -> dict:
+    """A dataclass's fields and their types, less those the scenario sets."""
+    hints = get_type_hints(cls)
+    return {f.name: hints[f.name] for f in fields(cls) if f.name not in supplied_by_scenario}
+
+
+# The keys of each config section and their types.  ``strain`` names the
+# preset that becomes ``Scenario.params``; the stage configs take the
+# scenario's fields from the scenario alone, so no section contradicts it.
+_SECTIONS = {
+    "scenario": {"strain": str, **_section_keys(Scenario, {"params"})},
+    "ocp": _section_keys(OCPConfig, {"cap_l", "initial_x"}),
+    "ga": _section_keys(GAConfig, {"cap_l", "block_p", "rng_seed"}),
+    "sim": _section_keys(SimOptions),
+}
+
+
+def _settings(args, cfg: configparser.ConfigParser, section: str) -> dict:
+    """The values one config section sets, each parsed by its type, with
+    every same-named flag that was given laid over them."""
+    keys = _SECTIONS[section]
+    out = {}
+    if cfg.has_section(section):
+        for key, raw in cfg.items(section):
+            if key not in keys:
+                raise UsageError(f"unknown [{section}] option {key!r}")
+            if keys[key] is int:
+                out[key] = int(raw)
+            elif keys[key] is str:
+                out[key] = raw
+            else:
+                out[key] = parse_number(raw)
+    for key in keys:
+        if getattr(args, key, None) is not None:
+            out[key] = getattr(args, key)
+    return out
+
+
 def _resolve_scenario(args, cfg: configparser.ConfigParser) -> Scenario:
-    params = _resolve_params(args, cfg)
-    get = lambda key: cfg.get("scenario", key, fallback=None)  # noqa: E731
-    initial = args.initial_wild
-    if initial is None and get("initial_wild"):
-        initial = parse_number(get("initial_wild"))
-    cap = getattr(args, "cap_l", None)
-    if cap is None and get("cap_l"):
-        cap = parse_number(get("cap_l"))
-    freq = getattr(args, "frequency", None)
-    if freq is None:
-        freq = int(get("frequency") or 1)
-    seed = getattr(args, "seed", None)
-    if seed is None:
-        seed = int(get("seed") or 0)
-    return build_scenario(
-        params, initial_wild=initial, cap_l=cap, frequency=freq, seed=seed
-    )
+    settings = _settings(args, cfg, "scenario")
+    params = _resolve_params(args, settings.pop("strain", None), cfg)
+    return build_scenario(params, **settings)
 
 
 def _outdir(args) -> Path:
@@ -122,37 +140,6 @@ def _outdir(args) -> Path:
     path = Path(out)
     path.mkdir(parents=True, exist_ok=True)
     return path
-
-
-_STAGE_FIELDS = {
-    "ocp": {
-        "weight_p": float, "cap_l": float, "terminal_x": float, "grid_n": int,
-        "tol_bc": float, "tol_h": float, "sweep_relaxation": float,
-        "max_outer_iterations": int, "t_init": float, "max_horizon": float,
-    },
-    "ga": {"pop_n": int, "generations_g": int, "mutation_rate": float},
-    "sim": {
-        "rel_tol": float, "abs_tol": float, "max_step": float,
-        "t_end": float, "dense_output_stride": float,
-    },
-}
-
-
-def _stage_overrides(cfg: configparser.ConfigParser, section: str) -> dict:
-    """Typed stage options from a config-file section; flags still win."""
-    if not cfg.has_section(section):
-        return {}
-    fields = _STAGE_FIELDS[section]
-    out = {}
-    for key, raw in cfg.items(section):
-        key = key.strip().lower()
-        if key not in fields:
-            raise UsageError(f"unknown [{section}] option {key!r}")
-        if fields[key] is int:
-            out[key] = int(raw)
-        else:
-            out[key] = parse_number(raw)
-    return out
 
 
 def _scenario_summary(scenario: Scenario) -> dict:
@@ -199,10 +186,7 @@ def cmd_equilibria(args) -> int:
 def cmd_simulate(args) -> int:
     cfg = _read_config(args.config)
     scenario = _resolve_scenario(args, cfg)
-    sim_over = _stage_overrides(cfg, "sim")
-    sim_over["t_end"] = args.t_end if args.t_end is not None else sim_over.get("t_end", 400.0)
-    opts = SimOptions(**sim_over)
-    target = scenario.target
+    opts = SimOptions(**_settings(args, cfg, "sim"))
     s0 = State(scenario.initial_wild, 0.0)
     if args.schedule:
         sched = fileio.read_schedule_csv(Path(args.schedule))
@@ -217,7 +201,7 @@ def cmd_simulate(args) -> int:
     else:
         traj = integrate(scenario.params, s0, None, (0.0, opts.t_end), opts)
         total = 0.0
-    entry = first_basin_entry(traj, target)
+    entry = first_basin_entry(traj, scenario.target)
     out = _outdir(args)
     name = f"trajectory_{scenario.params.name}.csv"
     fileio.write_trajectory_csv(out / name, traj)
@@ -239,25 +223,12 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _solve_ocp(scenario: Scenario, args, cfg: Optional[configparser.ConfigParser] = None):
-    overrides = _stage_overrides(cfg, "ocp") if cfg is not None else {}
-    if getattr(args, "weight_p", None) is not None:
-        overrides["weight_p"] = args.weight_p
-    if getattr(args, "grid_n", None) is not None:
-        overrides["grid_n"] = args.grid_n
-    if getattr(args, "t_init", None) is not None:
-        overrides["t_init"] = args.t_init
-    if getattr(args, "terminal_x", None) is not None:
-        overrides["terminal_x"] = args.terminal_x
-    return solve(scenario.params, ocp_config(scenario, **overrides))
-
-
 def cmd_ocp(args) -> int:
     if args.reproduce:
         return _reproduce_table2(args)
     cfg = _read_config(args.config)
     scenario = _resolve_scenario(args, cfg)
-    sol = _solve_ocp(scenario, args, cfg)
+    sol = solve(scenario.params, ocp_config(scenario, **_settings(args, cfg, "ocp")))
     out = _outdir(args)
     control_name = f"ocp_{scenario.params.name}_control.csv"
     fileio.write_control_csv(out / control_name, sol)
@@ -286,29 +257,22 @@ def cmd_impulsive(args) -> int:
     cfg = _read_config(args.config)
     scenario = _resolve_scenario(args, cfg)
     ctrl = fileio.read_control_csv(Path(args.control))
-    target = scenario.target
     out = _outdir(args)
     summary = _scenario_summary(scenario)
-    daily = daily_impulses(ctrl)
-    sched = daily.schedule()
-    rep = evaluate_schedule(
-        scenario.params, sched, target, scenario.initial_wild
-    )
     name = scenario.params.name
-    fileio.write_schedule_csv(out / f"impulsive_{name}_daily.csv", sched)
-    cells = {"daily": {**asdict(rep), "rule": "daily"}}
-    status = EXIT_OK if rep.feasible else EXIT_FAILED
-    if scenario.frequency > 1:
-        try:
-            seq, rep_m = select_rule(
-                scenario.params, ctrl, scenario.frequency, target, scenario.initial_wild
-            )
-            fileio.write_schedule_csv(
-                out / f"impulsive_{name}_m{scenario.frequency}.csv", seq.schedule()
-            )
-            cells[f"m{scenario.frequency}"] = {**asdict(rep_m), "rule": seq.rule}
-        except NoFeasibleRuleError as err:
-            print(str(err), file=sys.stderr)
+    cells = {}
+    status = EXIT_OK
+    for m, cell in impulsive_cells(scenario, ctrl, sorted({1, scenario.frequency})).items():
+        key = "daily" if m == 1 else f"m{m}"
+        if cell is None:
+            print(f"{key}: no release rule enters the secure region", file=sys.stderr)
+            status = EXIT_FAILED
+            continue
+        seq, rep = cell
+        sched = seq.schedule()
+        fileio.write_schedule_csv(out / f"impulsive_{name}_{key}.csv", sched)
+        cells[key] = {**asdict(rep), "rule": sched.rule_tag}
+        if not rep.feasible:
             status = EXIT_FAILED
     summary["schedules"] = cells
     fileio.write_summary(out / f"impulsive_{name}_summary.json", summary)
@@ -326,12 +290,7 @@ def cmd_ga(args) -> int:
     cfg = _read_config(args.config)
     scenario = _resolve_scenario(args, cfg)
     target = scenario.target
-    overrides = _stage_overrides(cfg, "ga")
-    if args.pop_n is not None:
-        overrides["pop_n"] = args.pop_n
-    if args.generations is not None:
-        overrides["generations_g"] = args.generations
-    gcfg = ga_config(scenario, **overrides)
+    gcfg = ga_config(scenario, **_settings(args, cfg, "ga"))
     out = _outdir(args)
     name = scenario.params.name
     summary = _scenario_summary(scenario)
@@ -359,13 +318,7 @@ def cmd_ga(args) -> int:
         result = run_ga(gcfg, horizon, scenario.params, target, scenario.initial_wild)
         plan, report, history = result.best, result.report, result.history
         fileio.write_history_csv(out / f"ga_{name}_history.csv", history)
-    sched = plan.schedule()
-    fileio.write_schedule_csv(out / f"ga_{name}_plan.csv", sched)
-    # The GA's own rule, on the adaptive trajectory: the state at the horizon.
-    verify = simulate_impulsive(
-        scenario.params, State(scenario.initial_wild, 0.0), sched,
-        SimOptions(t_end=float(horizon)),
-    )
+    fileio.write_schedule_csv(out / f"ga_{name}_plan.csv", plan.schedule())
     summary.update(
         {
             "horizon": horizon,
@@ -373,7 +326,7 @@ def cmd_ga(args) -> int:
             "num_releases": plan.num_releases,
             "feasible": report.feasible,
             "entry_time": report.entry_time,
-            "verified_feasible": bool(in_secure_region(*verify.final_state, target)),
+            "verified_feasible": verify_plan(plan, scenario.params, target, scenario.initial_wild),
             "ga_config": asdict(gcfg),
         }
     )
@@ -423,10 +376,12 @@ def _print_comparison(title: str, rows: list[tuple[str, float, float]]) -> None:
 def _reproduce_table2(args) -> int:
     status = EXIT_OK
     out = _outdir(args)
+    # A config file does not apply here; the OCP flags do.
+    overrides = _settings(args, _read_config(None), "ocp")
     for name in PRESET_NAMES:
         scenario = build_scenario(preset(name))
         try:
-            sol = _solve_ocp(scenario, args)
+            sol = solve(scenario.params, ocp_config(scenario, **overrides))
         except (CapInfeasibleError, NonConvergenceError) as err:
             print(f"{name}: OCP failed: {err}", file=sys.stderr)
             status = EXIT_FAILED
@@ -437,26 +392,17 @@ def _reproduce_table2(args) -> int:
             (f"{name} t_star", sol.control.t_star, ref_c["t_star"]),
             (f"{name} continuous total", sol.total_released, ref_c["total"]),
         ]
-        target = scenario.target
-        daily = daily_impulses(sol.control)
-        rep = evaluate_schedule(
-            scenario.params, daily.schedule(), target, scenario.initial_wild
-        )
-        ref_d = reference.IMPULSIVE[name][1]
-        rows.append((f"{name} daily releases", rep.num_releases, ref_d[0]))
-        rows.append((f"{name} daily total", rep.overall_size, ref_d[1]))
-        for m in (7, 14):
-            try:
-                seq, rep_m = select_rule(
-                    scenario.params, sol.control, m, target, scenario.initial_wild
-                )
-            except NoFeasibleRuleError as err:
-                print(f"{name} m={m}: {err}", file=sys.stderr)
+        for m, cell in impulsive_cells(scenario, sol.control, (1, 7, 14)).items():
+            label = f"{name} daily" if m == 1 else f"{name} m={m}"
+            if cell is None:
+                print(f"{label}: no release rule enters the secure region", file=sys.stderr)
                 status = EXIT_FAILED
                 continue
-            ref_m = reference.IMPULSIVE[name][m]
-            rows.append((f"{name} m={m} releases ({seq.rule})", rep_m.num_releases, ref_m[0]))
-            rows.append((f"{name} m={m} total", rep_m.overall_size, ref_m[1]))
+            seq, rep = cell
+            ref = reference.IMPULSIVE[name][m]
+            rule = "" if m == 1 else f" ({seq.rule})"
+            rows.append((f"{label} releases{rule}", rep.num_releases, ref[0]))
+            rows.append((f"{label} total", rep.overall_size, ref[1]))
         _print_comparison(f"=== impulsive indicators: {name} ===", rows)
     return status
 
@@ -540,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ga.add_argument("--frequency", type=int, default=None)
     p_ga.add_argument("--horizon", type=int, default=None)
     p_ga.add_argument("--pop-n", type=int, default=None)
-    p_ga.add_argument("--generations", type=int, default=None)
+    p_ga.add_argument("--generations", dest="generations_g", type=int, default=None)
     p_ga.add_argument("--epsilon0", type=int, default=None, help="run the epsilon loop")
     p_ga.add_argument("--epsilon-step", type=int, default=None)
     p_ga.add_argument("--restarts", type=int, default=3)
@@ -566,7 +512,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (UsageError, UnknownStrainError, ValueError, OSError, configparser.Error) as err:
         print(str(err), file=sys.stderr)
         return EXIT_USAGE
-    except (CapInfeasibleError, NonConvergenceError, NoFeasibleRuleError, IntegrationError) as err:
+    except (CapInfeasibleError, NonConvergenceError, IntegrationError) as err:
         print(str(err), file=sys.stderr)
         return EXIT_FAILED
 

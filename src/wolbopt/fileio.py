@@ -19,7 +19,7 @@ import hashlib
 import json
 import math
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterable
 
 import numpy as np
 
@@ -29,6 +29,14 @@ from .sim import ImpulseSchedule, Trajectory
 
 class ScheduleParseError(ValueError):
     """Malformed schedule file; message carries the offending line number."""
+
+
+def _write_rows(path: Path, header: list[str], rows: Iterable[list]) -> None:
+    """One CSV file: the header, then the rows (csv's CRLF line endings)."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def write_trajectory_csv(path: Path, traj: Trajectory) -> None:
@@ -46,19 +54,17 @@ def write_trajectory_csv(path: Path, traj: Trajectory) -> None:
             continue
         rate = float(u[i]) if u is not None else 0.0
         rows.append((t, float(traj.states[i, 0]), float(traj.states[i, 1]), rate))
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "x", "y", "u_applied"])
-        for row in rows:
-            writer.writerow([f"{v:.10g}" for v in row])
+    _write_rows(
+        path, ["t", "x", "y", "u_applied"], ([f"{v:.10g}" for v in row] for row in rows)
+    )
 
 
 def write_schedule_csv(path: Path, sched: ImpulseSchedule) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["day", "size", "rule"])
-        for t, size in sched.entries:
-            writer.writerow([f"{t:.10g}", size, sched.rule_tag])
+    _write_rows(
+        path,
+        ["day", "size", "rule"],
+        ([f"{t:.10g}", size, sched.rule_tag] for t, size in sched.entries),
+    )
 
 
 def read_schedule_csv(path: Path) -> ImpulseSchedule:
@@ -92,18 +98,14 @@ def read_schedule_csv(path: Path) -> ImpulseSchedule:
 
 def write_control_csv(path: Path, solution: OCPSolution) -> None:
     c = solution.control
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "u_star", "lambda1", "lambda2"])
-        for i in range(c.times.shape[0]):
-            writer.writerow(
-                [
-                    f"{c.times[i]:.12g}",
-                    f"{c.values[i]:.12g}",
-                    f"{solution.adjoints[i, 0]:.12g}",
-                    f"{solution.adjoints[i, 1]:.12g}",
-                ]
-            )
+    _write_rows(
+        path,
+        ["t", "u_star", "lambda1", "lambda2"],
+        (
+            [f"{v:.12g}" for v in (c.times[i], c.values[i], *solution.adjoints[i])]
+            for i in range(c.times.shape[0])
+        ),
+    )
 
 
 def read_control_csv(path: Path) -> ContinuousControl:
@@ -132,21 +134,20 @@ def read_control_csv(path: Path) -> ContinuousControl:
 
 
 def write_phase_csv(path: Path, rows: np.ndarray) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "y", "dx", "dy"])
-        for x, y, dx, dy in rows:
-            writer.writerow([f"{x:.10g}", f"{y:.10g}", f"{dx:.10g}", f"{dy:.10g}"])
+    _write_rows(
+        path, ["x", "y", "dx", "dy"], ([f"{v:.10g}" for v in row] for row in rows)
+    )
 
 
 def write_history_csv(path: Path, history) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["generation", "best_fitness", "best_J", "feasible_count"])
-        for rec in history:
-            writer.writerow(
-                [rec.generation, f"{rec.best_fitness:.12g}", rec.best_j, rec.feasible_count]
-            )
+    _write_rows(
+        path,
+        ["generation", "best_fitness", "best_J", "feasible_count"],
+        (
+            [rec.generation, f"{rec.best_fitness:.12g}", rec.best_j, rec.feasible_count]
+            for rec in history
+        ),
+    )
 
 
 def config_hash(config: dict[str, Any]) -> str:

@@ -21,9 +21,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .model import in_secure_region, rhs_arrays
+from .model import State, in_secure_region, rhs_arrays
 from .params import StrainParams
-from .sim import ImpulseSchedule, rk4
+from .sim import ImpulseSchedule, SimOptions, rk4, simulate_impulsive
 
 
 @dataclass(frozen=True)
@@ -58,8 +58,7 @@ class ReleasePlan:
 def validate_plan(plan: ReleasePlan, cap_l: float) -> None:
     """Raise ValueError when a plan violates the gene invariants."""
     genes, p = plan.genes, plan.block_p
-    t = plan.horizon_t
-    if t % p != 0:
+    if plan.horizon_t % p != 0:
         raise ValueError("horizon must be a multiple of the block period")
     if np.any(genes < 0):
         raise ValueError("genes must be nonnegative")
@@ -69,10 +68,8 @@ def validate_plan(plan: ReleasePlan, cap_l: float) -> None:
         return
     if np.any(genes > p * cap_l):
         raise ValueError("block genes must not exceed p * cap_l")
-    for b in range(t // p):
-        block = genes[b * p:(b + 1) * p]
-        if np.count_nonzero(block) > 1:
-            raise ValueError("at most one nonzero gene per block")
+    if np.any(np.count_nonzero(genes.reshape(-1, p), axis=1) > 1):
+        raise ValueError("at most one nonzero gene per block")
 
 
 @dataclass(frozen=True)
@@ -111,11 +108,13 @@ class FitnessReport:
         )
 
 
+EPSILON_MAX_ROUNDS = 50  # horizon reductions before ``epsilon_loop`` stops
+
+
 @dataclass(frozen=True)
 class EpsilonLoopConfig:
     epsilon_0: int
     step: int
-    max_rounds: int = 50
     restarts_per_epsilon: int = 3
 
     def __post_init__(self) -> None:
@@ -224,6 +223,21 @@ def fitness(
     )
 
 
+def verify_plan(
+    plan: ReleasePlan,
+    params: StrainParams,
+    target: tuple[float, float],
+    initial_wild: float,
+) -> bool:
+    """The GA's feasibility rule on the adaptive integrator: the state at
+    the horizon is strictly inside the secure region."""
+    traj = simulate_impulsive(
+        params, State(initial_wild, 0.0), plan.schedule(),
+        SimOptions(t_end=float(plan.horizon_t)),
+    )
+    return bool(in_secure_region(*traj.final_state, target))
+
+
 def init_population(
     cfg: GAConfig, horizon_t: int, rng: np.random.Generator
 ) -> np.ndarray:
@@ -238,9 +252,7 @@ def init_population(
     genes = np.zeros((n, horizon_t), dtype=np.int64)
     positions = rng.integers(0, p, size=(n, nb))
     values = rng.integers(0, p * cap + 1, size=(n, nb), dtype=np.int64)
-    for i in range(n):
-        for bidx in range(nb):
-            genes[i, bidx * p + positions[i, bidx]] = values[i, bidx]
+    genes[np.arange(n)[:, None], np.arange(nb) * p + positions] = values
     return genes
 
 
@@ -319,19 +331,6 @@ class PopulationState:
     entry: np.ndarray
 
 
-def _truncate(
-    genes: np.ndarray,
-    fit: np.ndarray,
-    feas: np.ndarray,
-    j: np.ndarray,
-    entry: np.ndarray,
-    n: int,
-):
-    """Keep the n fittest rows; stable, so earlier insertion wins ties."""
-    order = np.argsort(-fit, kind="stable")[:n]
-    return genes[order], fit[order], feas[order], j[order], entry[order]
-
-
 def evolve(
     state: PopulationState,
     params: StrainParams,
@@ -358,18 +357,16 @@ def evolve(
         offspring[n - 1] = state.genes[selected[n - 1]].copy()
     for k in range(n):
         offspring[k] = mutate(offspring[k], cfg, rng)
-    ofit, oj, ofeas, oentry = evaluate_population(
-        params, offspring, target, initial_wild, cfg
-    )
-    pool_genes = np.vstack([state.genes, offspring])
-    pool_fit = np.concatenate([state.fitness, ofit])
-    pool_j = np.concatenate([state.j, oj])
-    pool_feas = np.concatenate([state.feasible, ofeas])
-    pool_entry = np.concatenate([state.entry, oentry])
-    genes, fit, feas, j, entry = _truncate(
-        pool_genes, pool_fit, pool_feas, pool_j, pool_entry, n
-    )
-    return PopulationState(genes=genes, fitness=fit, j=j, feasible=feas, entry=entry)
+    pool = [
+        np.concatenate(pair)
+        for pair in zip(
+            (state.genes, state.fitness, state.j, state.feasible, state.entry),
+            (offspring, *evaluate_population(params, offspring, target, initial_wild, cfg)),
+        )
+    ]
+    # Keep the n fittest; stable, so earlier insertion wins ties.
+    order = np.argsort(-pool[1], kind="stable")[:n]
+    return PopulationState(*(column[order] for column in pool))
 
 
 def run_ga(
@@ -457,7 +454,7 @@ def epsilon_loop(
     carry: list[np.ndarray] = []
     per_epsilon: list[tuple[int, Optional[int]]] = []
     eps = loop_cfg.epsilon_0
-    for round_idx in range(loop_cfg.max_rounds):
+    for round_idx in range(EPSILON_MAX_ROUNDS):
         if eps < p:
             break
         round_best: Optional[tuple[ReleasePlan, FitnessReport]] = None

@@ -21,8 +21,14 @@ from .ga import (
     epsilon_loop,
     run_ga,
 )
+from .impulsive import (
+    NoFeasibleRuleError,
+    daily_impulses,
+    evaluate_schedule,
+    select_rule,
+)
 from .model import equilibria, secure_region
-from .ocp import OCPConfig
+from .ocp import ContinuousControl, OCPConfig
 from .params import PRESET_CAP_L, StrainParams
 
 OCP_T_INIT = {"wmel": 20.0, "wmelpop": 80.0}
@@ -125,11 +131,9 @@ def ga_cell(strain_name: str, frequency: int) -> GACell:
     return GACell(horizon=horizon, floor_search=False, epsilon_0=horizon)
 
 
-def epsilon_config(cell: GACell, frequency: int, restarts: int = 1) -> EpsilonLoopConfig:
+def epsilon_config(cell: GACell, frequency: int) -> EpsilonLoopConfig:
     return EpsilonLoopConfig(
-        epsilon_0=cell.epsilon_0,
-        step=frequency,
-        restarts_per_epsilon=restarts,
+        epsilon_0=cell.epsilon_0, step=frequency, restarts_per_epsilon=1
     )
 
 
@@ -164,3 +168,28 @@ def best_ga_plan(
         if report.feasible and (best is None or report.j_value < best[1].j_value):
             best = (plan, report, horizon, scenario)
     return best
+
+
+def impulsive_cells(
+    scenario: Scenario, control: ContinuousControl, periods: Iterable[int]
+) -> dict[int, Optional[tuple]]:
+    """Table-2 cells of a continuous control: (sequence, report) per period.
+
+    Period 1 is the daily sequence, reported whether or not it enters the
+    secure region; any other period is ``select_rule``'s pick, or None
+    when neither rule enters.
+    """
+    params, target, initial_wild = scenario.params, scenario.target, scenario.initial_wild
+    cells = {}
+    for m in periods:
+        if m == 1:
+            daily = daily_impulses(control)
+            cells[m] = daily, evaluate_schedule(
+                params, daily.schedule(), target, initial_wild
+            )
+        else:
+            try:
+                cells[m] = select_rule(params, control, m, target, initial_wild)
+            except NoFeasibleRuleError:
+                cells[m] = None
+    return cells

@@ -28,6 +28,9 @@ from .model import (
 from .params import StrainParams
 
 STABLE_EIG_TOL = 1e-12
+ENTRY_RESOLUTION = 1e-6  # days: bisection width of ``first_basin_entry``
+SEPARATRIX_OFFSET = 1e-4  # saddle displacement, relative to its norm
+SEPARATRIX_ARC_STRIDE = 10.0  # individuals between separatrix points
 
 
 @dataclass(frozen=True)
@@ -263,16 +266,14 @@ def simulate_impulsive(
     return Trajectory(times=times, states=states, jumps=jumps)
 
 
-def first_basin_entry(
-    traj: Trajectory, target: tuple[float, float], resolution: float = 1e-6
-) -> Optional[float]:
+def first_basin_entry(traj: Trajectory, target: tuple[float, float]) -> Optional[float]:
     """Earliest time at which the state is in the secure region
     (``in_secure_region``: both thresholds strict).
 
     Jump records are consulted so that entries caused by a release are
     timed at the release instant.  Between samples the entry time is
-    located by bisection on linear interpolants down to ``resolution``
-    days; returns None when the trajectory never enters.
+    located by bisection on linear interpolants down to
+    ``ENTRY_RESOLUTION`` days; returns None when the trajectory never enters.
     """
     times, states = traj.times, traj.states
     inside = in_secure_region(states[:, 0], states[:, 1], target)
@@ -286,7 +287,7 @@ def first_basin_entry(
         else:
             lo_t, hi_t = float(times[i - 1]), float(times[i])
             lo_s, hi_s = states[i - 1], states[i]
-            while hi_t - lo_t > resolution:
+            while hi_t - lo_t > ENTRY_RESOLUTION:
                 mid = 0.5 * (lo_t + hi_t)
                 w = (mid - lo_t) / (hi_t - lo_t) if hi_t > lo_t else 0.0
                 sx = lo_s[0] + w * (hi_s[0] - lo_s[0])
@@ -300,20 +301,15 @@ def first_basin_entry(
     return min(candidates) if candidates else None
 
 
-def separatrix(
-    params: StrainParams,
-    opts: SimOptions = SimOptions(),
-    offset_scale: float = 1e-4,
-    arc_stride: float = 10.0,
-) -> np.ndarray:
+def separatrix(params: StrainParams) -> np.ndarray:
     """Basin boundary: the stable manifold of the coexistence saddle.
 
     Traces the manifold backward in time from the saddle, displaced by a
     small multiple of its stable eigenvector in both directions, until
     the curve leaves 1.5x the absorbing box or the positive quadrant.
     The backward field is normalized to unit speed so the polyline is
-    sampled uniformly in arc length (``arc_stride`` individuals between
-    points) even where the flow is exponentially fast.  Points are
+    sampled uniformly in arc length (``SEPARATRIX_ARC_STRIDE`` individuals
+    between points) even where the flow is exponentially fast.  Points are
     ordered along the curve and pass through the saddle.
     """
     eq = equilibria(params)
@@ -345,7 +341,7 @@ def separatrix(
     leave.direction = -1.0
 
     branches = []
-    scale = offset_scale * float(np.linalg.norm(saddle))
+    scale = SEPARATRIX_OFFSET * float(np.linalg.norm(saddle))
     s_max = 4.0 * bound
     for sign in (+1.0, -1.0):
         z0 = saddle + sign * scale * v
@@ -354,16 +350,16 @@ def separatrix(
             (0.0, s_max),
             z0,
             method="RK45",
-            rtol=opts.rel_tol,
-            atol=opts.abs_tol,
-            max_step=5.0 * arc_stride,
+            rtol=SimOptions.rel_tol,
+            atol=SimOptions.abs_tol,
+            max_step=5.0 * SEPARATRIX_ARC_STRIDE,
             dense_output=True,
             events=leave,
         )
         if not sol.success:
             raise IntegrationError(sol.message)
         s_stop = float(sol.t[-1])
-        ss = _sample_times(0.0, s_stop, arc_stride)
+        ss = _sample_times(0.0, s_stop, SEPARATRIX_ARC_STRIDE)
         branches.append(np.clip(sol.sol(ss).T, 0.0, None))
 
     plus, minus = branches

@@ -8,15 +8,9 @@ import numpy as np
 import pytest
 
 from wolbopt import reference
-from wolbopt.ga import evaluate_population, init_population, run_ga
-from wolbopt.impulsive import (
-    aggregate_periodic,
-    daily_impulses,
-    evaluate_schedule,
-    excess_periodic,
-    select_rule,
-)
-from wolbopt.model import State, absorbing_bound, equilibria, in_secure_region, jacobian, rhs
+from wolbopt.ga import evaluate_population, init_population, run_ga, verify_plan
+from wolbopt.impulsive import aggregate_periodic, daily_impulses, excess_periodic
+from wolbopt.model import State, absorbing_bound, equilibria, jacobian, rhs
 from wolbopt.ocp import hamiltonian, adjoint_rhs
 from wolbopt.params import preset
 from wolbopt.scenarios import (
@@ -24,13 +18,13 @@ from wolbopt.scenarios import (
     build_scenario,
     computed_x_sharp,
     ga_config,
+    impulsive_cells,
 )
 from wolbopt.sim import (
     SimOptions,
     classify_endpoint,
     separatrix,
     separatrix_height,
-    simulate_impulsive,
 )
 
 LONG = SimOptions(t_end=600.0)
@@ -98,14 +92,11 @@ def test_criterion2_ocp_reproduction(strain, wmel_solution, wmelpop_solution):
 def test_criterion3_impulsive_indicators(strain, wmel_solution, wmelpop_solution):
     sol = _solution(strain, wmel_solution, wmelpop_solution)
     scenario = build_scenario(preset(strain))
-    target = scenario.target
     ref = reference.IMPULSIVE[strain]
     checks = []
 
-    daily = daily_impulses(sol.control)
-    rep = evaluate_schedule(
-        scenario.params, daily.schedule(), target, scenario.initial_wild
-    )
+    cells = impulsive_cells(scenario, sol.control, (1, 7, 14))
+    _, rep = cells[1]
     checks.append(("daily count", abs(rep.num_releases - ref[1][0]) <= 1,
                    f"{rep.num_releases} vs {ref[1][0]}±1"))
     dev = abs(rep.overall_size - ref[1][1]) / ref[1][1]
@@ -113,9 +104,10 @@ def test_criterion3_impulsive_indicators(strain, wmel_solution, wmelpop_solution
     checks.append(("daily feasible", rep.feasible, f"entry={rep.basin_entry_time}"))
 
     for m in (7, 14):
-        seq, rep_m = select_rule(
-            scenario.params, sol.control, m, target, scenario.initial_wild
-        )
+        if cells[m] is None:
+            checks.append((f"m={m} feasible", False, "neither rule enters"))
+            continue
+        seq, rep_m = cells[m]
         dev = abs(rep_m.overall_size - ref[m][1]) / ref[m][1]
         checks.append(
             (f"m={m} total ({seq.rule})", dev <= 0.10,
@@ -172,14 +164,7 @@ def test_criterion5_ga_reproduction(strain, freq):
     dev = abs(rep.j_value - ref_j) / ref_j
     count_ok = plan.num_releases <= table2_count
     # Independent re-verification with the adaptive integrator.
-    traj = simulate_impulsive(
-        scenario.params,
-        State(scenario.initial_wild, 0.0),
-        plan.schedule(),
-        SimOptions(t_end=float(horizon)),
-    )
-    fx, fy = traj.final_state
-    verified = in_secure_region(fx, fy, scenario.target)
+    verified = verify_plan(plan, scenario.params, scenario.target, scenario.initial_wild)
     table2_total = reference.IMPULSIVE[strain][freq][1]
     dominates = rep.j_value <= table2_total
     ok = dev <= 0.15 and count_ok and verified and dominates

@@ -222,14 +222,26 @@ def test_config_file_stage_sections_with_flag_precedence(tmp_path):
     summary = json.loads((tmp_path / "ga_wmel_summary.json").read_text())
     assert summary["ga_config"]["pop_n"] == 25  # flag beats file
     assert summary["ga_config"]["generations_g"] == 4  # file beats default
+    cfg.write_text("[scenario]\nstrain = wmel\n\n[ocp]\ngrid_n = 40\n")
+    code = main(["ocp", "--config", str(cfg), "--grid-n", "60", "--out", str(tmp_path)])
+    assert code in (0, 1)
+    rows = (tmp_path / "ocp_wmel_control.csv").read_text().splitlines()
+    assert len(rows) == 1 + 61  # header, then grid_n + 1 nodes of the flag's grid
 
 
 def test_config_file_unknown_stage_key(tmp_path, capsys):
-    # n_workers is a removed [ga] knob: old configs must fail loudly.
-    for stage, key in (("ocp", "not_a_knob"), ("ga", "n_workers")):
-        cfg = tmp_path / "scenario.ini"
-        cfg.write_text(f"[scenario]\nstrain = wmel\n\n[{stage}]\n{key} = 1\n")
-        code = main([stage, "--config", str(cfg), "--out", str(tmp_path)])
+    # n_workers is a removed [ga] knob and [ocp] cap_l a removed duplicate of
+    # [scenario] cap_l: old configs must fail loudly, as must a typo.
+    cfg = tmp_path / "scenario.ini"
+    for command, section, key in (
+        ("ocp", "ocp", "not_a_knob"),
+        ("ga", "ga", "n_workers"),
+        ("ocp", "ocp", "cap_l"),
+        ("equilibria", "scenario", "frequncy"),
+    ):
+        header = "" if section == "scenario" else f"\n[{section}]\n"
+        cfg.write_text(f"[scenario]\nstrain = wmel\n{header}{key} = 1\n")
+        code = main([command, "--config", str(cfg), "--out", str(tmp_path)])
         assert code == 2
         assert key in capsys.readouterr().err
     # A config file without any section header is malformed, not a crash.

@@ -16,6 +16,7 @@ from wolbopt.ga import (
     simulate_batch,
     tournament_select,
     validate_plan,
+    verify_plan,
 )
 from wolbopt.model import State, equilibria, in_secure_region
 from wolbopt.sim import SimOptions, simulate_impulsive
@@ -43,11 +44,27 @@ def test_init_population_daily_bounds():
 
 def test_init_population_block_structure():
     cfg = small_cfg(block_p=14, cap_l=750.0)
-    rng = np.random.default_rng(0)
-    genes = init_population(cfg, 14, rng)
-    for row in genes:
-        assert np.count_nonzero(row) <= 1
-        assert row.max() <= 14 * 750
+    for horizon in (14, 42):
+        genes = init_population(cfg, horizon, np.random.default_rng(0))
+        nb = horizon // 14
+        for row in genes:
+            for blk in row.reshape(nb, 14):
+                assert np.count_nonzero(blk) <= 1
+            assert row.max() <= 14 * 750
+            validate_plan(ReleasePlan(genes=row, block_p=14), cfg.cap_l)
+        # Reference: the same draws placed block by block.
+        rng = np.random.default_rng(0)
+        positions = rng.integers(0, 14, size=(cfg.pop_n, nb))
+        values = rng.integers(0, 14 * 750 + 1, size=(cfg.pop_n, nb), dtype=np.int64)
+        ref = np.zeros_like(genes)
+        for i in range(cfg.pop_n):
+            for b in range(nb):
+                ref[i, b * 14 + positions[i, b]] = values[i, b]
+        assert np.array_equal(genes, ref)
+    two = np.zeros(42, dtype=np.int64)
+    two[[15, 20]] = 1  # both in the second block
+    with pytest.raises(ValueError, match="one nonzero gene per block"):
+        validate_plan(ReleasePlan(genes=two, block_p=14), cfg.cap_l)
 
 
 def test_init_population_deterministic():
@@ -256,6 +273,7 @@ def test_run_ga_reverified_by_adaptive_simulation(wmel, wmel_target, wmel_scenar
     )
     fx, fy = traj.final_state
     assert in_secure_region(fx, fy, wmel_target)
+    assert verify_plan(res.best, wmel, wmel_target, wmel_scenario.initial_wild)
 
 
 def test_epsilon_loop_reports_infeasible_start(wmel, wmel_target, wmel_scenario):
