@@ -4,8 +4,8 @@ Every command resolves a scenario from preset + config file + flags (flags
 win), writes its CSV artifacts and a JSON summary embedding the seed and a
 configuration hash, and exits 0 on success, 1 on non-convergence or
 infeasibility, 2 on usage or parse errors.  ``ocp --reproduce table2`` and
-``ga --reproduce table4`` run the full strain-by-frequency matrix and
-print deviations against the embedded reference indicators.
+``ga --reproduce table4`` run the presets' strain-by-frequency matrix and
+print the ``scenarios.table2``/``table4`` rows against the published values.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Optional, get_type_hints
 
 import numpy as np
 
-from . import fileio, reference
+from . import fileio
 from .ga import EpsilonLoopConfig, GAConfig, epsilon_loop, run_ga, verify_plan
 from .model import State, absorbing_bound, equilibria, secure_region
 from .ocp import CapInfeasibleError, NonConvergenceError, OCPConfig, solve
@@ -34,12 +34,13 @@ from .params import (
 )
 from .scenarios import (
     Scenario,
-    best_ga_plan,
     build_scenario,
     ga_cell,
     ga_config,
     impulsive_cells,
     ocp_config,
+    table2,
+    table4,
 )
 from .sim import (
     IntegrationError,
@@ -60,33 +61,16 @@ class UsageError(RuntimeError):
     pass
 
 
-def _read_config(path: Optional[str]) -> configparser.ConfigParser:
-    cfg = configparser.ConfigParser()
-    if path:
-        if not Path(path).exists():
-            raise UsageError(f"config file not found: {path}")
-        cfg.read(path)
-    return cfg
-
-
 def _resolve_params(args, name: Optional[str], cfg: configparser.ConfigParser) -> StrainParams:
     if not name:
         raise UsageError("no strain given (use --strain or a config file)")
-    try:
-        params = preset(name)
-    except UnknownStrainError as err:
-        raise UsageError(str(err)) from None
+    params = preset(name)  # an unknown name exits 2 through ``main``
     if cfg.has_section("strain"):
         params = with_overrides(params, dict(cfg.items("strain")))
-    if getattr(args, "params", None):
+    if args.params:
+        text = Path(args.params).read_text()  # a missing file exits 2 through ``main``
         override_cfg = configparser.ConfigParser()
-        path = Path(args.params)
-        if not path.exists():
-            raise UsageError(f"strain override file not found: {path}")
-        text = path.read_text()
-        if not text.lstrip().startswith("["):
-            text = "[strain]\n" + text
-        override_cfg.read_string(text)
+        override_cfg.read_string(text if text.lstrip().startswith("[") else "[strain]\n" + text)
         params = with_overrides(params, dict(override_cfg.items("strain")))
     return params
 
@@ -97,15 +81,33 @@ def _section_keys(cls, supplied_by_scenario=()) -> dict:
     return {f.name: hints[f.name] for f in fields(cls) if f.name not in supplied_by_scenario}
 
 
-# The keys of each config section and their types.  ``strain`` names the
-# preset that becomes ``Scenario.params``; the stage configs take the
-# scenario's fields from the scenario alone, so no section contradicts it.
+# The keys of each config section and their types.  ``[scenario] strain``
+# names the preset that becomes ``Scenario.params`` and ``[strain]``
+# overrides its fields; the stage configs take the scenario's fields from
+# the scenario alone, so no section contradicts it.
 _SECTIONS = {
     "scenario": {"strain": str, **_section_keys(Scenario, {"params"})},
+    "strain": _section_keys(StrainParams),
     "ocp": _section_keys(OCPConfig, {"cap_l", "initial_x"}),
     "ga": _section_keys(GAConfig, {"cap_l", "block_p", "rng_seed"}),
     "sim": _section_keys(SimOptions),
 }
+
+
+def _read_config(path: Optional[str]) -> configparser.ConfigParser:
+    """The config file, every section and key checked against ``_SECTIONS``
+    whichever command reads it."""
+    cfg = configparser.ConfigParser()
+    if path:
+        with open(path) as fh:  # a missing file exits 2 through ``main``
+            cfg.read_file(fh)
+    for section in cfg.sections():
+        if section not in _SECTIONS:
+            raise UsageError(f"unknown config section [{section}]")
+        for key in cfg[section]:
+            if key not in _SECTIONS[section]:
+                raise UsageError(f"unknown [{section}] option {key!r}")
+    return cfg
 
 
 def _settings(args, cfg: configparser.ConfigParser, section: str) -> dict:
@@ -115,8 +117,6 @@ def _settings(args, cfg: configparser.ConfigParser, section: str) -> dict:
     out = {}
     if cfg.has_section(section):
         for key, raw in cfg.items(section):
-            if key not in keys:
-                raise UsageError(f"unknown [{section}] option {key!r}")
             if keys[key] is int:
                 out[key] = int(raw)
             elif keys[key] is str:
@@ -366,18 +366,34 @@ def cmd_phase(args) -> int:
     return EXIT_OK
 
 
-def _print_comparison(title: str, rows: list[tuple[str, float, float]]) -> None:
+def _reproduce_settings(args, cfg: configparser.ConfigParser, section: str) -> tuple[dict, int]:
+    """The ``[section]`` settings and the seed of a ``--reproduce`` run.  It
+    runs the preset scenarios, so any other scenario setting exits 2."""
+    scenario = _settings(args, cfg, "scenario")
+    seed = scenario.pop("seed", 0)
+    rejected = [f"--{k.replace('_', '-')}/[scenario] {k}" for k in scenario]
+    rejected += [
+        f"--{k.replace('_', '-')}" for k in ("params", "horizon", "epsilon0", "epsilon_step")
+        if getattr(args, k, None) is not None
+    ]
+    if cfg.has_section("strain"):
+        rejected.append("[strain]")
+    if rejected:
+        raise UsageError(f"--reproduce runs the preset scenarios; it takes no {', '.join(rejected)}")
+    return _settings(args, cfg, section), seed
+
+
+def _print_rows(title: str, rows) -> None:
     print(title)
-    for label, actual, ref in rows:
-        dev = reference.deviation_pct(actual, ref)
-        print(f"  {label:42s} {actual:12.2f}  reference {ref:10.2f}  dev {dev:+7.2f}%")
+    for r in rows:
+        dev = 100.0 * r.deviation
+        print(f"  {r.label:42s} {r.value:12.2f}  reference {r.reference:10.2f}  dev {dev:+7.2f}%")
 
 
 def _reproduce_table2(args) -> int:
+    overrides, _ = _reproduce_settings(args, _read_config(args.config), "ocp")
     status = EXIT_OK
     out = _outdir(args)
-    # A config file does not apply here; the OCP flags do.
-    overrides = _settings(args, _read_config(None), "ocp")
     for name in PRESET_NAMES:
         scenario = build_scenario(preset(name))
         try:
@@ -387,47 +403,28 @@ def _reproduce_table2(args) -> int:
             status = EXIT_FAILED
             continue
         fileio.write_control_csv(out / f"ocp_{name}_control.csv", sol)
-        ref_c = reference.CONTINUOUS[name]
-        rows = [
-            (f"{name} t_star", sol.control.t_star, ref_c["t_star"]),
-            (f"{name} continuous total", sol.total_released, ref_c["total"]),
-        ]
-        for m, cell in impulsive_cells(scenario, sol.control, (1, 7, 14)).items():
-            label = f"{name} daily" if m == 1 else f"{name} m={m}"
-            if cell is None:
-                print(f"{label}: no release rule enters the secure region", file=sys.stderr)
-                status = EXIT_FAILED
-                continue
-            seq, rep = cell
-            ref = reference.IMPULSIVE[name][m]
-            rule = "" if m == 1 else f" ({seq.rule})"
-            rows.append((f"{label} releases{rule}", rep.num_releases, ref[0]))
-            rows.append((f"{label} total", rep.overall_size, ref[1]))
-        _print_comparison(f"=== impulsive indicators: {name} ===", rows)
+        rows, missing = table2(scenario, sol)
+        for label in missing:
+            print(f"{label}: does not enter the secure region", file=sys.stderr)
+            status = EXIT_FAILED
+        _print_rows(f"=== impulsive indicators: {name} ===", rows)
     return status
 
 
 def _reproduce_table4(args) -> int:
     if args.seeds < 1:
         raise UsageError("--seeds must be at least 1")
+    overrides, first = _reproduce_settings(args, _read_config(args.config), "ga")
+    seeds = range(first, first + args.seeds)
     status = EXIT_OK
-    seeds = list(range(args.seed or 0, (args.seed or 0) + args.seeds))
     for name in PRESET_NAMES:
         for freq in (1, 7, 14):
-            ref_cell = reference.GA[name][freq]
-            best = best_ga_plan(preset(name), freq, seeds)
+            rows, best = table4(preset(name), freq, seeds, **overrides)
             if best is None:
                 print(f"{name} p={freq}: no feasible plan found", file=sys.stderr)
                 status = EXIT_FAILED
                 continue
-            plan, report, _, _ = best
-            _print_comparison(
-                f"=== discrete search: {name} p={freq} ===",
-                [
-                    (f"{name} p={freq} releases", plan.num_releases, ref_cell[0]),
-                    (f"{name} p={freq} total J", report.j_value, ref_cell[1]),
-                ],
-            )
+            _print_rows(f"=== discrete search: {name} p={freq} ===", rows)
     return status
 
 

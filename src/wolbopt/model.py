@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -140,9 +141,15 @@ def rhs(params: StrainParams, state: State, u: float = 0.0) -> tuple[float, floa
     return make_rhs(params)(state.x, state.y, u)
 
 
+@lru_cache(maxsize=16)
+def _array_field(params: StrainParams) -> Callable:
+    return make_rhs(params, np.exp)
+
+
 def rhs_arrays(params: StrainParams, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Uncontrolled vector field on arrays, for batch simulation."""
-    return make_rhs(params, np.exp)(x, y, 0.0)
+    """Uncontrolled vector field on arrays, for batch simulation.  The
+    closure is built once per parameter set (keyed on every field)."""
+    return _array_field(params)(x, y, 0.0)
 
 
 def jacobian(params: StrainParams, state: State) -> np.ndarray:

@@ -1,7 +1,7 @@
-"""Published reference indicators used by the ``--reproduce`` comparisons.
+"""Published reference indicators, read-only.
 
-Read-only constants; the reproduce commands never mutate them.  Deviations
-are reported as percentages against these numbers.
+``scenarios.table2`` and ``scenarios.table4`` pair them with reproduced
+values; the acceptance tests assert on those pairs.
 """
 
 from __future__ import annotations
@@ -39,6 +39,3 @@ GA = MappingProxyType(
         "wmelpop": {1: (60, 24481), 7: (9, 27259), 14: (5, 31323)},
     }
 )
-
-def deviation_pct(actual: float, reference: float) -> float:
-    return 100.0 * (actual - reference) / reference

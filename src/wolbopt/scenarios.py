@@ -1,4 +1,5 @@
-"""Canonical per-strain scenario wiring shared by the CLI and the tests.
+"""Canonical per-strain scenario wiring, and the Table-2/Table-4 rows that
+set its results beside the published values, shared by the CLI and tests.
 
 The reproduction scenarios start the wild population at the wild-only
 equilibrium computed from the parameters (not the published field-density
@@ -28,8 +29,9 @@ from .impulsive import (
     select_rule,
 )
 from .model import equilibria, secure_region
-from .ocp import ContinuousControl, OCPConfig
+from .ocp import ContinuousControl, OCPConfig, OCPSolution
 from .params import PRESET_CAP_L, StrainParams
+from .reference import CONTINUOUS, GA, IMPULSIVE
 
 OCP_T_INIT = {"wmel": 20.0, "wmelpop": 80.0}
 
@@ -138,19 +140,20 @@ def epsilon_config(cell: GACell, frequency: int) -> EpsilonLoopConfig:
 
 
 def best_ga_plan(
-    params: StrainParams, frequency: int, seeds: Iterable[int]
+    params: StrainParams, frequency: int, seeds: Iterable[int], **ga_overrides
 ) -> Optional[tuple[ReleasePlan, FitnessReport, int, Scenario]]:
     """Best feasible (plan, report, horizon, scenario) over GA seeds, or None.
 
-    Each seed runs its cell's search: the epsilon loop for floor-search
-    cells, one GA run at the published horizon otherwise.  The lowest J
-    wins; ties keep the earlier seed.
+    Each seed runs its cell's search, with ``ga_overrides`` passed to
+    ``ga_config``: the epsilon loop for floor-search cells, one GA run at
+    the published horizon otherwise.  The lowest J wins; ties keep the
+    earlier seed.
     """
     cell = ga_cell(params.name, frequency)
     best = None
     for seed in seeds:
         scenario = build_scenario(params, frequency=frequency, seed=seed)
-        cfg = ga_config(scenario)
+        cfg = ga_config(scenario, **ga_overrides)
         if cell.floor_search:
             res = epsilon_loop(
                 epsilon_config(cell, frequency), cfg, scenario.params,
@@ -193,3 +196,60 @@ def impulsive_cells(
             except NoFeasibleRuleError:
                 cells[m] = None
     return cells
+
+
+@dataclass(frozen=True)
+class Indicator:
+    """One reproduced number beside the published value it is compared with."""
+
+    label: str
+    value: float
+    reference: float
+
+    @property
+    def deviation(self) -> float:
+        """Signed relative deviation, (value - reference) / reference."""
+        return (self.value - self.reference) / self.reference
+
+
+def table2(scenario: Scenario, sol: OCPSolution) -> tuple[list[Indicator], list[str]]:
+    """Table-2 rows of a preset's continuous optimum, and the labels of the
+    cells (daily, m=7, m=14) whose schedule never enters the secure region.
+    A daily cell that misses keeps its rows; a periodic one has no rule."""
+    name = scenario.params.name
+    ref = CONTINUOUS[name]
+    rows = [
+        Indicator(f"{name} t_star", sol.control.t_star, ref["t_star"]),
+        Indicator(f"{name} continuous total", sol.total_released, ref["total"]),
+    ]
+    missing = []
+    for m, cell in impulsive_cells(scenario, sol.control, (1, 7, 14)).items():
+        label = f"{name} daily" if m == 1 else f"{name} m={m}"
+        if cell is None or not cell[1].feasible:
+            missing.append(label)
+        if cell is None:
+            continue
+        seq, rep = cell
+        count, total = IMPULSIVE[name][m]
+        rule = "" if m == 1 else f" ({seq.rule})"
+        rows.append(Indicator(f"{label} releases{rule}", rep.num_releases, count))
+        rows.append(Indicator(f"{label} total", rep.overall_size, total))
+    return rows, missing
+
+
+def table4(
+    params: StrainParams, frequency: int, seeds: Iterable[int], **ga_overrides
+) -> tuple[list[Indicator], Optional[tuple]]:
+    """Table-4 rows (release count, total J) of ``best_ga_plan`` for a
+    preset's cell, and that best; no rows and None when no seed finds a
+    feasible plan."""
+    best = best_ga_plan(params, frequency, seeds, **ga_overrides)
+    if best is None:
+        return [], None
+    plan, report, _, _ = best
+    count, j_value = GA[params.name][frequency]
+    label = f"{params.name} p={frequency}"
+    return [
+        Indicator(f"{label} releases", plan.num_releases, count),
+        Indicator(f"{label} total J", report.j_value, j_value),
+    ], best

@@ -1,7 +1,8 @@
 """Acceptance suite: one printed PASS/FAIL line per criterion and cell.
 
 Run `pytest tests/test_acceptance.py -v -s` to see every line.  Reference
-indicators live in wolbopt.reference; scenario wiring in wolbopt.scenarios.
+indicators live in wolbopt.reference; scenario wiring and the Table-2/4
+rows that pair them with reproduced values in wolbopt.scenarios.
 """
 
 import numpy as np
@@ -14,11 +15,11 @@ from wolbopt.model import State, absorbing_bound, equilibria, jacobian, rhs
 from wolbopt.ocp import hamiltonian, adjoint_rhs
 from wolbopt.params import preset
 from wolbopt.scenarios import (
-    best_ga_plan,
     build_scenario,
     computed_x_sharp,
     ga_config,
-    impulsive_cells,
+    table2,
+    table4,
 )
 from wolbopt.sim import (
     SimOptions,
@@ -68,16 +69,16 @@ def test_criterion1_equilibria(strain):
 @pytest.mark.parametrize("strain", ["wmel", "wmelpop"])
 def test_criterion2_ocp_reproduction(strain, wmel_solution, wmelpop_solution):
     sol = _solution(strain, wmel_solution, wmelpop_solution)
-    ref = reference.CONTINUOUS[strain]
-    dev_t = abs(sol.control.t_star - ref["t_star"]) / ref["t_star"]
-    dev_total = abs(sol.total_released - ref["total"]) / ref["total"]
+    rows, _ = table2(build_scenario(preset(strain)), sol)
+    t_star, total = rows[:2]
+    dev_t, dev_total = abs(t_star.deviation), abs(total.deviation)
     residuals_ok = sol.converged
     ok = dev_t <= 0.10 and dev_total <= 0.10 and residuals_ok
     report(
         f"criterion 2 [{strain}]",
         ok,
-        f"t_star={sol.control.t_star:.3f} (dev {100 * dev_t:.1f}%), "
-        f"total={sol.total_released:.0f} (dev {100 * dev_total:.1f}%), "
+        f"t_star={t_star.value:.3f} (dev {100 * dev_t:.1f}%), "
+        f"total={total.value:.0f} (dev {100 * dev_total:.1f}%), "
         f"residuals={ {k: round(v, 4) for k, v in sol.residuals.items()} }",
     )
     assert residuals_ok, sol.residuals
@@ -91,29 +92,19 @@ def test_criterion2_ocp_reproduction(strain, wmel_solution, wmelpop_solution):
 @pytest.mark.parametrize("strain", ["wmel", "wmelpop"])
 def test_criterion3_impulsive_indicators(strain, wmel_solution, wmelpop_solution):
     sol = _solution(strain, wmel_solution, wmelpop_solution)
-    scenario = build_scenario(preset(strain))
-    ref = reference.IMPULSIVE[strain]
-    checks = []
-
-    cells = impulsive_cells(scenario, sol.control, (1, 7, 14))
-    _, rep = cells[1]
-    checks.append(("daily count", abs(rep.num_releases - ref[1][0]) <= 1,
-                   f"{rep.num_releases} vs {ref[1][0]}±1"))
-    dev = abs(rep.overall_size - ref[1][1]) / ref[1][1]
-    checks.append(("daily total", dev <= 0.10, f"{rep.overall_size} vs {ref[1][1]} ({100*dev:.1f}%)"))
-    checks.append(("daily feasible", rep.feasible, f"entry={rep.basin_entry_time}"))
-
-    for m in (7, 14):
-        if cells[m] is None:
-            checks.append((f"m={m} feasible", False, "neither rule enters"))
-            continue
-        seq, rep_m = cells[m]
-        dev = abs(rep_m.overall_size - ref[m][1]) / ref[m][1]
-        checks.append(
-            (f"m={m} total ({seq.rule})", dev <= 0.10,
-             f"{rep_m.overall_size} vs {ref[m][1]} ({100*dev:.1f}%)")
-        )
-        checks.append((f"m={m} feasible", rep_m.feasible, f"entry={rep_m.basin_entry_time}"))
+    rows, missing = table2(build_scenario(preset(strain)), sol)
+    row = {r.label: r for r in rows}
+    daily = row[f"{strain} daily releases"]
+    checks = [("daily count", abs(daily.value - daily.reference) <= 1,
+               f"{daily.value} vs {daily.reference}±1")]
+    for cell in ("daily", "m=7", "m=14"):
+        total = row.get(f"{strain} {cell} total")
+        if total is not None:
+            dev = abs(total.deviation)
+            checks.append((f"{cell} total", dev <= 0.10,
+                           f"{total.value} vs {total.reference} ({100*dev:.1f}%)"))
+        entered = f"{strain} {cell}" not in missing
+        checks.append((f"{cell} feasible", entered, "enters" if entered else "never enters"))
 
     ok = all(c[1] for c in checks)
     report(
@@ -156,28 +147,27 @@ GA_SEEDS = range(5)
     "strain,freq", [(s, f) for s in ("wmel", "wmelpop") for f in (1, 7, 14)]
 )
 def test_criterion5_ga_reproduction(strain, freq):
-    ref_count, ref_j = reference.GA[strain][freq]
-    table2_count = reference.IMPULSIVE[strain][freq][0]
-    best = best_ga_plan(preset(strain), freq, GA_SEEDS)
+    table2_count, table2_total = reference.IMPULSIVE[strain][freq]
+    rows, best = table4(preset(strain), freq, GA_SEEDS)
     assert best is not None, "no feasible plan in any seed"
-    plan, rep, horizon, scenario = best
-    dev = abs(rep.j_value - ref_j) / ref_j
-    count_ok = plan.num_releases <= table2_count
+    count, j = rows
+    plan, _, horizon, scenario = best
+    dev = abs(j.deviation)
+    count_ok = count.value <= table2_count
     # Independent re-verification with the adaptive integrator.
     verified = verify_plan(plan, scenario.params, scenario.target, scenario.initial_wild)
-    table2_total = reference.IMPULSIVE[strain][freq][1]
-    dominates = rep.j_value <= table2_total
+    dominates = j.value <= table2_total
     ok = dev <= 0.15 and count_ok and verified and dominates
     report(
         f"criterion 5 [{strain} p={freq}]",
         ok,
-        f"J={rep.j_value} vs {ref_j} ({100 * dev:.1f}%), releases={plan.num_releases} "
+        f"J={j.value} vs {j.reference} ({100 * dev:.1f}%), releases={count.value} "
         f"<= {table2_count}: {count_ok}, J <= impulsive {table2_total}: {dominates}, "
         f"horizon={horizon}, re-verified={verified}",
     )
     assert dev <= 0.15, f"J deviation {100 * dev:.1f}% exceeds 15%"
-    assert count_ok, f"{plan.num_releases} releases exceed {table2_count}"
-    assert dominates, f"J={rep.j_value} exceeds the impulsive total {table2_total}"
+    assert count_ok, f"{count.value} releases exceed {table2_count}"
+    assert dominates, f"J={j.value} exceeds the impulsive total {table2_total}"
     assert verified, "plan failed adaptive re-verification"
 
 

@@ -231,23 +231,71 @@ def test_config_file_stage_sections_with_flag_precedence(tmp_path):
 
 def test_config_file_unknown_stage_key(tmp_path, capsys):
     # n_workers is a removed [ga] knob and [ocp] cap_l a removed duplicate of
-    # [scenario] cap_l: old configs must fail loudly, as must a typo.
+    # [scenario] cap_l: old configs must fail loudly, as must a typo, and in
+    # any section or section name, whether or not the command reads it.
     cfg = tmp_path / "scenario.ini"
     for command, section, key in (
         ("ocp", "ocp", "not_a_knob"),
         ("ga", "ga", "n_workers"),
         ("ocp", "ocp", "cap_l"),
         ("equilibria", "scenario", "frequncy"),
+        ("equilibria", "gaa", "pop_n"),
+        ("equilibria", "sim", "t_edn"),
+        ("phase", "ga", "n_workers"),
     ):
         header = "" if section == "scenario" else f"\n[{section}]\n"
         cfg.write_text(f"[scenario]\nstrain = wmel\n{header}{key} = 1\n")
         code = main([command, "--config", str(cfg), "--out", str(tmp_path)])
         assert code == 2
-        assert key in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"[{section}]" in err and (key in err or section == "gaa")
     # A config file without any section header is malformed, not a crash.
     cfg.write_text("strain = wmel\n")
     assert main(["equilibria", "--config", str(cfg), "--out", str(tmp_path)]) == 2
     assert "section header" in capsys.readouterr().err
+
+
+def test_ocp_reproduce_table2_settings(tmp_path, capsys):
+    repro = ["ocp", "--reproduce", "table2"]
+    assert run(repro + ["--grid-n", "40"], tmp_path) == 0
+    by_flag = capsys.readouterr().out
+    assert by_flag.count("===") == 4
+    cfg = tmp_path / "repro.ini"
+    cfg.write_text("[ocp]\ngrid_n = 40\n")
+    assert run(repro + ["--config", str(cfg)], tmp_path) == 0
+    assert capsys.readouterr().out == by_flag
+    cfg.write_text("[ocp]\ngrid_n = 40\ncap_l = 20\n")
+    assert run(repro + ["--config", str(cfg)], tmp_path) == 2
+    assert "cap_l" in capsys.readouterr().err
+    # The presets' scenarios are what is reproduced: no scenario setting applies.
+    cfg.write_text("[strain]\neta = 0.95\n")
+    for flag in (["--strain", "wmel"], ["--cap-l", "500"], ["--params", str(cfg)]):
+        assert run(repro + ["--grid-n", "40", *flag], tmp_path) == 2
+        assert flag[0] in capsys.readouterr().err
+    assert run(repro + ["--config", str(cfg)], tmp_path) == 2
+    assert "[strain]" in capsys.readouterr().err
+    # wmelpop's saddle lies below x = 5000: no schedule enters, the daily one included.
+    assert run(repro + ["--grid-n", "40", "--terminal-x", "5000"], tmp_path) == 1
+    err = capsys.readouterr().err
+    assert all(f"wmelpop {cell}:" in err for cell in ("daily", "m=7", "m=14"))
+
+
+def test_ga_reproduce_table4_settings(tmp_path, capsys):
+    cfg = tmp_path / "repro.ini"
+    cfg.write_text("[ga]\ngenerations_g = 1\npop_n = 8\n")
+    repro = ["ga", "--reproduce", "table4", "--seeds", "1", "--config", str(cfg)]
+    assert run(repro, tmp_path) == 0
+    seed0 = capsys.readouterr().out
+    assert seed0.count("=== discrete search") == 6
+    assert run(repro + ["--seed", "3"], tmp_path) == 0
+    by_flag = capsys.readouterr().out
+    assert by_flag != seed0
+    cfg.write_text("[scenario]\nseed = 3\n[ga]\ngenerations_g = 1\npop_n = 8\n")
+    assert run(repro, tmp_path) == 0
+    assert capsys.readouterr().out == by_flag
+    for flag in (["--horizon", "14"], ["--epsilon0", "28"], ["--frequency", "7"]):
+        assert run(repro + flag, tmp_path) == 2
+        assert flag[0] in capsys.readouterr().err
 
 
 def test_outdir_env_var(tmp_path, monkeypatch):

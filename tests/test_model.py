@@ -15,7 +15,7 @@ from wolbopt.model import (
     rhs_arrays,
     secure_region,
 )
-from wolbopt.params import StrainParams, offspring_numbers
+from wolbopt.params import StrainParams, offspring_numbers, with_overrides
 
 
 def fd_jacobian(params, x, y, h=1e-3):
@@ -67,6 +67,21 @@ def test_rhs_arrays_equal_scalar_field(wmel, wmelpop):
             fx, fy = rhs(params, State(x, y))
             assert gx == pytest.approx(fx, rel=1e-12, abs=1e-9)
             assert gy == pytest.approx(fy, rel=1e-12, abs=1e-9)
+
+
+def test_rhs_arrays_cached_per_params(wmel):
+    xs = np.array([6786.0, 4592.0, 0.5])
+    ys = np.array([0.0, 1793.0, 7000.0])
+    first = rhs_arrays(wmel, xs, ys)
+    again = rhs_arrays(wmel, xs, ys)
+    assert [a.tobytes() for a in again] == [a.tobytes() for a in first]
+    # A copy that keeps the name but not the fields gets its own field.
+    other = with_overrides(wmel, {"omega": "0.01"})
+    assert other.name == wmel.name
+    got = rhs_arrays(other, xs, ys)
+    expect = make_rhs(other, np.exp)(xs, ys, 0.0)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in expect]
+    assert got[0].tobytes() != first[0].tobytes()
 
 
 def test_rhs_rejects_negative_inputs(wmel):
