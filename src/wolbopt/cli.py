@@ -71,6 +71,9 @@ def _resolve_params(args, name: Optional[str], cfg: configparser.ConfigParser) -
         text = Path(args.params).read_text()  # a missing file exits 2 through ``main``
         override_cfg = configparser.ConfigParser()
         override_cfg.read_string(text if text.lstrip().startswith("[") else "[strain]\n" + text)
+        other = [f"[{s}]" for s in override_cfg.sections() if s != "strain"]
+        if other:
+            raise UsageError(f"--params takes only a [strain] section, not {', '.join(other)}")
         params = with_overrides(params, dict(override_cfg.items("strain")))
     return params
 
@@ -240,6 +243,7 @@ def cmd_ocp(args) -> int:
             "objective": sol.objective_j,
             "residuals": sol.residuals,
             "converged": sol.converged,
+            "stats": sol.stats,
             "control_csv": control_name,
         }
     )
@@ -287,6 +291,14 @@ def cmd_impulsive(args) -> int:
 def cmd_ga(args) -> int:
     if args.reproduce:
         return _reproduce_table4(args)
+    if args.seeds is not None:
+        raise UsageError("--seeds applies only to --reproduce table4")
+    loop_only = [f"--{k.replace('_', '-')}" for k in ("epsilon_step", "restarts")
+                 if getattr(args, k) is not None]
+    if loop_only and args.epsilon0 is None:
+        raise UsageError(f"{', '.join(loop_only)} applies only to the epsilon loop (--epsilon0)")
+    if args.horizon is not None and args.epsilon0 is not None:
+        raise UsageError("--horizon does not apply to the epsilon loop (--epsilon0 starts it)")
     cfg = _read_config(args.config)
     scenario = _resolve_scenario(args, cfg)
     target = scenario.target
@@ -298,7 +310,7 @@ def cmd_ga(args) -> int:
         loop_cfg = EpsilonLoopConfig(
             epsilon_0=args.epsilon0,
             step=args.epsilon_step or scenario.frequency,
-            restarts_per_epsilon=args.restarts,
+            restarts_per_epsilon=3 if args.restarts is None else args.restarts,
         )
         res = epsilon_loop(loop_cfg, gcfg, scenario.params, target, scenario.initial_wild)
         if res.best is None:
@@ -373,7 +385,8 @@ def _reproduce_settings(args, cfg: configparser.ConfigParser, section: str) -> t
     seed = scenario.pop("seed", 0)
     rejected = [f"--{k.replace('_', '-')}/[scenario] {k}" for k in scenario]
     rejected += [
-        f"--{k.replace('_', '-')}" for k in ("params", "horizon", "epsilon0", "epsilon_step")
+        f"--{k.replace('_', '-')}"
+        for k in ("params", "horizon", "epsilon0", "epsilon_step", "restarts")
         if getattr(args, k, None) is not None
     ]
     if cfg.has_section("strain"):
@@ -412,10 +425,11 @@ def _reproduce_table2(args) -> int:
 
 
 def _reproduce_table4(args) -> int:
-    if args.seeds < 1:
+    n_seeds = 5 if args.seeds is None else args.seeds
+    if n_seeds < 1:
         raise UsageError("--seeds must be at least 1")
     overrides, first = _reproduce_settings(args, _read_config(args.config), "ga")
-    seeds = range(first, first + args.seeds)
+    seeds = range(first, first + n_seeds)
     status = EXIT_OK
     for name in PRESET_NAMES:
         for freq in (1, 7, 14):
@@ -486,8 +500,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_ga.add_argument("--generations", dest="generations_g", type=int, default=None)
     p_ga.add_argument("--epsilon0", type=int, default=None, help="run the epsilon loop")
     p_ga.add_argument("--epsilon-step", type=int, default=None)
-    p_ga.add_argument("--restarts", type=int, default=3)
-    p_ga.add_argument("--seeds", type=int, default=5, help="seed count for --reproduce")
+    p_ga.add_argument("--restarts", type=int, default=None,
+                      help="GA runs per epsilon round (default 3)")
+    p_ga.add_argument("--seeds", type=int, default=None,
+                      help="seed count for --reproduce (default 5)")
     p_ga.add_argument("--reproduce", choices=["table4"], default=None)
     p_ga.set_defaults(func=cmd_ga)
 

@@ -9,8 +9,10 @@ of lambda2 to [0, L]; the optimal horizon satisfies H(T) = 0.
 Solver: forward-backward sweeps on a fixed horizon where the unknown
 terminal multiplier mu = lambda1(T) enforces the terminal state.  Because
 the adjoint system is linear in its terminal value, each sweep needs one
-unit backward pass; the multiplier is then located by a forward-only
-secant.  An outer safeguarded secant on T drives H(T) to zero.
+unit backward pass; the multiplier is then located by forward passes only,
+from a bracket grown around the previous multiplier and closed by Illinois
+false position.  The same rule on T drives H(T) to zero; a horizon whose
+sweep does not settle has no value.
 """
 
 from __future__ import annotations
@@ -74,6 +76,14 @@ class ContinuousControl:
     cap_l: float
 
 
+# Work counts of one solve: H(T) evaluations, sweeps, RK4 passes, and the
+# multiplier searches with their longest run and how many hit their cap.
+STATS_KEYS = (
+    "outer_evaluations", "sweeps", "forward_passes", "backward_passes",
+    "mu_searches", "mu_passes_max", "mu_searches_capped",
+)
+
+
 @dataclass(frozen=True)
 class OCPSolution:
     control: ContinuousControl
@@ -85,6 +95,7 @@ class OCPSolution:
     converged: bool
     mu: float
     hamiltonian_grid: np.ndarray
+    stats: dict[str, int]  # solver work, keyed by STATS_KEYS
 
     @property
     def state_trajectory(self):
@@ -179,6 +190,45 @@ def _backward_unit(jac, xs: list[float], ys: list[float], h: float) -> tuple[lis
     return p1, p2
 
 
+class _Bracket:
+    """Illinois false position (Dowell & Jarratt 1971) on [a, b], where the
+    residual changes sign between the ends.
+
+    ``fa`` may be None, an end with no value: the next point is then the
+    midpoint.  When the same end is kept twice in a row, the other end's
+    stored residual is halved, so a convex residual cannot pin one end.
+    """
+
+    def __init__(self, a: float, fa: Optional[float], b: float, fb: float):
+        self.a, self.fa, self.b, self.fb = a, fa, b, fb
+        self.moved = None  # the end replaced by the last update
+
+    def point(self) -> float:
+        a, fa, b, fb = self.a, self.fa, self.b, self.fb
+        m = b - fb * (b - a) / (fb - fa) if fa is not None and fa != fb else 0.5 * (a + b)
+        return m if a < m < b else 0.5 * (a + b)
+
+    def update(self, m: float, fm: Optional[float]) -> None:
+        """Replace the end whose residual has fm's sign (no value: the a end)."""
+        if fm is not None and (fm > 0.0) == (self.fb > 0.0):
+            if self.moved == "b" and self.fa is not None:
+                self.fa *= 0.5
+            self.b, self.fb, self.moved = m, fm, "b"
+        else:
+            if self.moved == "a":
+                self.fb *= 0.5
+            self.a, self.fa, self.moved = m, fm, "a"
+
+
+# Passes a mu search may spend widening its bracket, then closing it.
+_MU_WIDENINGS = 64
+_MU_ITERATIONS = 60
+# A sweep whose control change sets no new low for this many sweeps in a
+# row has locked into a cycle or is diverging; at grid 100 a settling one
+# never went more than 2, at either strain and x0 from x# - 50 to x# + 600.
+_STALL_SWEEPS = 10
+
+
 class _Sweeper:
     """Inner machinery at fixed horizon: states, unit adjoints, multiplier."""
 
@@ -188,49 +238,78 @@ class _Sweeper:
         self.cfg = cfg
         self.x0 = x0
         self.x_target = x_target
+        self.stats = dict.fromkeys(STATS_KEYS, 0)
 
-    def _control(self, mu: float, phi2: list[float]) -> list[float]:
+    def _forward(self, u: list[float], h: float):
+        self.stats["forward_passes"] += 1
+        return rk4(self.rhs, self.x0, 0.0, u, h)
+
+    def _backward(self, xs: list[float], ys: list[float], h: float):
+        self.stats["backward_passes"] += 1
+        return _backward_unit(self.jac, xs, ys, h)
+
+    def _mu_search(
+        self, phi2: list[float], h: float, mu_guess: float, r_zero: float, xtol: float
+    ):
+        """Locate mu < 0 with x(T) = x_target; forward passes only.
+
+        ``r_zero`` > 0 is the residual at mu = 0, the far end on the
+        positive side.  The bracket starts at the previous multiplier and
+        steps 2 % toward the root, twice as far each time; Illinois false
+        position then closes it.
+        """
         cap = self.cfg.cap_l
-        return [min(max(mu * v, 0.0), cap) for v in phi2]
-
-    def _mu_secant(self, phi2: list[float], h: float, mu_guess: float, xtol: float):
-        """Locate mu <= 0 with x(T) = x_target; forward passes only."""
+        stats = self.stats
+        stats["mu_searches"] += 1
+        passes_before = stats["forward_passes"]
 
         def resid(mu: float):
-            u = self._control(mu, phi2)
-            xs, ys = rk4(self.rhs, self.x0, 0.0, u, h)
-            return xs[-1] - self.x_target, u, xs, ys
+            u = [min(max(mu * v, 0.0), cap) for v in phi2]
+            xs, ys = self._forward(u, h)
+            return xs[-1] - self.x_target, (mu, u, xs, ys)
 
-        hi = 0.0
-        r_hi, *_ = resid(hi)
-        if r_hi <= 0.0:
-            raise CapInfeasibleError(
-                "terminal target is crossed with zero control; nothing to optimize"
+        try:
+            mu0 = mu_guess if mu_guess < -1.0 else -1000.0
+            r0, found = resid(mu0)
+            if abs(r0) < xtol:
+                return found
+            # r0 < 0: mu0 is too negative and the root lies toward zero.
+            sign = -1.0 if r0 < 0.0 else 1.0
+            near, r_near = mu0, r0
+            step = 0.02
+            for _ in range(_MU_WIDENINGS):
+                if sign < 0.0 and step >= 1.0:
+                    far, r_far = 0.0, r_zero
+                    break
+                far = mu0 * (1.0 + sign * step)
+                u_near = found[1]
+                r_far, found = resid(far)
+                if abs(r_far) < xtol:
+                    return found
+                if (r_far < 0.0) != (r0 < 0.0):
+                    break
+                if sign > 0.0 and found[1] == u_near:  # saturated: x(T) cannot move
+                    break
+                near, r_near = far, r_far
+                step *= 2.0
+            if (r_far < 0.0) == (r0 < 0.0):
+                raise CapInfeasibleError("terminal target unreachable under cap_l")
+            # The residual rises with mu, so the lower end is the negative one.
+            ends = sorted([(near, r_near), (far, r_far)])
+            bracket = _Bracket(*ends[0], *ends[1])
+            for _ in range(_MU_ITERATIONS):
+                m = bracket.point()
+                rm, found = resid(m)
+                if abs(rm) < xtol:
+                    return found
+                bracket.update(m, rm)
+            stats["mu_searches_capped"] += 1
+            raise NonConvergenceError(
+                f"mu search missed x(T) by more than {xtol:g} in {_MU_ITERATIONS} steps"
             )
-        lo = mu_guess if mu_guess < -1.0 else -1000.0
-        r_lo, u, xs, ys = resid(lo)
-        for _ in range(16):
-            if r_lo <= 0.0:
-                break
-            hi, r_hi = lo, r_lo
-            lo *= 8.0
-            r_lo, u, xs, ys = resid(lo)
-        else:
-            raise CapInfeasibleError("terminal target unreachable under cap_l")
-        a, ra, b, rb = lo, r_lo, hi, r_hi
-        m, u_m, xs_m, ys_m = a, u, xs, ys
-        for _ in range(80):
-            m = b - rb * (b - a) / (rb - ra) if rb != ra else 0.5 * (a + b)
-            if not a < m < b:
-                m = 0.5 * (a + b)
-            rm, u_m, xs_m, ys_m = resid(m)
-            if abs(rm) < xtol:
-                break
-            if rm < 0.0:
-                a, ra = m, rm
-            else:
-                b, rb = m, rm
-        return m, u_m, xs_m, ys_m
+        finally:
+            passes = stats["forward_passes"] - passes_before
+            stats["mu_passes_max"] = max(stats["mu_passes_max"], passes)
 
     def converge(
         self,
@@ -240,26 +319,50 @@ class _Sweeper:
         max_sweeps: int = 120,
         du_tol_rel: float = 1e-4,
     ):
+        """The settled sweep at horizon T.
+
+        Raises CapInfeasibleError when no multiplier reaches the target and
+        NonConvergenceError when the sweep does not settle: either way the
+        horizon has no value.
+        """
         n = self.cfg.grid_n
         h = T / n
         alpha = self.cfg.sweep_relaxation
-        u = list(u)  # an infeasible horizon must not poison the caller's warm start
-        du = math.inf
+        u = list(u)  # an unusable horizon must not poison the caller's warm start
+        # At mu = 0 the control is zero whatever phi2 is, so this residual
+        # depends on T alone.
+        xs, _ = self._forward([0.0] * (n + 1), h)
+        r_zero = xs[-1] - self.x_target
+        if r_zero <= 0.0:
+            raise CapInfeasibleError(
+                "terminal target is crossed with zero control; nothing to optimize"
+            )
         # The multiplier tolerance sets the sweep noise floor; keep it a
         # fraction of the control tolerance being asked for.
         xtol = max(0.2 * du_tol_rel * self.cfg.cap_l, 1e-6)
+        xs, ys = self._forward(u, h)
+        settled = False
+        best_du, stalled = math.inf, 0
         for sweep in range(max_sweeps):
-            xs, ys = rk4(self.rhs, self.x0, 0.0, u, h)
-            phi1, phi2 = _backward_unit(self.jac, xs, ys, h)
-            mu, u_star, xs, ys = self._mu_secant(phi2, h, mu, xtol)
+            self.stats["sweeps"] += 1
+            phi1, phi2 = self._backward(xs, ys, h)
+            mu, u_star, xs, ys = self._mu_search(phi2, h, mu, r_zero, xtol)
             du = max(abs(a - b) for a, b in zip(u_star, u))
             if du < du_tol_rel * self.cfg.cap_l:
-                u = u_star
+                u, settled = u_star, True
+                break
+            best_du, stalled = (du, 0) if du < best_du else (best_du, stalled + 1)
+            if stalled == _STALL_SWEEPS:
                 break
             for i in range(len(u)):
                 u[i] += alpha * (u_star[i] - u[i])
-        xs, ys = rk4(self.rhs, self.x0, 0.0, u, h)
-        phi1, phi2 = _backward_unit(self.jac, xs, ys, h)
+            xs, ys = self._forward(u, h)
+        if not settled:
+            raise NonConvergenceError(
+                f"sweep did not settle at T={T:.6g} after {sweep + 1} sweeps (du={du:.3g})"
+            )
+        # xs, ys are the states under u = u_star from the multiplier search.
+        phi1, phi2 = self._backward(xs, ys, h)
         l1 = [mu * v for v in phi1]
         l2 = [mu * v for v in phi2]
         u_T = min(max(l2[-1], 0.0), self.cfg.cap_l)
@@ -298,22 +401,19 @@ def solve(params: StrainParams, cfg: OCPConfig) -> OCPSolution:
     def H_at(T: float, tight: bool = False):
         nonlocal u, mu, evals
         evals += 1
-        u_snap, mu_snap = list(u), mu
         kwargs = dict(max_sweeps=300, du_tol_rel=2e-5) if tight else {}
-        try:
-            out = sweeper.converge(T, u, mu, **kwargs)
-        except CapInfeasibleError:
-            u, mu = u_snap, mu_snap
-            raise
+        out = sweeper.converge(T, u, mu, **kwargs)  # no value: u, mu stay as they were
         u, mu = out["u"], out["mu"]
         return out
 
-    # Bracket H(T) = 0: H > 0 means the horizon is too short; an
-    # infeasible horizon counts as "H > 0" without a value.
+    # Bracket H(T) = 0: H > 0 means the horizon is too short; a horizon
+    # with no value (infeasible, or a sweep that does not settle) counts as
+    # "H > 0".
+    no_value = (CapInfeasibleError, NonConvergenceError)
     lo_T = hi_T = None
     lo_out = hi_out = None
     T_cur = cfg.t_init
-    last_infeasible = None
+    last_error = None
     while evals < cfg.max_outer_iterations:
         if T_cur > cfg.max_horizon:
             raise CapInfeasibleError(
@@ -321,8 +421,8 @@ def solve(params: StrainParams, cfg: OCPConfig) -> OCPSolution:
             )
         try:
             out = H_at(T_cur)
-        except CapInfeasibleError as err:
-            last_infeasible = err
+        except no_value as err:
+            last_error = err
             if hi_T is not None and hi_T - T_cur < 1e-9:
                 raise
             lo_T, lo_out = T_cur, None
@@ -339,45 +439,36 @@ def solve(params: StrainParams, cfg: OCPConfig) -> OCPSolution:
         if lo_T is not None and hi_T is not None:
             break
     if hi_T is None or lo_T is None:
-        raise (last_infeasible or NonConvergenceError("failed to bracket the optimal horizon"))
+        raise (last_error or NonConvergenceError("failed to bracket the optimal horizon"))
 
-    # Safeguarded secant on H(T) within [lo_T, hi_T], finishing with
+    # Illinois false position on H(T) within [lo_T, hi_T], finishing with
     # tight inner tolerances once close (the Hamiltonian noise floor
     # tracks the sweep tolerance).
     best = None
-    a, b = lo_T, hi_T
-    ra = lo_out["h_terminal"] if lo_out is not None else None
-    rb = hi_out["h_terminal"]
-    T = b
+    r_lo = None if lo_out is None else lo_out["h_terminal"]
+    bracket = _Bracket(lo_T, r_lo, hi_T, hi_out["h_terminal"])
     tight = False
     while evals < cfg.max_outer_iterations:
-        if ra is not None and ra != rb:
-            m = b - rb * (b - a) / (rb - ra)
-        else:
-            m = 0.5 * (a + b)
-        if not a < m < b:
-            m = 0.5 * (a + b)
+        m = bracket.point()
         try:
             out = H_at(m, tight=tight)
-        except CapInfeasibleError:
-            a, ra = m, None
+        except no_value:
+            bracket.update(m, None)
             continue
         r_m = out["h_terminal"]
         if tight:
             best, T = out, m
             if abs(r_m) <= 0.5 * cfg.tol_h:
                 break
+        a, b = bracket.a, bracket.b
         if not tight and (abs(r_m) <= 2.0 * cfg.tol_h or b - a < 1e-4 * b):
             tight = True  # re-evaluate near the root at tight tolerance
-        if r_m > 0.0:
-            a, ra = m, r_m
-        else:
-            b, rb = m, r_m
-        if b - a < 1e-9 * max(b, 1.0) and best is not None:
+        bracket.update(m, r_m)
+        if bracket.b - bracket.a < 1e-9 * max(bracket.b, 1.0) and best is not None:
             break
     if best is None:
-        best = H_at(0.5 * (a + b), tight=True)
-        T = 0.5 * (a + b)
+        T = 0.5 * (bracket.a + bracket.b)
+        best = H_at(T, tight=True)
 
     out = best
     times = np.linspace(0.0, T, n + 1)
@@ -418,4 +509,5 @@ def solve(params: StrainParams, cfg: OCPConfig) -> OCPSolution:
         converged=converged,
         mu=out["mu"],
         hamiltonian_grid=h_grid,
+        stats={**sweeper.stats, "outer_evaluations": evals},
     )

@@ -5,6 +5,7 @@ import pytest
 from wolbopt import fileio
 from wolbopt.cli import main
 from wolbopt.model import State
+from wolbopt.ocp import STATS_KEYS
 from wolbopt.sim import ImpulseSchedule, SimOptions, simulate_impulsive
 
 
@@ -35,6 +36,16 @@ def test_equilibria_with_param_override(tmp_path):
     assert code == 0
     summary = json.loads((tmp_path / "equilibria_wmelpop.json").read_text())
     assert summary["equilibria"]["Eu"]["x"] == pytest.approx(859.5, abs=1)
+
+
+def test_params_file_takes_only_strain(tmp_path, capsys):
+    override = tmp_path / "p.ini"
+    for extra, named in (("[ocp]\ngrid_n = 5\n", "[ocp]"), ("[gaa]\nx = 1\n", "[gaa]")):
+        override.write_text(f"[strain]\neta = 0.95\n{extra}")
+        code = run(["equilibria", "--strain", "wmel", "--params", str(override)], tmp_path)
+        assert code == 2
+        assert named in capsys.readouterr().err
+    assert not (tmp_path / "equilibria_wmel.json").exists()
 
 
 def test_equilibria_reproducible_bytes(tmp_path):
@@ -133,6 +144,20 @@ def test_ga_command_small(tmp_path, capsys):
     assert "--seeds" in capsys.readouterr().err
 
 
+def test_ga_rejects_flags_it_would_ignore(tmp_path, capsys):
+    base = ["ga", "--strain", "wmel", "--frequency", "14", "--horizon", "14"]
+    for argv, flag in (
+        (base + ["--seeds", "9"], "--seeds"),
+        (["ga", "--reproduce", "table4", "--restarts", "7"], "--restarts"),
+        (base + ["--restarts", "2"], "--restarts"),
+        (base + ["--epsilon-step", "7"], "--epsilon-step"),
+        (base + ["--epsilon0", "28"], "--horizon"),
+    ):
+        assert run(argv, tmp_path) == 2
+        assert flag in capsys.readouterr().err
+    assert not (tmp_path / "ga_wmel_summary.json").exists()
+
+
 def test_ocp_command_small_grid(tmp_path):
     code = run(
         ["ocp", "--strain", "wmel", "--grid-n", "600"],
@@ -142,6 +167,13 @@ def test_ocp_command_small_grid(tmp_path):
     summary = json.loads((tmp_path / "ocp_wmel_summary.json").read_text())
     assert summary["converged"] is True
     assert summary["t_star"] == pytest.approx(13.72, rel=0.05)
+    assert set(summary["stats"]) == set(STATS_KEYS)
+    assert summary["stats"]["forward_passes"] > summary["stats"]["sweeps"] > 0
+    again = tmp_path / "again"
+    assert run(["ocp", "--strain", "wmel", "--grid-n", "600"], again) == 0
+    assert (again / "ocp_wmel_summary.json").read_bytes() == (
+        tmp_path / "ocp_wmel_summary.json"
+    ).read_bytes()
     ctrl = fileio.read_control_csv(tmp_path / "ocp_wmel_control.csv")
     assert ctrl.t_star == pytest.approx(summary["t_star"], rel=1e-9)
 

@@ -1,16 +1,22 @@
+import math
+
 import numpy as np
 import pytest
 
 from wolbopt.model import State, equilibria, make_rhs
 from wolbopt.ocp import (
+    STATS_KEYS,
     CapInfeasibleError,
     ContinuousControl,
+    NonConvergenceError,
     OCPConfig,
     adjoint_rhs,
     control_from_adjoint,
     hamiltonian,
     objective,
     solve,
+    _Bracket,
+    _Sweeper,
 )
 from wolbopt.scenarios import build_scenario, ocp_config
 from wolbopt.sim import rk4
@@ -196,3 +202,78 @@ def test_config_validation():
         OCPConfig(cap_l=750.0, sweep_relaxation=0.0)
     with pytest.raises(ValueError):
         OCPConfig(cap_l=750.0, grid_n=3)
+
+
+def test_illinois_bracket_on_convex_residual():
+    """exp(x) - 2 on [-5, 5] is convex: plain false position keeps the
+    right end and creeps in from the left; the Illinois step does not."""
+
+    def f(x):
+        return math.exp(x) - 2.0
+
+    def evaluations(illinois: bool) -> int:
+        a, b = -5.0, 5.0
+        br = _Bracket(a, f(a), b, f(b))
+        n = 2
+        while n < 200:
+            m = br.point()
+            if abs(m - math.log(2.0)) <= 1e-9:
+                break
+            fm = f(m)
+            n += 1
+            if illinois:
+                br.update(m, fm)
+            elif fm < 0.0:
+                br.a, br.fa = m, fm
+            else:
+                br.b, br.fb = m, fm
+        return n
+
+    assert evaluations(illinois=True) <= 20
+    assert evaluations(illinois=False) > 50
+
+
+def test_bracket_without_a_value_bisects():
+    br = _Bracket(10.0, None, 20.0, -3.0)
+    assert br.point() == 15.0
+    br.update(15.0, None)  # no value counts as the a side
+    assert (br.a, br.fa, br.b) == (15.0, None, 20.0)
+    assert br.point() == 17.5
+
+
+def test_unsettled_sweep_has_no_value(wmelpop):
+    """Just above wmelpop's shortest feasible horizon the relaxed sweep from
+    a cold start cycles instead of settling: it raises once its control
+    change has set no new low for 10 sweeps, well before the 120-sweep cap,
+    rather than returning an unsettled control and its H(T)."""
+    sc = build_scenario(wmelpop)
+    cfg = ocp_config(sc, grid_n=100)
+    x_target = equilibria(wmelpop).eu.state.x - 1.0
+    sweeper = _Sweeper(wmelpop, cfg, sc.initial_wild, x_target)
+    with pytest.raises(NonConvergenceError, match="did not settle"):
+        sweeper.converge(56.0, [cfg.cap_l / 2.0] * 101, -1000.0)
+    assert sweeper.stats["sweeps"] < 30
+
+
+@pytest.mark.parametrize("name", ["wmel", "wmelpop"])
+def test_solver_work_at_bench_grid(name, wmel, wmelpop):
+    params = {"wmel": wmel, "wmelpop": wmelpop}[name]
+    sol = solve(params, ocp_config(build_scenario(params), grid_n=100))
+    stats = sol.stats
+    assert sol.converged
+    assert set(stats) == set(STATS_KEYS)
+    assert stats["forward_passes"] <= {"wmel": 1000, "wmelpop": 2000}[name]
+    assert stats["outer_evaluations"] <= 15
+    assert stats["mu_searches_capped"] == 0
+    # Every sweep runs one mu search and one backward pass; every outer
+    # evaluation with a value adds one more backward pass.
+    assert stats["mu_searches"] == stats["sweeps"]
+    assert stats["sweeps"] < stats["backward_passes"]
+    assert stats["backward_passes"] <= stats["sweeps"] + stats["outer_evaluations"]
+
+
+def test_solver_work_at_paper_grid(wmel_solution, wmelpop_solution):
+    for sol, passes in ((wmel_solution, 900), (wmelpop_solution, 1800)):
+        assert sol.stats["forward_passes"] <= passes
+        assert sol.stats["outer_evaluations"] <= 15
+        assert sol.stats["mu_searches_capped"] == 0
