@@ -22,6 +22,7 @@ import numpy as np
 
 from . import fileio
 from .ga import EpsilonLoopConfig, GAConfig, epsilon_loop, run_ga, verify_plan
+from .impulsive import daily_impulses
 from .model import State, absorbing_bound, equilibria, secure_region
 from .ocp import CapInfeasibleError, NonConvergenceError, OCPConfig, solve
 from .params import (
@@ -244,6 +245,7 @@ def cmd_ocp(args) -> int:
             "residuals": sol.residuals,
             "converged": sol.converged,
             "stats": sol.stats,
+            "history": [row._asdict() for row in sol.history],
             "control_csv": control_name,
         }
     )
@@ -421,6 +423,11 @@ def _reproduce_table2(args) -> int:
             print(f"{label}: does not enter the secure region", file=sys.stderr)
             status = EXIT_FAILED
         _print_rows(f"=== impulsive indicators: {name} ===", rows)
+        daily = daily_impulses(sol.control)
+        print(
+            f"  note: the daily sizes are ceilings; the closest call is day {daily.ceiling_day} "
+            f"(size {daily.sizes[daily.ceiling_day - 1]}), {daily.ceiling_margin:.4f} from an integer"
+        )
     return status
 
 

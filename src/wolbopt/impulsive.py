@@ -24,12 +24,21 @@ from .sim import ImpulseSchedule, SimOptions, first_basin_entry, simulate_impuls
 
 @dataclass(frozen=True)
 class DailyImpulseSequence:
-    """Per-day window totals, trapezoid estimates, and integer sizes."""
+    """Per-day window totals, trapezoid estimates, and integer sizes.
+
+    ``ceiling_margin`` is the smallest distance from a ceiled quantity to
+    the nearest integer, on day ``ceiling_day``: a size decided by less
+    than the solver's tolerance can change with it.  A quantity on a clamp
+    of the control (0 or the cap) is exact and is not counted; with no
+    other day the margin is inf and the day 0.
+    """
 
     window_totals: tuple[float, ...]
     trapezoid_estimates: tuple[float, ...]
     sizes: tuple[int, ...]
     t_hat: int
+    ceiling_margin: float
+    ceiling_day: int
 
     @property
     def total(self) -> int:
@@ -133,19 +142,24 @@ def daily_impulses(ctrl: ContinuousControl) -> DailyImpulseSequence:
     totals = daily_window_totals(ctrl)
     traps = np.empty(t_hat)
     sizes = []
+    margin, margin_day = math.inf, 0
     for n in range(1, t_hat + 1):
         tr = 0.5 * (float(u_hat(float(n))) + float(u_hat(n - 1.0)))
         traps[n - 1] = tr
         if totals[n - 1] <= tr + 1e-9 * max(1.0, tr):
-            size = math.ceil(tr - 1e-12)
+            q = tr
         else:
-            size = math.ceil(_window_max(ctrl, n - 1.0, float(n)) - 1e-12)
-        sizes.append(int(size))
+            q = _window_max(ctrl, n - 1.0, float(n))
+        sizes.append(int(math.ceil(q - 1e-12)))
+        if 0.0 < q < ctrl.cap_l and abs(q - round(q)) < margin:
+            margin, margin_day = abs(q - round(q)), n
     return DailyImpulseSequence(
         window_totals=tuple(totals),
         trapezoid_estimates=tuple(traps),
         sizes=tuple(sizes),
         t_hat=t_hat,
+        ceiling_margin=margin,
+        ceiling_day=margin_day,
     )
 
 

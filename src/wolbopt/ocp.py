@@ -10,16 +10,18 @@ Solver: forward-backward sweeps on a fixed horizon where the unknown
 terminal multiplier mu = lambda1(T) enforces the terminal state.  Because
 the adjoint system is linear in its terminal value, each sweep needs one
 unit backward pass; the multiplier is then located by forward passes only,
-from a bracket grown around the previous multiplier and closed by Illinois
-false position.  The same rule on T drives H(T) to zero; a horizon whose
-sweep does not settle has no value.
+from the previous multiplier by a Newton step whose slope the same unit
+adjoint gives, then secant steps, kept inside a bracket by Illinois false
+position.  Sweeps are relaxed and Anderson(1)-accelerated.  Illinois false
+position on T drives H(T) to zero; a horizon whose sweep does not settle
+has no value.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -84,6 +86,16 @@ STATS_KEYS = (
 )
 
 
+class HorizonStep(NamedTuple):
+    """One H(T) evaluation: its horizon, H(T) (None when the horizon has no
+    value), and the sweeps and forward passes it cost."""
+
+    T: float
+    h_terminal: Optional[float]
+    sweeps: int
+    forward_passes: int
+
+
 @dataclass(frozen=True)
 class OCPSolution:
     control: ContinuousControl
@@ -96,6 +108,7 @@ class OCPSolution:
     mu: float
     hamiltonian_grid: np.ndarray
     stats: dict[str, int]  # solver work, keyed by STATS_KEYS
+    history: tuple[HorizonStep, ...]  # one row per H(T) evaluation, in order
 
     @property
     def state_trajectory(self):
@@ -220,8 +233,18 @@ class _Bracket:
             self.a, self.fa, self.moved = m, fm, "a"
 
 
-# Passes a mu search may spend widening its bracket, then closing it.
-_MU_WIDENINGS = 64
+def _mu_slope(phi2: list[float], u: list[float], h: float, cap: float) -> float:
+    """dx(T)/dmu under u = clamp(mu phi2): x(T) responds to u(t) by phi2(t)
+    and du/dmu = phi2 where the clamp is inactive, so the slope is the
+    trapezoid sum of phi2^2 over the unclamped nodes."""
+    s = sum(v * v for v, w in zip(phi2, u) if 0.0 < w < cap)
+    for i in (0, -1):  # the end nodes carry half weight
+        if 0.0 < u[i] < cap:
+            s -= 0.5 * phi2[i] * phi2[i]
+    return h * s
+
+
+# Passes a mu search may spend.
 _MU_ITERATIONS = 60
 # A sweep whose control change sets no new low for this many sweeps in a
 # row has locked into a cycle or is diverging; at grid 100 a settling one
@@ -253,10 +276,12 @@ class _Sweeper:
     ):
         """Locate mu < 0 with x(T) = x_target; forward passes only.
 
-        ``r_zero`` > 0 is the residual at mu = 0, the far end on the
-        positive side.  The bracket starts at the previous multiplier and
-        steps 2 % toward the root, twice as far each time; Illinois false
-        position then closes it.
+        ``r_zero`` > 0 is the residual at mu = 0, the positive end of every
+        bracket.  The first pass is at the previous multiplier; the first
+        step is Newton's with the adjoint slope (``_mu_slope``), later ones
+        are secants through the last two points.  A step that leaves the
+        known bracket takes the bracket's Illinois point instead, and while
+        no negative end is known mu doubles.
         """
         cap = self.cfg.cap_l
         stats = self.stats
@@ -269,40 +294,32 @@ class _Sweeper:
             return xs[-1] - self.x_target, (mu, u, xs, ys)
 
         try:
-            mu0 = mu_guess if mu_guess < -1.0 else -1000.0
-            r0, found = resid(mu0)
-            if abs(r0) < xtol:
-                return found
-            # r0 < 0: mu0 is too negative and the root lies toward zero.
-            sign = -1.0 if r0 < 0.0 else 1.0
-            near, r_near = mu0, r0
-            step = 0.02
-            for _ in range(_MU_WIDENINGS):
-                if sign < 0.0 and step >= 1.0:
-                    far, r_far = 0.0, r_zero
-                    break
-                far = mu0 * (1.0 + sign * step)
-                u_near = found[1]
-                r_far, found = resid(far)
-                if abs(r_far) < xtol:
-                    return found
-                if (r_far < 0.0) != (r0 < 0.0):
-                    break
-                if sign > 0.0 and found[1] == u_near:  # saturated: x(T) cannot move
-                    break
-                near, r_near = far, r_far
-                step *= 2.0
-            if (r_far < 0.0) == (r0 < 0.0):
-                raise CapInfeasibleError("terminal target unreachable under cap_l")
-            # The residual rises with mu, so the lower end is the negative one.
-            ends = sorted([(near, r_near), (far, r_far)])
-            bracket = _Bracket(*ends[0], *ends[1])
+            mu = mu_guess if mu_guess < -1.0 else -1000.0
+            pos = (0.0, r_zero)  # the residual rises with mu
+            bracket = prev = None
             for _ in range(_MU_ITERATIONS):
-                m = bracket.point()
-                rm, found = resid(m)
-                if abs(rm) < xtol:
+                r, found = resid(mu)
+                if abs(r) < xtol:
                     return found
-                bracket.update(m, rm)
+                slope = _mu_slope(phi2, found[1], h, cap)
+                if slope == 0.0 and r > 0.0:
+                    # Every node sits on a clamp that a more negative mu keeps.
+                    raise CapInfeasibleError("terminal target unreachable under cap_l")
+                if prev is not None:
+                    slope = (r - prev[1]) / (mu - prev[0])
+                if bracket is not None:
+                    bracket.update(mu, r)
+                elif r < 0.0:
+                    bracket = _Bracket(mu, r, *pos)
+                else:
+                    pos = (mu, r)
+                m = mu - r / slope if slope > 0.0 else math.nan
+                if bracket is not None:
+                    if not bracket.a < m < bracket.b:
+                        m = bracket.point()
+                elif not m < mu:  # r > 0: the root lies below mu
+                    m = 2.0 * mu
+                prev, mu = (mu, r), m
             stats["mu_searches_capped"] += 1
             raise NonConvergenceError(
                 f"mu search missed x(T) by more than {xtol:g} in {_MU_ITERATIONS} steps"
@@ -328,7 +345,8 @@ class _Sweeper:
         n = self.cfg.grid_n
         h = T / n
         alpha = self.cfg.sweep_relaxation
-        u = list(u)  # an unusable horizon must not poison the caller's warm start
+        # A copy: an unusable horizon must not poison the caller's warm start.
+        u = np.array(u, dtype=float)
         # At mu = 0 the control is zero whatever phi2 is, so this residual
         # depends on T alone.
         xs, _ = self._forward([0.0] * (n + 1), h)
@@ -340,23 +358,33 @@ class _Sweeper:
         # The multiplier tolerance sets the sweep noise floor; keep it a
         # fraction of the control tolerance being asked for.
         xtol = max(0.2 * du_tol_rel * self.cfg.cap_l, 1e-6)
-        xs, ys = self._forward(u, h)
+        xs, ys = self._forward(u.tolist(), h)
         settled = False
         best_du, stalled = math.inf, 0
+        last = None  # (u, f, du) of the previous sweep
         for sweep in range(max_sweeps):
             self.stats["sweeps"] += 1
             phi1, phi2 = self._backward(xs, ys, h)
             mu, u_star, xs, ys = self._mu_search(phi2, h, mu, r_zero, xtol)
-            du = max(abs(a - b) for a, b in zip(u_star, u))
+            f = np.array(u_star) - u
+            du = float(np.max(np.abs(f)))
             if du < du_tol_rel * self.cfg.cap_l:
                 u, settled = u_star, True
                 break
             best_du, stalled = (du, 0) if du < best_du else (best_du, stalled + 1)
             if stalled == _STALL_SWEEPS:
                 break
-            for i in range(len(u)):
-                u[i] += alpha * (u_star[i] - u[i])
-            xs, ys = self._forward(u, h)
+            step = alpha * f
+            if last is not None and du < last[2]:
+                # Anderson(1) on the relaxed map u -> u + alpha f: the
+                # secant through the last two sweeps removes the component
+                # of the step that they share (Walker & Ni 2011).
+                df = f - last[1]
+                theta = float(df @ f) / float(df @ df)
+                step -= theta * ((u - last[0]) + alpha * df)
+            last = u, f, du
+            u = np.clip(u + step, 0.0, self.cfg.cap_l)
+            xs, ys = self._forward(u.tolist(), h)
         if not settled:
             raise NonConvergenceError(
                 f"sweep did not settle at T={T:.6g} after {sweep + 1} sweeps (du={du:.3g})"
@@ -396,13 +424,21 @@ def solve(params: StrainParams, cfg: OCPConfig) -> OCPSolution:
     n = cfg.grid_n
     u = [cfg.cap_l / 2.0] * (n + 1)
     mu = -1000.0
-    evals = 0
+    history = []
 
     def H_at(T: float, tight: bool = False):
-        nonlocal u, mu, evals
-        evals += 1
+        nonlocal u, mu
         kwargs = dict(max_sweeps=300, du_tol_rel=2e-5) if tight else {}
-        out = sweeper.converge(T, u, mu, **kwargs)  # no value: u, mu stay as they were
+        before = sweeper.stats["sweeps"], sweeper.stats["forward_passes"]
+        h_T = None
+        try:
+            out = sweeper.converge(T, u, mu, **kwargs)  # no value: u, mu stay as they were
+            h_T = out["h_terminal"]
+        finally:
+            history.append(HorizonStep(
+                T, h_T, sweeper.stats["sweeps"] - before[0],
+                sweeper.stats["forward_passes"] - before[1],
+            ))
         u, mu = out["u"], out["mu"]
         return out
 
@@ -414,7 +450,7 @@ def solve(params: StrainParams, cfg: OCPConfig) -> OCPSolution:
     lo_out = hi_out = None
     T_cur = cfg.t_init
     last_error = None
-    while evals < cfg.max_outer_iterations:
+    while len(history) < cfg.max_outer_iterations:
         if T_cur > cfg.max_horizon:
             raise CapInfeasibleError(
                 f"no optimal horizon up to {cfg.max_horizon} days; cap_l too small"
@@ -448,7 +484,7 @@ def solve(params: StrainParams, cfg: OCPConfig) -> OCPSolution:
     r_lo = None if lo_out is None else lo_out["h_terminal"]
     bracket = _Bracket(lo_T, r_lo, hi_T, hi_out["h_terminal"])
     tight = False
-    while evals < cfg.max_outer_iterations:
+    while len(history) < cfg.max_outer_iterations:
         m = bracket.point()
         try:
             out = H_at(m, tight=tight)
@@ -495,7 +531,7 @@ def solve(params: StrainParams, cfg: OCPConfig) -> OCPSolution:
         and residuals["hamiltonian"] <= cfg.tol_h
         and residuals["clamp"] <= cfg.tol_bc
     )
-    if not converged and evals >= cfg.max_outer_iterations:
+    if not converged and len(history) >= cfg.max_outer_iterations:
         raise NonConvergenceError(
             f"outer iteration budget exhausted; residuals {residuals}"
         )
@@ -509,5 +545,6 @@ def solve(params: StrainParams, cfg: OCPConfig) -> OCPSolution:
         converged=converged,
         mu=out["mu"],
         hamiltonian_grid=h_grid,
-        stats={**sweeper.stats, "outer_evaluations": evals},
+        stats={**sweeper.stats, "outer_evaluations": len(history)},
+        history=tuple(history),
     )

@@ -169,6 +169,13 @@ def test_ocp_command_small_grid(tmp_path):
     assert summary["t_star"] == pytest.approx(13.72, rel=0.05)
     assert set(summary["stats"]) == set(STATS_KEYS)
     assert summary["stats"]["forward_passes"] > summary["stats"]["sweeps"] > 0
+    history = summary["history"]
+    assert len(history) == summary["stats"]["outer_evaluations"]
+    assert set(history[0]) == {"T", "h_terminal", "sweeps", "forward_passes"}
+    # Every sweep and pass is spent inside some H(T) evaluation.
+    for key in ("sweeps", "forward_passes"):
+        assert sum(row[key] for row in history) == summary["stats"][key]
+    assert summary["t_star"] in [row["T"] for row in history]
     again = tmp_path / "again"
     assert run(["ocp", "--strain", "wmel", "--grid-n", "600"], again) == 0
     assert (again / "ocp_wmel_summary.json").read_bytes() == (

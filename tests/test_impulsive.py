@@ -57,6 +57,18 @@ def test_daily_sizes_constant_control():
     assert daily.sizes == (124,) * 6
 
 
+def test_daily_ceiling_margin():
+    t = np.linspace(0.0, 5.0, 6)
+    v = np.array([20.5, 20.5, 30.99, 30.99, 40.2, 40.2])
+    daily = daily_impulses(ContinuousControl(times=t, values=v, t_star=5.0, cap_l=750.0))
+    assert daily.sizes == (21, 26, 31, 36, 41)
+    assert daily.ceiling_day == 3
+    assert daily.ceiling_margin == pytest.approx(0.01, abs=1e-9)
+    # A day on the cap is exact: no margin to report.
+    at_cap = daily_impulses(constant_control(750.0, 3.0))
+    assert (at_cap.ceiling_margin, at_cap.ceiling_day) == (math.inf, 0)
+
+
 def test_daily_sizes_linear_control_trapezoid_exact():
     ctrl = linear_control(100.0, 5.0)
     daily = daily_impulses(ctrl)
