@@ -486,7 +486,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ocp.add_argument("--cap-l", type=float, default=None)
     p_ocp.add_argument("--weight-p", type=float, default=None)
     p_ocp.add_argument("--grid-n", type=int, default=None)
-    p_ocp.add_argument("--t-init", type=float, default=None)
     p_ocp.add_argument("--terminal-x", type=float, default=None)
     p_ocp.add_argument("--reproduce", choices=["table2"], default=None)
     p_ocp.set_defaults(func=cmd_ocp)

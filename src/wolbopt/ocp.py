@@ -14,7 +14,8 @@ from the previous multiplier by a Newton step whose slope the same unit
 adjoint gives, then secant steps, kept inside a bracket by Illinois false
 position.  Sweeps are relaxed and Anderson(1)-accelerated.  Illinois false
 position on T drives H(T) to zero; a horizon whose sweep does not settle
-has no value.
+has no value.  The bracket's short end comes from one full-capacity pass,
+its long end from 1.2x steps.
 """
 
 from __future__ import annotations
@@ -38,6 +39,18 @@ class NonConvergenceError(RuntimeError):
     """Iteration budget exhausted before residuals met tolerances."""
 
 
+# A solution converges when its boundary and clamp residuals are within
+# TOL_BC and |H(T)| within TOL_H.
+TOL_BC = 0.5
+TOL_H = 200.0
+# Each sweep moves the control by this fraction of its change before the
+# Anderson step; from 0.7 up some wmelpop horizons get no value.
+SWEEP_RELAXATION = 0.5
+# H(T) evaluations a solve may spend, and the longest horizon it tries.
+MAX_OUTER_ITERATIONS = 100
+MAX_HORIZON = 400.0
+
+
 @dataclass(frozen=True)
 class OCPConfig:
     """Solver configuration.
@@ -52,18 +65,10 @@ class OCPConfig:
     terminal_x: Optional[float] = None
     initial_x: Optional[float] = None
     grid_n: int = 2000
-    tol_bc: float = 0.5
-    tol_h: float = 200.0
-    sweep_relaxation: float = 0.5
-    max_outer_iterations: int = 100
-    t_init: float = 20.0
-    max_horizon: float = 400.0
 
     def __post_init__(self) -> None:
         if self.weight_p <= 0 or self.cap_l <= 0:
             raise ValueError("weight_p and cap_l must be positive")
-        if not 0.0 < self.sweep_relaxation <= 1.0:
-            raise ValueError("sweep_relaxation must lie in (0, 1]")
         if self.grid_n < 10:
             raise ValueError("grid_n too small")
 
@@ -344,7 +349,7 @@ class _Sweeper:
         """
         n = self.cfg.grid_n
         h = T / n
-        alpha = self.cfg.sweep_relaxation
+        alpha = SWEEP_RELAXATION
         # A copy: an unusable horizon must not poison the caller's warm start.
         u = np.array(u, dtype=float)
         # At mu = 0 the control is zero whatever phi2 is, so this residual
@@ -399,7 +404,7 @@ class _Sweeper:
         )
         return dict(
             u=u, xs=xs, ys=ys, l1=l1, l2=l2, mu=mu, h=h,
-            h_terminal=h_T, x_terminal=xs[-1], sweep_delta=du, sweeps=sweep + 1,
+            h_terminal=h_T, x_terminal=xs[-1], sweep_delta=du,
         )
 
 
@@ -407,10 +412,10 @@ def solve(params: StrainParams, cfg: OCPConfig) -> OCPSolution:
     """Solve the free-time problem; see module docstring for the contract.
 
     Raises:
-        CapInfeasibleError: target unreachable at the capacity for every
-            horizon tried (cap_l too small).
-        NonConvergenceError: outer iteration budget exhausted with
-            residuals above tolerances.
+        CapInfeasibleError: a full-capacity pass does not reach the target
+            within MAX_HORIZON days (cap_l too small).
+        NonConvergenceError: no horizon up to MAX_HORIZON has H(T) <= 0, or
+            the outer budget is exhausted with residuals above tolerances.
     """
     eq = equilibria(params)
     if eq.eu is None:
@@ -442,40 +447,35 @@ def solve(params: StrainParams, cfg: OCPConfig) -> OCPSolution:
         u, mu = out["u"], out["mu"]
         return out
 
-    # Bracket H(T) = 0: H > 0 means the horizon is too short; a horizon
-    # with no value (infeasible, or a sweep that does not settle) counts as
-    # "H > 0".
+    # Bracket H(T) = 0: H > 0 means the horizon is too short, and so does a
+    # horizon with no value (infeasible, or a sweep that does not settle).
+    # No control reaches the target sooner than full capacity does, so the
+    # node before that pass crosses it is a short end that needs no value.
+    h_max = MAX_HORIZON / n
+    xs, _ = sweeper._forward([cfg.cap_l] * (n + 1), h_max)
+    crossing = next((i for i, x in enumerate(xs) if x <= x_target), None)
+    if crossing is None:
+        raise CapInfeasibleError(
+            f"target not reached in {MAX_HORIZON:g} days at full capacity; cap_l too small"
+        )
     no_value = (CapInfeasibleError, NonConvergenceError)
-    lo_T = hi_T = None
-    lo_out = hi_out = None
-    T_cur = cfg.t_init
-    last_error = None
-    while len(history) < cfg.max_outer_iterations:
-        if T_cur > cfg.max_horizon:
-            raise CapInfeasibleError(
-                f"no optimal horizon up to {cfg.max_horizon} days; cap_l too small"
+    lo_T, lo_out, last = (crossing - 1) * h_max, None, "none tried"
+    hi_T = max(1.2 * lo_T, h_max)
+    while True:
+        if hi_T > MAX_HORIZON or len(history) >= MAX_OUTER_ITERATIONS:
+            raise NonConvergenceError(
+                f"no horizon from {lo_T:.6g} to {MAX_HORIZON:g} days has H(T) <= 0; "
+                f"last: {last}"
             )
         try:
-            out = H_at(T_cur)
+            hi_out = H_at(hi_T)
         except no_value as err:
-            last_error = err
-            if hi_T is not None and hi_T - T_cur < 1e-9:
-                raise
-            lo_T, lo_out = T_cur, None
-            T_cur = T_cur * 1.3 if hi_T is None else 0.5 * (T_cur + hi_T)
-            continue
-        if out["h_terminal"] > 0.0:
-            lo_T, lo_out = T_cur, out
-            T_cur = 0.5 * (T_cur + hi_T) if hi_T is not None else T_cur * 1.2
+            lo_T, lo_out, last = hi_T, None, err
         else:
-            hi_T, hi_out = T_cur, out
-            if lo_T is not None:
+            if hi_out["h_terminal"] <= 0.0:
                 break
-            T_cur *= 0.85
-        if lo_T is not None and hi_T is not None:
-            break
-    if hi_T is None or lo_T is None:
-        raise (last_error or NonConvergenceError("failed to bracket the optimal horizon"))
+            lo_T, lo_out, last = hi_T, hi_out, f"H = {hi_out['h_terminal']:.6g}"
+        hi_T *= 1.2
 
     # Illinois false position on H(T) within [lo_T, hi_T], finishing with
     # tight inner tolerances once close (the Hamiltonian noise floor
@@ -484,7 +484,7 @@ def solve(params: StrainParams, cfg: OCPConfig) -> OCPSolution:
     r_lo = None if lo_out is None else lo_out["h_terminal"]
     bracket = _Bracket(lo_T, r_lo, hi_T, hi_out["h_terminal"])
     tight = False
-    while len(history) < cfg.max_outer_iterations:
+    while len(history) < MAX_OUTER_ITERATIONS:
         m = bracket.point()
         try:
             out = H_at(m, tight=tight)
@@ -494,10 +494,10 @@ def solve(params: StrainParams, cfg: OCPConfig) -> OCPSolution:
         r_m = out["h_terminal"]
         if tight:
             best, T = out, m
-            if abs(r_m) <= 0.5 * cfg.tol_h:
+            if abs(r_m) <= 0.5 * TOL_H:
                 break
         a, b = bracket.a, bracket.b
-        if not tight and (abs(r_m) <= 2.0 * cfg.tol_h or b - a < 1e-4 * b):
+        if not tight and (abs(r_m) <= 2.0 * TOL_H or b - a < 1e-4 * b):
             tight = True  # re-evaluate near the root at tight tolerance
         bracket.update(m, r_m)
         if bracket.b - bracket.a < 1e-9 * max(bracket.b, 1.0) and best is not None:
@@ -527,11 +527,11 @@ def solve(params: StrainParams, cfg: OCPConfig) -> OCPSolution:
         "clamp": clamp_gap,
     }
     converged = (
-        residuals["boundary"] <= cfg.tol_bc
-        and residuals["hamiltonian"] <= cfg.tol_h
-        and residuals["clamp"] <= cfg.tol_bc
+        residuals["boundary"] <= TOL_BC
+        and residuals["hamiltonian"] <= TOL_H
+        and residuals["clamp"] <= TOL_BC
     )
-    if not converged and len(history) >= cfg.max_outer_iterations:
+    if not converged and len(history) >= MAX_OUTER_ITERATIONS:
         raise NonConvergenceError(
             f"outer iteration budget exhausted; residuals {residuals}"
         )

@@ -33,9 +33,6 @@ from .ocp import ContinuousControl, OCPConfig, OCPSolution
 from .params import PRESET_CAP_L, StrainParams
 from .reference import CONTINUOUS, GA, IMPULSIVE
 
-OCP_T_INIT = {"wmel": 20.0, "wmelpop": 80.0}
-
-
 @dataclass(frozen=True)
 class Scenario:
     """Resolved inputs for one pipeline run."""
@@ -78,12 +75,7 @@ def build_scenario(
 
 
 def ocp_config(scenario: Scenario, **overrides) -> OCPConfig:
-    fields = dict(
-        cap_l=scenario.cap_l,
-        weight_p=1e6,
-        initial_x=scenario.initial_wild,
-        t_init=OCP_T_INIT.get(scenario.params.name, 30.0),
-    )
+    fields = dict(cap_l=scenario.cap_l, initial_x=scenario.initial_wild)
     fields.update(overrides)
     return OCPConfig(**fields)
 

@@ -172,9 +172,10 @@ def test_ocp_command_small_grid(tmp_path):
     history = summary["history"]
     assert len(history) == summary["stats"]["outer_evaluations"]
     assert set(history[0]) == {"T", "h_terminal", "sweeps", "forward_passes"}
-    # Every sweep and pass is spent inside some H(T) evaluation.
-    for key in ("sweeps", "forward_passes"):
-        assert sum(row[key] for row in history) == summary["stats"][key]
+    # Every sweep is spent inside some H(T) evaluation, and so is every
+    # forward pass but one: the full-capacity pass that starts the bracket.
+    assert sum(row["sweeps"] for row in history) == summary["stats"]["sweeps"]
+    assert sum(row["forward_passes"] for row in history) == summary["stats"]["forward_passes"] - 1
     assert summary["t_star"] in [row["T"] for row in history]
     again = tmp_path / "again"
     assert run(["ocp", "--strain", "wmel", "--grid-n", "600"], again) == 0
@@ -269,14 +270,17 @@ def test_config_file_stage_sections_with_flag_precedence(tmp_path):
 
 
 def test_config_file_unknown_stage_key(tmp_path, capsys):
-    # n_workers is a removed [ga] knob and [ocp] cap_l a removed duplicate of
-    # [scenario] cap_l: old configs must fail loudly, as must a typo, and in
-    # any section or section name, whether or not the command reads it.
+    # n_workers is a removed [ga] knob, [ocp] cap_l a removed duplicate of
+    # [scenario] cap_l, and [ocp] t_init and sweep_relaxation removed solver
+    # settings: old configs must fail loudly, as must a typo, and in any
+    # section or section name, whether or not the command reads it.
     cfg = tmp_path / "scenario.ini"
     for command, section, key in (
         ("ocp", "ocp", "not_a_knob"),
         ("ga", "ga", "n_workers"),
         ("ocp", "ocp", "cap_l"),
+        ("ocp", "ocp", "t_init"),
+        ("ocp", "ocp", "sweep_relaxation"),
         ("equilibria", "scenario", "frequncy"),
         ("equilibria", "gaa", "pop_n"),
         ("equilibria", "sim", "t_edn"),
@@ -288,6 +292,11 @@ def test_config_file_unknown_stage_key(tmp_path, capsys):
         assert code == 2
         err = capsys.readouterr().err
         assert f"[{section}]" in err and (key in err or section == "gaa")
+    # The removed --t-init flag is a usage error too.
+    with pytest.raises(SystemExit) as exit_info:
+        main(["ocp", "--strain", "wmel", "--t-init", "30", "--out", str(tmp_path)])
+    assert exit_info.value.code == 2
+    capsys.readouterr()
     # A config file without any section header is malformed, not a crash.
     cfg.write_text("strain = wmel\n")
     assert main(["equilibria", "--config", str(cfg), "--out", str(tmp_path)]) == 2
