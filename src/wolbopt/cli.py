@@ -370,10 +370,7 @@ def cmd_phase(args) -> int:
     summary["grid"] = {"n": n, "max": 1.1 * bound}
     if eq.eu is not None:
         curve = separatrix(scenario.params)
-        with open(out / f"separatrix_{name}.csv", "w") as fh:
-            fh.write("x,y\n")
-            for x, y in curve:
-                fh.write(f"{x:.10g},{y:.10g}\n")
+        fileio.write_separatrix_csv(out / f"separatrix_{name}.csv", curve)
         summary["separatrix_points"] = int(curve.shape[0])
     fileio.write_summary(out / f"phase_{name}_summary.json", summary)
     print(f"wrote {n * n} field samples")

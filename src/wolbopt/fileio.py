@@ -7,6 +7,7 @@ Formats:
   schedule CSV     day,size[,rule]
   control CSV      t,u_star,lambda1,lambda2
   phase-field CSV  x,y,dx,dy
+  separatrix CSV   x,y
   summaries        JSON with sorted keys; every summary embeds the
                    scenario seed and a hash of the full configuration so
                    reruns are byte-comparable.
@@ -137,6 +138,10 @@ def write_phase_csv(path: Path, rows: np.ndarray) -> None:
     _write_rows(
         path, ["x", "y", "dx", "dy"], ([f"{v:.10g}" for v in row] for row in rows)
     )
+
+
+def write_separatrix_csv(path: Path, curve: np.ndarray) -> None:
+    _write_rows(path, ["x", "y"], ([f"{v:.10g}" for v in point] for point in curve))
 
 
 def write_history_csv(path: Path, history) -> None:

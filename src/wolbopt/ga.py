@@ -5,9 +5,11 @@ the release period p).  For p = 1 every day may release up to L insects;
 for p > 1 each p-day block holds at most one nonzero gene bounded by pL.
 Fitness is the reciprocal of the released total, penalized by p*L*T when
 the end state misses the secure region, so any feasible plan outranks
-every infeasible one.  Evolution uses tournament selection, block-aligned
-two-point crossover, segment mutation, and truncation survival, which
-never loses the best plan.
+every infeasible one.  Each generation is one propose-evaluate-keep
+step: tournament selection, block-aligned two-point crossover and segment
+mutation propose offspring, one batch call evaluates them, and truncation
+survival keeps the best of parents and offspring, so the best plan is
+never lost.
 
 The outer epsilon loop shrinks the horizon while feasible plans keep
 appearing, warm-starting each round with truncations of the previous
@@ -17,7 +19,7 @@ round's best plans.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -62,12 +64,8 @@ def validate_plan(plan: ReleasePlan, cap_l: float) -> None:
         raise ValueError("horizon must be a multiple of the block period")
     if np.any(genes < 0):
         raise ValueError("genes must be nonnegative")
-    if p == 1:
-        if np.any(genes > cap_l):
-            raise ValueError("daily genes must not exceed cap_l")
-        return
     if np.any(genes > p * cap_l):
-        raise ValueError("block genes must not exceed p * cap_l")
+        raise ValueError("genes must not exceed p * cap_l")
     if np.any(np.count_nonzero(genes.reshape(-1, p), axis=1) > 1):
         raise ValueError("at most one nonzero gene per block")
 
@@ -96,16 +94,6 @@ class FitnessReport:
     feasible: bool
     fitness_f: float
     entry_time: Optional[float]
-
-    @classmethod
-    def from_row(cls, i: int, fit, j, feas, entry) -> FitnessReport:
-        """Row i of the arrays ``evaluate_population`` returns."""
-        return cls(
-            j_value=int(j[i]),
-            feasible=bool(feas[i]),
-            fitness_f=float(fit[i]),
-            entry_time=None if np.isnan(entry[i]) else float(entry[i]),
-        )
 
 
 EPSILON_MAX_ROUNDS = 50  # horizon reductions before ``epsilon_loop`` stops
@@ -186,10 +174,6 @@ def simulate_batch(
     return x, y, entry
 
 
-def _penalty(cfg: GAConfig, horizon_t: int) -> float:
-    return float(cfg.block_p) * float(cfg.cap_l) * float(horizon_t)
-
-
 def evaluate_population(
     params: StrainParams,
     genes: np.ndarray,
@@ -202,25 +186,12 @@ def evaluate_population(
     Each row evolves independently through elementwise arithmetic, so a
     row's results do not depend on which other rows share the batch.
     """
-    pen = _penalty(cfg, genes.shape[1])
+    pen = float(cfg.block_p) * float(cfg.cap_l) * float(genes.shape[1])
     x, y, entry = simulate_batch(params, genes, initial_wild, target=target)
     feas = in_secure_region(x, y, target)
     j = genes.sum(axis=1).astype(float)
     fitness = 1.0 / (j + pen * (~feas))
     return fitness, j, feas, entry
-
-
-def fitness(
-    plan: ReleasePlan,
-    params: StrainParams,
-    target: tuple[float, float],
-    initial_wild: float,
-    cfg: GAConfig,
-) -> FitnessReport:
-    """Evaluate one plan; the batch kernel with a single row."""
-    return FitnessReport.from_row(
-        0, *evaluate_population(params, plan.genes[None, :], target, initial_wild, cfg)
-    )
 
 
 def verify_plan(
@@ -322,51 +293,23 @@ def mutate(
     return out
 
 
-@dataclass
-class PopulationState:
-    genes: np.ndarray
-    fitness: np.ndarray
-    j: np.ndarray
-    feasible: np.ndarray
-    entry: np.ndarray
-
-
-def evolve(
-    state: PopulationState,
-    params: StrainParams,
-    target: tuple[float, float],
-    initial_wild: float,
-    cfg: GAConfig,
-    rng: np.random.Generator,
-) -> PopulationState:
-    """One generation: select, pair, cross, mutate, evaluate, truncate.
-
-    Survivors are the best pop_n of the union of the current population
-    and the offspring, so the whole current top survives and best fitness
-    is nondecreasing.
-    """
+def _propose(
+    genes: np.ndarray, fit: np.ndarray, cfg: GAConfig, rng: np.random.Generator
+) -> np.ndarray:
+    """Offspring of one generation: pop_n tournament picks, paired for
+    crossover (an odd last pick is copied), then each one mutated."""
     n = cfg.pop_n
-    selected = [tournament_select(state.fitness, rng) for _ in range(n)]
-    offspring = np.empty_like(state.genes)
+    selected = [tournament_select(fit, rng) for _ in range(n)]
+    offspring = np.empty_like(genes)
     for k in range(0, n - 1, 2):
-        c, d = crossover(
-            state.genes[selected[k]], state.genes[selected[k + 1]], cfg.block_p, rng
+        offspring[k], offspring[k + 1] = crossover(
+            genes[selected[k]], genes[selected[k + 1]], cfg.block_p, rng
         )
-        offspring[k], offspring[k + 1] = c, d
     if n % 2:
-        offspring[n - 1] = state.genes[selected[n - 1]].copy()
+        offspring[n - 1] = genes[selected[n - 1]]
     for k in range(n):
         offspring[k] = mutate(offspring[k], cfg, rng)
-    pool = [
-        np.concatenate(pair)
-        for pair in zip(
-            (state.genes, state.fitness, state.j, state.feasible, state.entry),
-            (offspring, *evaluate_population(params, offspring, target, initial_wild, cfg)),
-        )
-    ]
-    # Keep the n fittest; stable, so earlier insertion wins ties.
-    order = np.argsort(-pool[1], kind="stable")[:n]
-    return PopulationState(*(column[order] for column in pool))
+    return offspring
 
 
 def run_ga(
@@ -379,38 +322,48 @@ def run_ga(
 ) -> GAResult:
     """Run the fixed number of generations and return the elite plan.
 
+    The population is five columns: genes, fitness, J, feasibility and
+    entry time.  Each generation proposes pop_n offspring, evaluates them
+    in one batch and keeps the best pop_n of parents and offspring by a
+    stable sort, so parents win ties and best fitness never drops.
     ``seed_plans`` inject known-good gene vectors (already valid for this
     horizon) into the initial population; used by the epsilon loop for
     warm starts.
     """
     rng = np.random.default_rng(cfg.rng_seed)
     genes = init_population(cfg, horizon_t, rng)
-    for i, plan in enumerate(seed_plans):
-        if i >= genes.shape[0]:
-            break
-        genes[i] = plan
-    fit, j, feas, entry = evaluate_population(
-        params, genes, target, initial_wild, cfg
-    )
-    state = PopulationState(genes=genes, fitness=fit, j=j, feasible=feas, entry=entry)
+    for row, plan in zip(genes, seed_plans):
+        row[:] = plan
+    pop = (genes, *evaluate_population(params, genes, target, initial_wild, cfg))
     history: list[GenerationRecord] = []
-    for gen in range(cfg.generations_g):
-        state = evolve(state, params, target, initial_wild, cfg, rng)
-        best = int(np.argmax(state.fitness))
-        history.append(
-            GenerationRecord(
-                generation=gen + 1,
-                best_fitness=float(state.fitness[best]),
-                best_j=int(state.j[best]),
-                feasible_count=int(state.feasible.sum()),
-            )
-        )
-    best = int(np.argmax(state.fitness))
-    plan = ReleasePlan(genes=state.genes[best].copy(), block_p=cfg.block_p)
-    report = FitnessReport.from_row(
-        best, state.fitness, state.j, state.feasible, state.entry
+    for gen in range(1, cfg.generations_g + 1):
+        offspring = _propose(pop[0], pop[1], cfg, rng)
+        scored = (offspring, *evaluate_population(params, offspring, target, initial_wild, cfg))
+        pool = [np.concatenate(pair) for pair in zip(pop, scored)]
+        keep = np.argsort(-pool[1], kind="stable")[: cfg.pop_n]
+        pop = tuple(column[keep] for column in pool)
+        _, fit, j, feas, _ = pop
+        best = int(np.argmax(fit))
+        history.append(GenerationRecord(gen, float(fit[best]), int(j[best]), int(feas.sum())))
+    genes, fit, j, feas, entry = pop
+    best = int(np.argmax(fit))
+    report = FitnessReport(
+        j_value=int(j[best]),
+        feasible=bool(feas[best]),
+        fitness_f=float(fit[best]),
+        entry_time=None if np.isnan(entry[best]) else float(entry[best]),
     )
-    return GAResult(best=plan, report=report, history=history)
+    return GAResult(ReleasePlan(genes[best].copy(), cfg.block_p), report, history)
+
+
+def best_feasible(results: Iterable):
+    """The result whose report is feasible with the lowest J, the earliest
+    on ties; None when no report is feasible (or none exists)."""
+    return min(
+        (r for r in results if r.report is not None and r.report.feasible),
+        key=lambda r: r.report.j_value,
+        default=None,
+    )
 
 
 def _roll_tail(genes: np.ndarray, eps: int, cfg: GAConfig) -> np.ndarray:
@@ -450,41 +403,34 @@ def epsilon_loop(
     p = ga_cfg.block_p
     if loop_cfg.epsilon_0 % p or loop_cfg.step % p:
         raise ValueError("epsilon_0 and step must be multiples of block_p")
-    best_overall: Optional[tuple[int, ReleasePlan, FitnessReport]] = None
+    best: Optional[GAResult] = None
     carry: list[np.ndarray] = []
     per_epsilon: list[tuple[int, Optional[int]]] = []
     eps = loop_cfg.epsilon_0
     for round_idx in range(EPSILON_MAX_ROUNDS):
         if eps < p:
             break
-        round_best: Optional[tuple[ReleasePlan, FitnessReport]] = None
-        seeds = []
-        for arr in carry:
-            if arr.shape[0] < eps:
-                continue
-            seeds.append(arr[:eps].copy())
-            seeds.append(_roll_tail(arr, eps, ga_cfg))
-        for restart in range(loop_cfg.restarts_per_epsilon):
-            cfg_r = replace(
-                ga_cfg, rng_seed=ga_cfg.rng_seed + 1000 * round_idx + restart
+        # Carried plans come from longer horizons (eps only shrinks).
+        seeds = [s for arr in carry for s in (arr[:eps], _roll_tail(arr, eps, ga_cfg))]
+        round_best = best_feasible(
+            run_ga(
+                replace(ga_cfg, rng_seed=ga_cfg.rng_seed + 1000 * round_idx + restart),
+                eps, params, target, initial_wild, seeds,
             )
-            result = run_ga(cfg_r, eps, params, target, initial_wild, seeds)
-            if result.report.feasible and (
-                round_best is None or result.report.j_value < round_best[1].j_value
-            ):
-                round_best = (result.best, result.report)
+            for restart in range(loop_cfg.restarts_per_epsilon)
+        )
         if round_best is None:
             per_epsilon.append((eps, None))
             break
-        per_epsilon.append((eps, round_best[1].j_value))
-        best_overall = (eps, round_best[0], round_best[1])
-        carry = [round_best[0].genes.copy()] + [s for s in carry[:2]]
+        per_epsilon.append((eps, round_best.report.j_value))
+        best = round_best
+        carry = [best.best.genes] + carry[:2]
         eps -= loop_cfg.step
-    if best_overall is None:
+    if best is None:
         return EpsilonLoopResult(horizon=None, best=None, report=None, per_epsilon=per_epsilon)
     return EpsilonLoopResult(
-        horizon=best_overall[0],
-        best=best_overall[1],
-        report=best_overall[2],
+        horizon=best.best.horizon_t,
+        best=best.best,
+        report=best.report,
         per_epsilon=per_epsilon,
     )

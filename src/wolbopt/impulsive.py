@@ -24,7 +24,7 @@ from .sim import ImpulseSchedule, SimOptions, first_basin_entry, simulate_impuls
 
 @dataclass(frozen=True)
 class DailyImpulseSequence:
-    """Per-day window totals, trapezoid estimates, and integer sizes.
+    """Per-day window totals and integer sizes.
 
     ``ceiling_margin`` is the smallest distance from a ceiled quantity to
     the nearest integer, on day ``ceiling_day``: a size decided by less
@@ -34,7 +34,6 @@ class DailyImpulseSequence:
     """
 
     window_totals: tuple[float, ...]
-    trapezoid_estimates: tuple[float, ...]
     sizes: tuple[int, ...]
     t_hat: int
     ceiling_margin: float
@@ -140,12 +139,10 @@ def daily_impulses(ctrl: ContinuousControl) -> DailyImpulseSequence:
     u_hat = extended_control(ctrl)
     t_hat = horizon_days(ctrl)
     totals = daily_window_totals(ctrl)
-    traps = np.empty(t_hat)
     sizes = []
     margin, margin_day = math.inf, 0
     for n in range(1, t_hat + 1):
         tr = 0.5 * (float(u_hat(float(n))) + float(u_hat(n - 1.0)))
-        traps[n - 1] = tr
         if totals[n - 1] <= tr + 1e-9 * max(1.0, tr):
             q = tr
         else:
@@ -155,7 +152,6 @@ def daily_impulses(ctrl: ContinuousControl) -> DailyImpulseSequence:
             margin, margin_day = abs(q - round(q)), n
     return DailyImpulseSequence(
         window_totals=tuple(totals),
-        trapezoid_estimates=tuple(traps),
         sizes=tuple(sizes),
         t_hat=t_hat,
         ceiling_margin=margin,

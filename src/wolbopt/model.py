@@ -61,10 +61,6 @@ class EquilibriumSet:
     ey: Optional[Equilibrium]
     collision: bool
 
-    @property
-    def x_sharp(self) -> float:
-        return self.ex.state.x
-
 
 def make_rhs(
     params: StrainParams, exp: Callable = math.exp

@@ -28,7 +28,7 @@ import numpy as np
 
 from .model import State, equilibria, make_jacobian, make_rhs, rhs_arrays
 from .params import StrainParams
-from .sim import Trajectory, rk4
+from .sim import rk4
 
 
 class CapInfeasibleError(RuntimeError):
@@ -114,16 +114,6 @@ class OCPSolution:
     hamiltonian_grid: np.ndarray
     stats: dict[str, int]  # solver work, keyed by STATS_KEYS
     history: tuple[HorizonStep, ...]  # one row per H(T) evaluation, in order
-
-    @property
-    def state_trajectory(self):
-        """The optimal state path as a sim trajectory (with the control
-        attached as the applied rate)."""
-        return Trajectory(
-            times=self.control.times.copy(),
-            states=self.states.copy(),
-            u_applied=self.control.values.copy(),
-        )
 
 
 def _hamiltonian(f, l1, l2, u, weight_p: float):

@@ -19,6 +19,7 @@ from .ga import (
     FitnessReport,
     GAConfig,
     ReleasePlan,
+    best_feasible,
     epsilon_loop,
     run_ga,
 )
@@ -138,31 +139,25 @@ def best_ga_plan(
 
     Each seed runs its cell's search, with ``ga_overrides`` passed to
     ``ga_config``: the epsilon loop for floor-search cells, one GA run at
-    the published horizon otherwise.  The lowest J wins; ties keep the
-    earlier seed.
+    the published horizon otherwise.  ``best_feasible`` picks the winner:
+    the lowest J, the earlier seed on ties.
     """
     cell = ga_cell(params.name, frequency)
-    best = None
+    runs = []
     for seed in seeds:
         scenario = build_scenario(params, frequency=frequency, seed=seed)
         cfg = ga_config(scenario, **ga_overrides)
+        args = (scenario.params, scenario.target, scenario.initial_wild)
         if cell.floor_search:
-            res = epsilon_loop(
-                epsilon_config(cell, frequency), cfg, scenario.params,
-                scenario.target, scenario.initial_wild,
-            )
-            if res.best is None:
-                continue
-            plan, report, horizon = res.best, res.report, res.horizon
+            res = epsilon_loop(epsilon_config(cell, frequency), cfg, *args)
         else:
-            out = run_ga(
-                cfg, cell.horizon, scenario.params, scenario.target,
-                scenario.initial_wild,
-            )
-            plan, report, horizon = out.best, out.report, cell.horizon
-        if report.feasible and (best is None or report.j_value < best[1].j_value):
-            best = (plan, report, horizon, scenario)
-    return best
+            res = run_ga(cfg, cell.horizon, *args)
+        runs.append((res, scenario))
+    win = best_feasible(res for res, _ in runs)
+    if win is None:
+        return None
+    scenario = next(sc for res, sc in runs if res is win)
+    return win.best, win.report, win.best.horizon_t, scenario
 
 
 def impulsive_cells(

@@ -31,25 +31,22 @@ STABLE_EIG_TOL = 1e-12
 ENTRY_RESOLUTION = 1e-6  # days: bisection width of ``first_basin_entry``
 SEPARATRIX_OFFSET = 1e-4  # saddle displacement, relative to its norm
 SEPARATRIX_ARC_STRIDE = 10.0  # individuals between separatrix points
+SAMPLE_STRIDE = 0.25  # days between the samples of an adaptive segment
 
 
 @dataclass(frozen=True)
 class SimOptions:
-    """Integrator tolerances and sampling controls."""
+    """Integrator tolerances and the end of the simulated span."""
 
     rel_tol: float = 1e-8
     abs_tol: float = 1e-10
-    max_step: float = math.inf
     t_end: float = 400.0
-    dense_output_stride: float = 0.25
 
     def __post_init__(self) -> None:
         if self.rel_tol <= 0 or self.abs_tol <= 0:
             raise ValueError("tolerances must be positive")
         if self.t_end <= 0:
             raise ValueError("t_end must be positive")
-        if self.dense_output_stride <= 0:
-            raise ValueError("dense_output_stride must be positive")
 
 
 @dataclass(frozen=True)
@@ -165,8 +162,8 @@ def _segment(
     u_fn: Callable[[float], float],
     opts: SimOptions,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Adaptive RK45 over ``span``, sampled at the output stride (both ends
-    included) and clamped at zero; returns (times, states)."""
+    """Adaptive RK45 over ``span``, sampled every ``SAMPLE_STRIDE`` days
+    (both ends included) and clamped at zero; returns (times, states)."""
     rhs = make_rhs(params)
 
     def f(t, z):
@@ -179,12 +176,11 @@ def _segment(
         method="RK45",
         rtol=opts.rel_tol,
         atol=opts.abs_tol,
-        max_step=opts.max_step,
         dense_output=True,
     )
     if not sol.success:
         raise IntegrationError(sol.message)
-    ts = _sample_times(span[0], span[1], opts.dense_output_stride)
+    ts = _sample_times(span[0], span[1], SAMPLE_STRIDE)
     states = sol.sol(ts).T
     low = states.min()
     if low < -opts.abs_tol * 100.0:

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import pytest
@@ -116,7 +117,14 @@ def test_phase_command(tmp_path, capsys):
     rows = (tmp_path / "phase_wmel.csv").read_text().splitlines()
     assert rows[0] == "x,y,dx,dy"
     assert len(rows) == 101
-    assert (tmp_path / "separatrix_wmel.csv").exists()
+    path = tmp_path / "separatrix_wmel.csv"
+    assert path.read_bytes().startswith(b"x,y\r\n")  # CRLF, like every CSV
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    summary = json.loads((tmp_path / "phase_wmel_summary.json").read_text())
+    assert rows[0] == ["x", "y"]
+    assert len(rows) == summary["separatrix_points"] + 1
+    assert all(len(row) == 2 and min(map(float, row)) >= 0.0 for row in rows[1:])
     capsys.readouterr()
     for grid in ("0", "1"):
         assert run(["phase", "--strain", "wmel", "--grid", grid], tmp_path / grid) == 2
@@ -271,9 +279,10 @@ def test_config_file_stage_sections_with_flag_precedence(tmp_path):
 
 def test_config_file_unknown_stage_key(tmp_path, capsys):
     # n_workers is a removed [ga] knob, [ocp] cap_l a removed duplicate of
-    # [scenario] cap_l, and [ocp] t_init and sweep_relaxation removed solver
-    # settings: old configs must fail loudly, as must a typo, and in any
-    # section or section name, whether or not the command reads it.
+    # [scenario] cap_l, [ocp] t_init and sweep_relaxation removed solver
+    # settings, and [sim] max_step and dense_output_stride removed
+    # integrator settings: old configs must fail loudly, as must a typo, and
+    # in any section or section name, whether or not the command reads it.
     cfg = tmp_path / "scenario.ini"
     for command, section, key in (
         ("ocp", "ocp", "not_a_knob"),
@@ -284,6 +293,8 @@ def test_config_file_unknown_stage_key(tmp_path, capsys):
         ("equilibria", "scenario", "frequncy"),
         ("equilibria", "gaa", "pop_n"),
         ("equilibria", "sim", "t_edn"),
+        ("simulate", "sim", "max_step"),
+        ("equilibria", "sim", "dense_output_stride"),
         ("phase", "ga", "n_workers"),
     ):
         header = "" if section == "scenario" else f"\n[{section}]\n"

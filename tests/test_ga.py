@@ -4,12 +4,14 @@ from hypothesis import given, settings, strategies as st
 
 from wolbopt.ga import (
     EpsilonLoopConfig,
+    EpsilonLoopResult,
+    FitnessReport,
     GAConfig,
     ReleasePlan,
+    best_feasible,
     crossover,
     epsilon_loop,
     evaluate_population,
-    fitness,
     init_population,
     mutate,
     run_ga,
@@ -65,6 +67,12 @@ def test_init_population_block_structure():
     two[[15, 20]] = 1  # both in the second block
     with pytest.raises(ValueError, match="one nonzero gene per block"):
         validate_plan(ReleasePlan(genes=two, block_p=14), cfg.cap_l)
+    # At p = 1 the block rule is the daily cap: a gene above cap_l fails.
+    daily = np.full(5, 750, dtype=np.int64)
+    validate_plan(ReleasePlan(genes=daily, block_p=1), 750.0)
+    daily[2] = 751
+    with pytest.raises(ValueError, match="must not exceed"):
+        validate_plan(ReleasePlan(genes=daily, block_p=1), 750.0)
 
 
 def test_init_population_deterministic():
@@ -77,20 +85,22 @@ def test_init_population_deterministic():
 def test_fitness_formula_feasible_and_infeasible(wmel, wmel_target, wmel_scenario):
     cfg = small_cfg(block_p=14)
     # Single big release clears the region; fitness is exactly 1/J.
-    genes = np.zeros(14, dtype=np.int64)
-    genes[0] = 6000
-    plan = ReleasePlan(genes=genes, block_p=14)
-    rep = fitness(plan, wmel, wmel_target, wmel_scenario.initial_wild, cfg)
-    assert rep.feasible
-    assert rep.fitness_f == pytest.approx(1.0 / 6000.0, rel=1e-12)
-    assert rep.entry_time is not None
+    genes = np.zeros((1, 14), dtype=np.int64)
+    genes[0, 0] = 6000
+    f, j, feas, entry = evaluate_population(
+        wmel, genes, wmel_target, wmel_scenario.initial_wild, cfg
+    )
+    assert feas[0] and j[0] == 6000
+    assert f[0] == pytest.approx(1.0 / 6000.0, rel=1e-12)
+    assert not np.isnan(entry[0])
 
-    zero = ReleasePlan(genes=np.zeros(11, dtype=np.int64), block_p=1)
-    cfg1 = small_cfg()
-    rep0 = fitness(zero, wmel, wmel_target, wmel_scenario.initial_wild, cfg1)
-    assert not rep0.feasible
-    assert rep0.fitness_f == pytest.approx(1.0 / (750.0 * 11.0), rel=1e-12)
-    assert rep0.entry_time is None
+    zero = np.zeros((1, 11), dtype=np.int64)
+    f, j, feas, entry = evaluate_population(
+        wmel, zero, wmel_target, wmel_scenario.initial_wild, small_cfg()
+    )
+    assert not feas[0]
+    assert f[0] == pytest.approx(1.0 / (750.0 * 11.0), rel=1e-12)
+    assert np.isnan(entry[0])
 
 
 def test_penalty_dominance(wmel, wmel_target, wmel_scenario):
@@ -274,6 +284,42 @@ def test_run_ga_reverified_by_adaptive_simulation(wmel, wmel_target, wmel_scenar
     fx, fy = traj.final_state
     assert in_secure_region(fx, fy, wmel_target)
     assert verify_plan(res.best, wmel, wmel_target, wmel_scenario.initial_wild)
+
+
+def test_run_ga_golden(wmel, wmel_target, wmel_scenario):
+    # Integers of a seeded run, pinned so that a change of the RNG draw
+    # order or of the survivor order shows up; the run never turns feasible.
+    cfg = small_cfg(block_p=7, pop_n=16, generations_g=6, rng_seed=12)
+    res = run_ga(cfg, 14, wmel, wmel_target, wmel_scenario.initial_wild)
+    assert res.best.genes.tolist() == [1146] + [0] * 12 + [337]
+    assert res.report.j_value == 1483 and not res.report.feasible
+    assert [r.best_j for r in res.history] == [1929, 1483, 1483, 1483, 1483, 1483]
+    assert [r.feasible_count for r in res.history] == [0] * 6
+
+
+def test_epsilon_loop_golden(wmel, wmel_target, wmel_scenario):
+    cfg = small_cfg(pop_n=20, generations_g=8, cap_l=1000.0)
+    loop = EpsilonLoopConfig(epsilon_0=18, step=1, restarts_per_epsilon=2)
+    res = epsilon_loop(loop, cfg, wmel, wmel_target, wmel_scenario.initial_wild)
+    assert res.per_epsilon == [(18, 5017), (17, 4636), (16, 4929), (15, 5228), (14, None)]
+    assert res.horizon == 15
+    assert res.best.genes.tolist() == [
+        964, 675, 152, 709, 265, 624, 799, 501, 14, 112, 20, 135, 163, 32, 63
+    ]
+    assert res.report.j_value == 5228
+
+
+def test_best_feasible_lowest_j_earliest_on_ties():
+    def result(j, feasible):
+        report = FitnessReport(j_value=j, feasible=feasible, fitness_f=0.0, entry_time=None)
+        return EpsilonLoopResult(horizon=None, best=None, report=report, per_epsilon=[])
+
+    a, b, c = result(5, True), result(3, True), result(3, True)
+    assert best_feasible([result(1, False), a, b, c]) is b
+    assert best_feasible([result(1, False)]) is None
+    none = EpsilonLoopResult(horizon=None, best=None, report=None, per_epsilon=[])
+    assert best_feasible([none, a]) is a
+    assert best_feasible([]) is None
 
 
 def test_epsilon_loop_reports_infeasible_start(wmel, wmel_target, wmel_scenario):

@@ -127,12 +127,6 @@ class TestSolvedWmel:
         v = wmel_solution.control.values
         assert np.all(v >= 0.0) and np.all(v <= wmel_solution.control.cap_l)
 
-    def test_state_trajectory_view(self, wmel_solution):
-        traj = wmel_solution.state_trajectory
-        assert traj.times.shape == traj.u_applied.shape
-        assert traj.states.shape == (traj.times.shape[0], 2)
-        assert traj.final_state[0] == pytest.approx(wmel_solution.states[-1, 0])
-
     def test_objective_consistency_under_refinement(self, wmel_solution):
         c = wmel_solution.control
         coarse = objective(c, P_DEFAULT)
