@@ -40,9 +40,6 @@ from .ocp import (
     ContinuousControl,
     OCPConfig,
     OCPSolution,
-    adjoint_rhs,
-    control_from_adjoint,
-    hamiltonian,
     objective,
     solve,
 )
@@ -84,9 +81,7 @@ __all__ = [
     "State",
     "StrainParams",
     "Trajectory",
-    "adjoint_rhs",
     "aggregate_periodic",
-    "control_from_adjoint",
     "daily_impulses",
     "daily_window_totals",
     "epsilon_loop",
@@ -94,7 +89,6 @@ __all__ = [
     "evaluate_schedule",
     "excess_periodic",
     "first_basin_entry",
-    "hamiltonian",
     "in_secure_region",
     "integrate",
     "jacobian",

@@ -311,7 +311,7 @@ def cmd_ga(args) -> int:
     if args.epsilon0 is not None:
         loop_cfg = EpsilonLoopConfig(
             epsilon_0=args.epsilon0,
-            step=args.epsilon_step or scenario.frequency,
+            step=scenario.frequency if args.epsilon_step is None else args.epsilon_step,
             restarts_per_epsilon=3 if args.restarts is None else args.restarts,
         )
         res = epsilon_loop(loop_cfg, gcfg, scenario.params, target, scenario.initial_wild)
@@ -326,9 +326,9 @@ def cmd_ga(args) -> int:
         ]
         history = None
     else:
-        horizon = args.horizon or ga_cell(name, scenario.frequency).horizon
-        if horizon % scenario.frequency:
-            raise UsageError("horizon must be a multiple of the release period")
+        horizon = ga_cell(name, scenario.frequency).horizon if args.horizon is None else args.horizon
+        if horizon <= 0 or horizon % scenario.frequency:
+            raise UsageError("--horizon must be a positive multiple of the release period")
         result = run_ga(gcfg, horizon, scenario.params, target, scenario.initial_wild)
         plan, report, history = result.best, result.report, result.history
         fileio.write_history_csv(out / f"ga_{name}_history.csv", history)

@@ -108,6 +108,8 @@ class EpsilonLoopConfig:
     def __post_init__(self) -> None:
         if self.epsilon_0 <= 0 or self.step <= 0:
             raise ValueError("epsilon_0 and step must be positive")
+        if self.restarts_per_epsilon < 1:
+            raise ValueError("restarts_per_epsilon must be at least 1")
 
 
 @dataclass
@@ -227,16 +229,6 @@ def init_population(
     return genes
 
 
-def tournament_select(
-    fitness_values: np.ndarray, rng: np.random.Generator
-) -> int:
-    """Two-way tournament: the fitter of two uniform draws (first on ties)."""
-    n = fitness_values.shape[0]
-    r = int(rng.integers(0, n))
-    s = int(rng.integers(0, n))
-    return r if fitness_values[r] >= fitness_values[s] else s
-
-
 def crossover(
     a: np.ndarray, b: np.ndarray, block_p: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -296,10 +288,12 @@ def mutate(
 def _propose(
     genes: np.ndarray, fit: np.ndarray, cfg: GAConfig, rng: np.random.Generator
 ) -> np.ndarray:
-    """Offspring of one generation: pop_n tournament picks, paired for
+    """Offspring of one generation: pop_n two-way tournaments (the fitter
+    of two uniform draws, the first on ties), the picks paired for
     crossover (an odd last pick is copied), then each one mutated."""
     n = cfg.pop_n
-    selected = [tournament_select(fit, rng) for _ in range(n)]
+    r, s = rng.integers(0, n, size=(n, 2)).T
+    selected = np.where(fit[r] >= fit[s], r, s)
     offspring = np.empty_like(genes)
     for k in range(0, n - 1, 2):
         offspring[k], offspring[k + 1] = crossover(

@@ -7,15 +7,16 @@ to two adjoints with lambda2(T) = 0 and the optimal control is the clamp
 of lambda2 to [0, L]; the optimal horizon satisfies H(T) = 0.
 
 Solver: forward-backward sweeps on a fixed horizon where the unknown
-terminal multiplier mu = lambda1(T) enforces the terminal state.  Because
-the adjoint system is linear in its terminal value, each sweep needs one
-unit backward pass; the multiplier is then located by forward passes only,
-from the previous multiplier by a Newton step whose slope the same unit
-adjoint gives, then secant steps, kept inside a bracket by Illinois false
-position.  Sweeps are relaxed and Anderson(1)-accelerated.  Illinois false
-position on T drives H(T) to zero; a horizon whose sweep does not settle
-has no value.  The bracket's short end comes from one full-capacity pass,
-its long end from 1.2x steps.
+terminal multiplier mu = lambda1(T) enforces the terminal state.  Both
+passes run ``sim.rk4``, the backward one from T with the state as drive.
+The adjoint system is linear in its terminal value, so each sweep needs
+one unit backward pass; the multiplier is then located by forward passes
+only, from the previous multiplier by a Newton step whose slope the same
+unit adjoint gives, then secant steps, kept inside a bracket by Illinois
+false position.  Sweeps are relaxed and Anderson(1)-accelerated.
+Illinois false position on T drives H(T) to zero; a horizon whose sweep
+does not settle has no value.  The bracket's short end comes from one
+full-capacity pass, its long end from 1.2x steps.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .model import State, equilibria, make_jacobian, make_rhs, rhs_arrays
+from .model import equilibria, make_jacobian, make_rhs, rhs_arrays
 from .params import StrainParams
 from .sim import rk4
 
@@ -123,79 +124,27 @@ def _hamiltonian(f, l1, l2, u, weight_p: float):
     return -weight_p - 0.5 * u * u + l1 * fx + l2 * (fy + u)
 
 
-def hamiltonian(
-    params: StrainParams,
-    s: State,
-    adj: tuple[float, float],
-    u: float,
-    weight_p: float,
-) -> float:
-    """Pontryagin Hamiltonian: -P - u^2/2 + adjoints dotted with the flow."""
-    return _hamiltonian(make_rhs(params)(s.x, s.y, 0.0), *adj, u, weight_p)
-
-
-def adjoint_rhs(
-    params: StrainParams,
-    s: State,
-    adj: tuple[float, float],
-) -> tuple[float, float]:
-    """Adjoint velocities: minus the transposed Jacobian acting on lambda.
-
-    The running cost carries no state dependence, so no inhomogeneous term
-    appears.
-    """
-    if s.x < 0 or s.y < 0:
-        raise ValueError("state must be nonnegative")
-    j11, j12, j21, j22 = make_jacobian(params)(s.x, s.y)
-    l1, l2 = adj
-    return -(j11 * l1 + j21 * l2), -(j12 * l1 + j22 * l2)
-
-
-def control_from_adjoint(lambda2: float, cap_l: float) -> float:
-    """Optimal control characterization: clamp of lambda2 to [0, cap_l]."""
-    return min(max(lambda2, 0.0), cap_l)
-
-
 def objective(control: ContinuousControl, weight_p: float) -> float:
     """Composite trapezoidal quadrature of P + u^2/2 over [0, t_star]."""
     integrand = weight_p + 0.5 * control.values**2
     return float(np.trapezoid(integrand, control.times))
 
 
-def _backward_unit(jac, xs: list[float], ys: list[float], h: float) -> tuple[list[float], list[float]]:
-    """RK4 for the adjoint system with unit terminal data (1, 0).
-
-    The adjoint ODE is linear, so the solution for lambda1(T) = mu is mu
-    times this profile.
+def _adjoint_field(jac):
+    """The adjoint system as an ``rk4`` field (l1, l2, z) -> -J(z)^T (l1, l2)
+    with the state as a complex drive z = x + iy.  J(z) is kept while ``rk4``
+    passes the same z object (to k2 and k3, and to a step's first node after
+    the previous step's last): 2n + 1 Jacobians a pass, not 3n.
     """
-    n = len(xs) - 1
-    p1 = [0.0] * (n + 1)
-    p2 = [0.0] * (n + 1)
-    p1[n] = a = 1.0
-    b = 0.0
-    h2, h6 = 0.5 * h, h / 6.0
-    for i in range(n, 0, -1):
-        x1, y1 = xs[i], ys[i]
-        x0, y0 = xs[i - 1], ys[i - 1]
-        xm, ym = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
-        j11, j12, j21, j22 = jac(x1, y1)
-        k1a = -(j11 * a + j21 * b)
-        k1b = -(j12 * a + j22 * b)
-        j11, j12, j21, j22 = jac(xm, ym)
-        a2, b2 = a - h2 * k1a, b - h2 * k1b
-        k2a = -(j11 * a2 + j21 * b2)
-        k2b = -(j12 * a2 + j22 * b2)
-        a3, b3 = a - h2 * k2a, b - h2 * k2b
-        k3a = -(j11 * a3 + j21 * b3)
-        k3b = -(j12 * a3 + j22 * b3)
-        j11, j12, j21, j22 = jac(x0, y0)
-        a4, b4 = a - h * k3a, b - h * k3b
-        k4a = -(j11 * a4 + j21 * b4)
-        k4b = -(j12 * a4 + j22 * b4)
-        a -= h6 * (k1a + 2.0 * (k2a + k3a) + k4a)
-        b -= h6 * (k1b + 2.0 * (k2b + k3b) + k4b)
-        p1[i - 1], p2[i - 1] = a, b
-    return p1, p2
+    last = [None, None]
+
+    def field(l1, l2, z):
+        if z is not last[0]:
+            last[:] = z, jac(z.real, z.imag)
+        j11, j12, j21, j22 = last[1]
+        return -(j11 * l1 + j21 * l2), -(j12 * l1 + j22 * l2)
+
+    return field
 
 
 class _Bracket:
@@ -252,7 +201,7 @@ class _Sweeper:
 
     def __init__(self, params: StrainParams, cfg: OCPConfig, x0: float, x_target: float):
         self.rhs = make_rhs(params)
-        self.jac = make_jacobian(params)
+        self.adj = _adjoint_field(make_jacobian(params))
         self.cfg = cfg
         self.x0 = x0
         self.x_target = x_target
@@ -263,8 +212,12 @@ class _Sweeper:
         return rk4(self.rhs, self.x0, 0.0, u, h)
 
     def _backward(self, xs: list[float], ys: list[float], h: float):
+        """Adjoints from the unit terminal data (1, 0) back to t = 0; the
+        system is linear, so lambda1(T) = mu scales them."""
         self.stats["backward_passes"] += 1
-        return _backward_unit(self.jac, xs, ys, h)
+        zs = [complex(x, y) for x, y in zip(reversed(xs), reversed(ys))]
+        p1, p2 = rk4(self.adj, 1.0, 0.0, zs, -h)
+        return p1[::-1], p2[::-1]
 
     def _mu_search(
         self, phi2: list[float], h: float, mu_guess: float, r_zero: float, xtol: float

@@ -1,11 +1,12 @@
 """Trajectory integration, impulsive releases, basin entry, separatrix.
 
 Two integrators.  ``rk4`` is the fixed-step RK4 pass on a uniform grid,
-for floats (the OCP sweeps) or arrays (the GA batch kernel).  Everything
-else here runs scipy's adaptive RK45 (Dormand-Prince 5(4) embedded pair)
-with dense output, one segment at a time through ``_segment``.  Impulsive
-releases are pure jumps of the infected population between segments: the
-flow between release instants is the uncontrolled model.
+for floats (the OCP forward and adjoint passes) or arrays (the GA batch
+kernel).  Everything else here runs scipy's adaptive RK45 (Dormand-Prince
+5(4) embedded pair) with dense output, one segment at a time through
+``_segment``.  Impulsive releases are pure jumps of the infected
+population between segments: the flow between release instants is the
+uncontrolled model.
 """
 
 from __future__ import annotations
@@ -130,11 +131,13 @@ class IntegrationError(RuntimeError):
 
 
 def rk4(rhs, x, y, u: Sequence, h: float) -> tuple[list, list]:
-    """Fixed-step RK4 from (x, y), the control linearly interpolated inside
-    steps; returns the node lists (len(u) nodes).
+    """Fixed-step RK4 from (x, y), the drive ``u`` linearly interpolated
+    inside steps; returns the node lists (len(u) nodes).
 
-    The one fixed-step integrator: the OCP sweeps run it on floats, the GA
-    kernel on arrays (one row per plan).
+    The one fixed-step integrator: the OCP forward pass runs it on floats,
+    the OCP adjoint pass backward (h < 0) with the state as a complex drive
+    x + iy, the GA kernel on arrays (one row per plan).  k2 and k3 get one
+    midpoint object, and a step's last node is the next step's first.
     """
     n = len(u) - 1
     xs = [x] * (n + 1)

@@ -11,8 +11,16 @@ import pytest
 from wolbopt import reference
 from wolbopt.ga import evaluate_population, init_population, run_ga, verify_plan
 from wolbopt.impulsive import aggregate_periodic, daily_impulses, excess_periodic
-from wolbopt.model import State, absorbing_bound, equilibria, jacobian, rhs
-from wolbopt.ocp import hamiltonian, adjoint_rhs
+from wolbopt.model import (
+    State,
+    absorbing_bound,
+    equilibria,
+    jacobian,
+    make_jacobian,
+    make_rhs,
+    rhs,
+)
+from wolbopt.ocp import _adjoint_field, _hamiltonian
 from wolbopt.params import preset
 from wolbopt.scenarios import (
     build_scenario,
@@ -202,22 +210,22 @@ def test_criterion6_adjoint_matches_hamiltonian_gradient():
     rng = np.random.default_rng(11)
     for strain in ("wmel", "wmelpop"):
         params = preset(strain)
+        f, adj = make_rhs(params), _adjoint_field(make_jacobian(params))
         for _ in range(100):
             x, y = rng.uniform(20.0, 7000.0, size=2)
             l1, l2 = rng.uniform(-500.0, 500.0, size=2)
             u = rng.uniform(0.0, 1000.0)
-            got = adjoint_rhs(params, State(x, y), (l1, l2))
+            # The field the solver's backward pass integrates.
+            got = adj(l1, l2, complex(x, y))
+
+            def H(xx, yy):
+                return _hamiltonian(f(xx, yy, 0.0), l1, l2, u, 1e6)
+
             h1, h2 = 1e-2, 5e-3
             vals = []
             for h in (h1, h2):
-                dh_dx = (
-                    hamiltonian(params, State(x + h, y), (l1, l2), u, 1e6)
-                    - hamiltonian(params, State(x - h, y), (l1, l2), u, 1e6)
-                ) / (2 * h)
-                dh_dy = (
-                    hamiltonian(params, State(x, y + h), (l1, l2), u, 1e6)
-                    - hamiltonian(params, State(x, y - h), (l1, l2), u, 1e6)
-                ) / (2 * h)
+                dh_dx = (H(x + h, y) - H(x - h, y)) / (2 * h)
+                dh_dy = (H(x, y + h) - H(x, y - h)) / (2 * h)
                 vals.append(np.array([dh_dx, dh_dy]))
             fd = (4.0 * vals[1] - vals[0]) / 3.0
             # abs floor covers the FD cancellation noise of the large

@@ -154,12 +154,17 @@ def test_ga_command_small(tmp_path, capsys):
 
 def test_ga_rejects_flags_it_would_ignore(tmp_path, capsys):
     base = ["ga", "--strain", "wmel", "--frequency", "14", "--horizon", "14"]
+    # 0 is a value, not "unset": it must not fall back to the default.
+    loop = base[:-2] + ["--epsilon0", "28"]
     for argv, flag in (
         (base + ["--seeds", "9"], "--seeds"),
         (["ga", "--reproduce", "table4", "--restarts", "7"], "--restarts"),
         (base + ["--restarts", "2"], "--restarts"),
         (base + ["--epsilon-step", "7"], "--epsilon-step"),
         (base + ["--epsilon0", "28"], "--horizon"),
+        (base[:-1] + ["0"], "--horizon"),
+        (loop + ["--epsilon-step", "0"], "step"),
+        (loop + ["--restarts", "0"], "restarts"),
     ):
         assert run(argv, tmp_path) == 2
         assert flag in capsys.readouterr().err

@@ -8,6 +8,7 @@ from wolbopt.ga import (
     FitnessReport,
     GAConfig,
     ReleasePlan,
+    _propose,
     best_feasible,
     crossover,
     epsilon_loop,
@@ -16,7 +17,6 @@ from wolbopt.ga import (
     mutate,
     run_ga,
     simulate_batch,
-    tournament_select,
     validate_plan,
     verify_plan,
 )
@@ -133,12 +133,22 @@ def test_batch_simulation_matches_adaptive_integrator(wmel, wmel_scenario):
         assert y[i] == pytest.approx(fy, rel=2e-5)
 
 
+def _tournament_picks(f, rng):
+    """The parents ``_propose`` selects, read off its offspring: with
+    one-day plans crossover swaps whole plans, and mutation is off, so the
+    offspring are the picks (row k holds the gene k)."""
+    n = f.shape[0]
+    cfg = GAConfig(pop_n=n, mutation_rate=0.0)
+    genes = np.arange(n, dtype=np.int64).reshape(n, 1)
+    return sorted(_propose(genes, f, cfg, rng)[:, 0].tolist())
+
+
 def test_tournament_selection_single_and_deterministic():
     f = np.array([0.5])
-    assert tournament_select(f, np.random.default_rng(0)) == 0
+    assert _tournament_picks(f, np.random.default_rng(0)) == [0]
     f = np.array([0.1, 0.9, 0.5, 0.2])
-    picks_a = [tournament_select(f, np.random.default_rng(s)) for s in range(20)]
-    picks_b = [tournament_select(f, np.random.default_rng(s)) for s in range(20)]
+    picks_a = [_tournament_picks(f, np.random.default_rng(s)) for s in range(20)]
+    picks_b = [_tournament_picks(f, np.random.default_rng(s)) for s in range(20)]
     assert picks_a == picks_b
 
 
@@ -148,8 +158,9 @@ def test_tournament_frequencies_match_analytic():
     rng = np.random.default_rng(123)
     draws = 40000
     counts = np.zeros(n)
-    for _ in range(draws):
-        counts[tournament_select(f, rng)] += 1
+    for _ in range(draws // n):
+        for k in _tournament_picks(f, rng):
+            counts[k] += 1
     # Two uniform draws; the better rank wins: P(k) = (2(N-k)+1)/N^2.
     expected = np.array([(2 * (n - k) + 1) / n**2 for k in range(1, n + 1)])
     assert np.allclose(counts / draws, expected, atol=0.01)

@@ -12,14 +12,10 @@ from wolbopt.ocp import (
     ContinuousControl,
     NonConvergenceError,
     OCPConfig,
-    adjoint_rhs,
-    control_from_adjoint,
-    hamiltonian,
     objective,
     solve,
     _Bracket,
     _Sweeper,
-    _backward_unit,
     _mu_slope,
 )
 from wolbopt.scenarios import build_scenario, ocp_config
@@ -29,27 +25,28 @@ P_DEFAULT = 1e6
 
 
 def test_hamiltonian_constant_term_only(wmel):
-    h = hamiltonian(wmel, State(1000.0, 500.0), (0.0, 0.0), 0.0, P_DEFAULT)
+    h = ocp._hamiltonian(make_rhs(wmel)(1000.0, 500.0, 0.0), 0.0, 0.0, 0.0, P_DEFAULT)
     assert h == -P_DEFAULT
 
 
 def test_hamiltonian_control_derivative(wmel):
-    s = State(3200.0, 900.0)
+    f = make_rhs(wmel)(3200.0, 900.0, 0.0)
     adj = (-40.0, 55.0)
     u = 12.0
     eps = 1e-4
     fd = (
-        hamiltonian(wmel, s, adj, u + eps, P_DEFAULT)
-        - hamiltonian(wmel, s, adj, u - eps, P_DEFAULT)
+        ocp._hamiltonian(f, *adj, u + eps, P_DEFAULT)
+        - ocp._hamiltonian(f, *adj, u - eps, P_DEFAULT)
     ) / (2 * eps)
     assert fd == pytest.approx(adj[1] - u, rel=1e-6)
 
 
 def test_adjoint_rhs_zero_and_linear(wmel):
-    s = State(2100.0, 1300.0)
-    assert adjoint_rhs(wmel, s, (0.0, 0.0)) == (0.0, 0.0)
-    one = adjoint_rhs(wmel, s, (3.0, -2.0))
-    two = adjoint_rhs(wmel, s, (6.0, -4.0))
+    adj = ocp._adjoint_field(make_jacobian(wmel))
+    z = complex(2100.0, 1300.0)
+    assert adj(0.0, 0.0, z) == (0.0, 0.0)
+    one = adj(3.0, -2.0, z)
+    two = adj(6.0, -4.0, z)
     assert two[0] == pytest.approx(2 * one[0], rel=1e-12)
     assert two[1] == pytest.approx(2 * one[1], rel=1e-12)
 
@@ -57,23 +54,49 @@ def test_adjoint_rhs_zero_and_linear(wmel):
 def test_adjoint_rhs_matches_hamiltonian_gradient(wmel, wmelpop):
     rng = np.random.default_rng(3)
     for params in (wmel, wmelpop):
+        f, adj = make_rhs(params), ocp._adjoint_field(make_jacobian(params))
         for _ in range(50):
             x = rng.uniform(50.0, 7000.0)
             y = rng.uniform(50.0, 7000.0)
             l1, l2 = rng.uniform(-100.0, 100.0, size=2)
             u = rng.uniform(0.0, 750.0)
-            got = adjoint_rhs(params, State(x, y), (l1, l2))
+            got = adj(l1, l2, complex(x, y))
+
+            def H(xx, yy):
+                return ocp._hamiltonian(f(xx, yy, 0.0), l1, l2, u, P_DEFAULT)
+
             eps = 1e-3
-            dh_dx = (
-                hamiltonian(params, State(x + eps, y), (l1, l2), u, P_DEFAULT)
-                - hamiltonian(params, State(x - eps, y), (l1, l2), u, P_DEFAULT)
-            ) / (2 * eps)
-            dh_dy = (
-                hamiltonian(params, State(x, y + eps), (l1, l2), u, P_DEFAULT)
-                - hamiltonian(params, State(x, y - eps), (l1, l2), u, P_DEFAULT)
-            ) / (2 * eps)
+            dh_dx = (H(x + eps, y) - H(x - eps, y)) / (2 * eps)
+            dh_dy = (H(x, y + eps) - H(x, y - eps)) / (2 * eps)
             assert got[0] == pytest.approx(-dh_dx, rel=1e-6, abs=1e-9)
             assert got[1] == pytest.approx(-dh_dy, rel=1e-6, abs=1e-9)
+
+
+def test_backward_pass_reuses_jacobians(wmel, monkeypatch):
+    """One adjoint pass evaluates J at each node and each step midpoint
+    once, 2n + 1 calls; a second pass reuses nothing from the first."""
+    calls = 0
+    make = ocp.make_jacobian
+
+    def counting(params):
+        jac = make(params)
+
+        def counted(x, y):
+            nonlocal calls
+            calls += 1
+            return jac(x, y)
+
+        return counted
+
+    monkeypatch.setattr(ocp, "make_jacobian", counting)
+    sc = build_scenario(wmel)
+    n, h = 50, 0.25
+    sweeper = _Sweeper(wmel, ocp_config(sc, grid_n=n), sc.initial_wild, 100.0)
+    xs, ys = sweeper._forward([100.0] * (n + 1), h)
+    first = sweeper._backward(xs, ys, h)
+    assert calls == 2 * n + 1
+    assert sweeper._backward(list(xs), list(ys), h) == first
+    assert calls == 2 * (2 * n + 1)
 
 
 def test_negative_states_unrepresentable():
@@ -82,12 +105,6 @@ def test_negative_states_unrepresentable():
         State(-1.0, 2.0)
     with pytest.raises(ValueError):
         State(1.0, -2.0)
-
-
-def test_control_clamp():
-    assert control_from_adjoint(-5.0, 750.0) == 0.0
-    assert control_from_adjoint(760.0, 750.0) == 750.0
-    assert control_from_adjoint(375.0, 750.0) == 375.0
 
 
 def test_objective_closed_forms():
@@ -280,7 +297,7 @@ def test_mu_slope_matches_finite_difference(name, wmel, wmelpop):
     T = {"wmel": 13.73, "wmelpop": 57.47}[name]
     out = sweeper.converge(T, [cfg.cap_l / 2.0] * 101, -1000.0, max_sweeps=300, du_tol_rel=2e-5)
     h, mu, cap = out["h"], out["mu"], cfg.cap_l
-    _, phi2 = _backward_unit(make_jacobian(params), out["xs"], out["ys"], h)
+    _, phi2 = sweeper._backward(out["xs"], out["ys"], h)
 
     def x_final(m):
         u = [min(max(m * v, 0.0), cap) for v in phi2]
