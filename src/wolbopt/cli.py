@@ -315,6 +315,7 @@ def cmd_ga(args) -> int:
             restarts_per_epsilon=3 if args.restarts is None else args.restarts,
         )
         res = epsilon_loop(loop_cfg, gcfg, scenario.params, target, scenario.initial_wild)
+        summary["stats"] = res.stats
         if res.best is None:
             print("no feasible plan at the initial horizon", file=sys.stderr)
             summary["feasible"] = False
@@ -330,6 +331,7 @@ def cmd_ga(args) -> int:
         if horizon <= 0 or horizon % scenario.frequency:
             raise UsageError("--horizon must be a positive multiple of the release period")
         result = run_ga(gcfg, horizon, scenario.params, target, scenario.initial_wild)
+        summary["stats"] = result.stats
         plan, report, history = result.best, result.report, result.history
         fileio.write_history_csv(out / f"ga_{name}_history.csv", history)
     fileio.write_schedule_csv(out / f"ga_{name}_plan.csv", plan.schedule())

@@ -144,6 +144,8 @@ def test_ga_command_small(tmp_path, capsys):
     summary = json.loads((tmp_path / "ga_wmel_summary.json").read_text())
     assert summary["feasible"] is True
     assert summary["verified_feasible"] is True
+    assert summary["stats"]["rows_screened"] == 30 * 11  # initial population + 10 generations
+    assert 0 <= summary["stats"]["rows_rerun"] <= summary["stats"]["rows_screened"]
     plan_rows = (tmp_path / "ga_wmel_plan.csv").read_text().splitlines()
     assert plan_rows[0] == "day,size,rule"
     assert (tmp_path / "ga_wmel_history.csv").exists()

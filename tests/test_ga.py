@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wolbopt.ga import (
+    SCREEN_MARGIN,
     EpsilonLoopConfig,
     EpsilonLoopResult,
     FitnessReport,
@@ -21,6 +22,8 @@ from wolbopt.ga import (
     verify_plan,
 )
 from wolbopt.model import State, equilibria, in_secure_region
+from wolbopt.params import preset
+from wolbopt.scenarios import build_scenario
 from wolbopt.sim import SimOptions, simulate_impulsive
 
 
@@ -87,20 +90,20 @@ def test_fitness_formula_feasible_and_infeasible(wmel, wmel_target, wmel_scenari
     # Single big release clears the region; fitness is exactly 1/J.
     genes = np.zeros((1, 14), dtype=np.int64)
     genes[0, 0] = 6000
-    f, j, feas, entry = evaluate_population(
+    f, j, feas, m = evaluate_population(
         wmel, genes, wmel_target, wmel_scenario.initial_wild, cfg
     )
     assert feas[0] and j[0] == 6000
     assert f[0] == pytest.approx(1.0 / 6000.0, rel=1e-12)
-    assert not np.isnan(entry[0])
+    assert m[0] > 0
 
     zero = np.zeros((1, 11), dtype=np.int64)
-    f, j, feas, entry = evaluate_population(
+    f, j, feas, m = evaluate_population(
         wmel, zero, wmel_target, wmel_scenario.initial_wild, small_cfg()
     )
     assert not feas[0]
     assert f[0] == pytest.approx(1.0 / (750.0 * 11.0), rel=1e-12)
-    assert np.isnan(entry[0])
+    assert m[0] < 0
 
 
 def test_penalty_dominance(wmel, wmel_target, wmel_scenario):
@@ -131,6 +134,59 @@ def test_batch_simulation_matches_adaptive_integrator(wmel, wmel_scenario):
         fx, fy = traj.final_state
         assert x[i] == pytest.approx(fx, rel=2e-5)
         assert y[i] == pytest.approx(fy, rel=2e-5)
+
+
+def _threshold_suite(scenario, horizon, block_p, rng, shapes=24):
+    """Integer plans of random daily or block shapes whose totals straddle
+    each shape's feasibility threshold, from far off it to within a
+    fraction of an individual (the threshold total is bisected on the
+    4-substep kernel)."""
+    params, target, x0 = scenario.params, scenario.target, scenario.initial_wild
+    w = np.zeros((shapes, horizon))
+    if block_p == 1:
+        w[:] = rng.random((shapes, horizon))
+    else:
+        nb = horizon // block_p
+        pos = np.arange(nb) * block_p + rng.integers(0, block_p, size=(shapes, nb))
+        w[np.arange(shapes)[:, None], pos] = rng.random((shapes, nb))
+    w /= w.max(axis=1, keepdims=True)
+    cap = block_p * scenario.cap_l
+
+    def plans(scale):
+        return np.minimum(np.rint(w * scale[:, None]), cap).astype(np.int64)
+
+    lo, hi = np.zeros(shapes), np.full(shapes, 4.0 * cap)
+    for _ in range(20):
+        mid = 0.5 * (lo + hi)
+        x, y, _ = simulate_batch(params, plans(mid), x0, 4)
+        feas = in_secure_region(x, y, target)
+        lo, hi = np.where(feas, lo, mid), np.where(feas, mid, hi)
+    factors = (0.5, 0.9, 0.99, 0.999, 1.0, 1.001, 1.01, 1.1, 2.0)
+    return np.vstack([plans(lo)] + [plans(f * hi) for f in factors])
+
+
+@pytest.mark.parametrize("strain,horizon", [
+    ("wmel", 14), ("wmel", 28), ("wmelpop", 63), ("wmelpop", 70),
+])
+def test_screen_margin_headroom(strain, horizon):
+    # The 1-substep screen decides every row farther than SCREEN_MARGIN
+    # from the edge; it needs 50x headroom over the 1-vs-4-substep gap.
+    scenario = build_scenario(preset(strain))
+    target, x0 = scenario.target, scenario.initial_wild
+    rng = np.random.default_rng(horizon)
+    for block_p in (1, 7):
+        genes = _threshold_suite(scenario, horizon, block_p, rng)
+        x1, y1, _ = simulate_batch(scenario.params, genes, x0, 1)
+        x4, y4, _ = simulate_batch(scenario.params, genes, x0, 4)
+        gap = max(np.abs(x1 - x4).max(), np.abs(y1 - y4).max())
+        assert gap <= SCREEN_MARGIN / 50
+        m4 = np.minimum(target[0] - x4, y4 - target[1])
+        assert np.any((m4 > 0) & (m4 < SCREEN_MARGIN))  # the suite holds near plans
+        assert np.any((m4 < 0) & (m4 > -SCREEN_MARGIN))  # on both sides
+        cfg = GAConfig(cap_l=scenario.cap_l, block_p=block_p)
+        _, _, feas, m = evaluate_population(scenario.params, genes, target, x0, cfg)
+        assert np.array_equal(feas, in_secure_region(x4, y4, target))
+        assert np.array_equal(feas, m > 0)
 
 
 def _tournament_picks(f, rng):
@@ -246,6 +302,9 @@ def test_run_ga_elitism_and_size(wmel, wmel_target, wmel_scenario):
     assert all(b >= a - 1e-15 for a, b in zip(fits, fits[1:]))
     assert res.report.feasible
     validate_plan(res.best, cfg.cap_l)
+    # One screen of the initial population and of each generation's offspring.
+    assert res.stats["rows_screened"] == 24 * 13
+    assert 0 <= res.stats["rows_rerun"] <= res.stats["rows_screened"]
 
 
 def test_run_ga_deterministic_and_rows_independent(wmel, wmel_target, wmel_scenario):
@@ -295,6 +354,11 @@ def test_run_ga_reverified_by_adaptive_simulation(wmel, wmel_target, wmel_scenar
     fx, fy = traj.final_state
     assert in_secure_region(fx, fy, wmel_target)
     assert verify_plan(res.best, wmel, wmel_target, wmel_scenario.initial_wild)
+    # The elite's entry time is the 4-substep kernel's.
+    _, _, entry = simulate_batch(
+        wmel, res.best.genes[None, :], wmel_scenario.initial_wild, 4, wmel_target
+    )
+    assert res.report.entry_time == entry[0]
 
 
 def test_run_ga_golden(wmel, wmel_target, wmel_scenario):
@@ -352,6 +416,9 @@ def test_epsilon_loop_shrinks_horizon(wmel, wmel_target, wmel_scenario):
     assert res.report.feasible
     epsilons = [e for e, _ in res.per_epsilon]
     assert epsilons == [42, 28, 14]
+    # The loop's counts sum its three runs of 26 screens of 40 rows.
+    assert res.stats["rows_screened"] == 3 * 26 * 40
+    assert 0 <= res.stats["rows_rerun"] <= res.stats["rows_screened"]
 
 
 def test_config_validation():
