@@ -7,7 +7,9 @@ Fitness is the reciprocal of the released total, penalized by p*L*T when
 the end state misses the secure region, so any feasible plan outranks
 every infeasible one.  Evaluation screens each plan at one RK4 substep
 per day and re-runs at four those within ``SCREEN_MARGIN`` of the region's
-edge, so every verdict is that of four substeps.  Each generation is one
+edge, so every verdict is that of four substeps.  The kernel runs a batch
+of more than ``ROW_BATCH`` plans as arrays and a smaller one row by row
+on Python floats, with the same bits per row.  Each generation is one
 propose-evaluate-keep step: tournament selection, block-aligned two-point
 crossover and segment mutation propose offspring, one batch call
 evaluates them, and truncation survival keeps the best of parents and
@@ -26,7 +28,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .model import State, in_secure_region, rhs_arrays
+from .model import State, in_secure_region, make_rhs, rhs_arrays
 from .params import StrainParams
 from .sim import ImpulseSchedule, SimOptions, rk4, simulate_impulsive
 
@@ -140,6 +142,12 @@ class EpsilonLoopResult:
     stats: dict[str, int] = field(default_factory=dict)  # summed over its runs
 
 
+# Batches of at most this many rows run row by row on Python floats: an
+# array call costs about the same for 1 row as for 100, a float row costs
+# per row, and at every Table-4 horizon floats won at 16 rows, not at 24.
+ROW_BATCH = 16
+
+
 def simulate_batch(
     params: StrainParams,
     genes: np.ndarray,
@@ -153,32 +161,42 @@ def simulate_batch(
     these tolerances); day t's release is applied after flowing through
     [t-1, t], and the state after the final jump is what feasibility is
     judged on.  When ``target`` is given, also returns first entry times
-    at substep resolution (NaN where never).
+    at substep resolution (NaN where never).  A batch of more than
+    ``ROW_BATCH`` rows runs as one array lane, a smaller one as a float
+    lane per row; both do the same IEEE operations on a row.
     """
-    b, t_days = genes.shape
-    x = np.full(b, float(initial_wild))
-    y = np.zeros(b)
+    b = genes.shape[0]
+    x_end, y_end = np.empty(b), np.empty(b)
+    entries = None if target is None else np.full(b, np.nan)
     h = 1.0 / substeps
-    entry = None
-    if target is not None:
-        entry = np.full(b, np.nan)
-    # Looked up in the module at each call, so a wrapped ``rhs_arrays``
-    # sees every evaluation.
-    flow = lambda x, y, u: rhs_arrays(params, x, y)  # noqa: E731
     zero_control = [0.0] * (substeps + 1)
-    for day in range(1, t_days + 1):
-        xs, ys = rk4(flow, x, y, zero_control, h)
-        x, y = xs[-1], ys[-1]
-        if entry is not None:
-            for k in range(substeps):
-                now = day - 1 + (k + 1) * h
-                hit = np.isnan(entry) & in_secure_region(xs[k + 1], ys[k + 1], target)
-                entry[hit] = now
-        y = y + genes[:, day - 1]
-        if entry is not None:
-            hit = np.isnan(entry) & in_secure_region(x, y, target)
-            entry[hit] = float(day)
-    return x, y, entry
+    if b > ROW_BATCH:
+        # Looked up in the module at each call, so a wrapped ``rhs_arrays``
+        # sees every evaluation of the array layout.
+        flow = lambda x, y, u: rhs_arrays(params, x, y)  # noqa: E731
+        lanes = [(slice(None), np.full(b, float(initial_wild)), np.zeros(b), genes.T)]
+    else:
+        # numpy's exp, not math.exp: a float row then gets the bits of its
+        # array element (math.exp differs in the last bit on some inputs).
+        flow = make_rhs(params, lambda t: float(np.exp(t)))
+        lanes = [(slice(i, i + 1), float(initial_wild), 0.0, row.tolist())
+                 for i, row in enumerate(genes)]
+    for rows, x, y, columns in lanes:
+        entry = None if entries is None else entries[rows]  # a view
+        for day, column in enumerate(columns, start=1):
+            xs, ys = rk4(flow, x, y, zero_control, h)
+            x, y = xs[-1], ys[-1]
+            if entry is not None:
+                for k in range(substeps):
+                    now = day - 1 + (k + 1) * h
+                    hit = np.isnan(entry) & in_secure_region(xs[k + 1], ys[k + 1], target)
+                    entry[hit] = now
+            y = y + column
+            if entry is not None:
+                hit = np.isnan(entry) & in_secure_region(x, y, target)
+                entry[hit] = float(day)
+        x_end[rows], y_end[rows] = x, y
+    return x_end, y_end, entries
 
 
 # Individuals: 85x the largest 1-vs-4-substep end-state gap measured at
@@ -259,12 +277,11 @@ def crossover(
     preserved; the gene segment strictly after the first cut through the
     second cut is exchanged.
     """
-    t = a.shape[0]
-    cuts = np.arange(0, t + 1, block_p)
-    if cuts.shape[0] < 2:
+    cuts = a.shape[0] // block_p + 1
+    if cuts < 2:
         return a.copy(), b.copy()
-    picked = rng.choice(cuts, size=2, replace=False)
-    r1, r2 = int(picked.min()), int(picked.max())
+    i, j = rng.choice(cuts, size=2, replace=False).tolist()
+    r1, r2 = block_p * min(i, j), block_p * max(i, j)
     c, d = a.copy(), b.copy()
     c[r1:r2], d[r1:r2] = b[r1:r2], a[r1:r2]
     return c, d

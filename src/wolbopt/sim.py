@@ -136,8 +136,9 @@ def rk4(rhs, x, y, u: Sequence, h: float) -> tuple[list, list]:
 
     The one fixed-step integrator: the OCP forward pass runs it on floats,
     the OCP adjoint pass backward (h < 0) with the state as a complex drive
-    x + iy, the GA kernel on arrays (one row per plan).  k2 and k3 get one
-    midpoint object, and a step's last node is the next step's first.
+    x + iy, the GA kernel on arrays (one row per plan) or on one plan's
+    floats.  k2 and k3 get one midpoint object, and a step's last node is
+    the next step's first.
     """
     n = len(u) - 1
     xs = [x] * (n + 1)

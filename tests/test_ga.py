@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wolbopt import ga
 from wolbopt.ga import (
+    ROW_BATCH,
     SCREEN_MARGIN,
     EpsilonLoopConfig,
     EpsilonLoopResult,
@@ -23,7 +25,7 @@ from wolbopt.ga import (
 )
 from wolbopt.model import State, equilibria, in_secure_region
 from wolbopt.params import preset
-from wolbopt.scenarios import build_scenario
+from wolbopt.scenarios import GA_CELLS, build_scenario
 from wolbopt.sim import SimOptions, simulate_impulsive
 
 
@@ -187,6 +189,38 @@ def test_screen_margin_headroom(strain, horizon):
         _, _, feas, m = evaluate_population(scenario.params, genes, target, x0, cfg)
         assert np.array_equal(feas, in_secure_region(x4, y4, target))
         assert np.array_equal(feas, m > 0)
+
+
+@pytest.mark.parametrize("strain,horizon", sorted(
+    {(strain, cell.horizon) for (strain, _), cell in GA_CELLS.items()}
+))
+def test_batch_layouts_bit_identical(strain, horizon, monkeypatch):
+    # Batches of up to ROW_BATCH rows run row by row on floats, larger ones
+    # as arrays; a row's x, y and entry bytes must not depend on which.
+    scenario = build_scenario(preset(strain))
+    params, target, x0 = scenario.params, scenario.target, scenario.initial_wild
+    genes = _threshold_suite(scenario, horizon, 1, np.random.default_rng(horizon), shapes=4)
+    assert genes.shape[0] > ROW_BATCH + 1
+    for substeps in (1, 4):
+        whole = simulate_batch(params, genes, x0, substeps, target)
+        margin = np.minimum(target[0] - whole[0], whole[1] - target[1])
+        assert (margin > 0).any() and (margin < 0).any()
+        assert np.isnan(whole[2]).any() and not np.isnan(whole[2]).all()
+        for step in (1, ROW_BATCH, ROW_BATCH + 1):
+            parts = [
+                simulate_batch(params, genes[lo:lo + step], x0, substeps, target)
+                for lo in range(0, genes.shape[0], step)
+            ]
+            for k in range(3):
+                joined = np.concatenate([part[k] for part in parts])
+                assert joined.tobytes() == whole[k].tobytes()
+    empty = genes[:0]
+    rows = simulate_batch(params, empty, x0, 4, target)
+    monkeypatch.setattr(ga, "ROW_BATCH", -1)
+    arrays = simulate_batch(params, empty, x0, 4, target)
+    for a, b in zip(rows, arrays):
+        assert a.shape == b.shape == (0,) and a.dtype == b.dtype == np.float64
+    assert simulate_batch(params, empty, x0, 4)[2] is None
 
 
 def _tournament_picks(f, rng):
