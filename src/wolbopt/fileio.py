@@ -1,9 +1,10 @@
 """CSV and JSON artifacts shared by the library and the CLI.
 
 Formats:
-  trajectory CSV   t,x,y,u_applied      (jump instants appear twice: the
-                                         pre-jump row, then the post-jump
-                                         row carrying the release size)
+  trajectory CSV   t,x,y,u_applied      (the ``Trajectory`` rows: a release
+                                         instant appears twice, the
+                                         pre-release row, then the post-
+                                         release row carrying its size)
   schedule CSV     day,size[,rule]
   control CSV      t,u_star,lambda1,lambda2
   phase-field CSV  x,y,dx,dy
@@ -41,20 +42,7 @@ def _write_rows(path: Path, header: list[str], rows: Iterable[list]) -> None:
 
 
 def write_trajectory_csv(path: Path, traj: Trajectory) -> None:
-    rows: list[tuple[float, float, float, float]] = []
-    jumps_by_time = {j.time: j for j in traj.jumps}
-    emitted = set()
-    u = traj.u_applied
-    for i, t in enumerate(traj.times):
-        t = float(t)
-        jump = jumps_by_time.get(t)
-        if jump is not None and t not in emitted:
-            rows.append((t, jump.pre[0], jump.pre[1], 0.0))
-            rows.append((t, jump.post[0], jump.post[1], float(jump.post[1] - jump.pre[1])))
-            emitted.add(t)
-            continue
-        rate = float(u[i]) if u is not None else 0.0
-        rows.append((t, float(traj.states[i, 0]), float(traj.states[i, 1]), rate))
+    rows = np.column_stack((traj.times, traj.states, traj.u_applied)).tolist()
     _write_rows(
         path, ["t", "x", "y", "u_applied"], ([f"{v:.10g}" for v in row] for row in rows)
     )
@@ -68,29 +56,35 @@ def write_schedule_csv(path: Path, sched: ImpulseSchedule) -> None:
     )
 
 
+def _read_rows(path: Path, columns: str) -> list[tuple[int, list[str], float, float]]:
+    """(line number, row, first, second) for each data row of a CSV whose
+    first two ``columns`` are numbers; blank rows and a header row (its
+    first cell names the first column) are skipped."""
+    header = columns.split(",")[0]
+    out = []
+    with open(path, newline="") as fh:
+        for lineno, row in enumerate(csv.reader(fh), start=1):
+            if not row or (lineno == 1 and row[0].strip().lower() == header):
+                continue
+            if len(row) < 2:
+                raise ScheduleParseError(f"{path}:{lineno}: expected {columns}")
+            try:
+                out.append((lineno, row, float(row[0]), float(row[1])))
+            except ValueError as err:
+                raise ScheduleParseError(f"{path}:{lineno}: {err}") from None
+    return out
+
+
 def read_schedule_csv(path: Path) -> ImpulseSchedule:
     """Parse ``day,size[,rule]`` rows; raises with the bad line number."""
     entries: list[tuple[float, int]] = []
     rule = "manual"
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        for lineno, row in enumerate(reader, start=1):
-            if not row or (lineno == 1 and row[0].strip().lower() == "day"):
-                continue
-            if len(row) < 2:
-                raise ScheduleParseError(f"{path}:{lineno}: expected day,size")
-            try:
-                day = float(row[0])
-                size_f = float(row[1])
-            except ValueError as err:
-                raise ScheduleParseError(f"{path}:{lineno}: {err}") from None
-            if size_f < 0 or size_f != int(size_f):
-                raise ScheduleParseError(
-                    f"{path}:{lineno}: size must be a nonnegative integer"
-                )
-            if len(row) >= 3 and row[2].strip():
-                rule = row[2].strip()
-            entries.append((day, int(size_f)))
+    for lineno, row, day, size_f in _read_rows(path, "day,size"):
+        if size_f < 0 or size_f != int(size_f):
+            raise ScheduleParseError(f"{path}:{lineno}: size must be a nonnegative integer")
+        if len(row) >= 3 and row[2].strip():
+            rule = row[2].strip()
+        entries.append((day, int(size_f)))
     try:
         return ImpulseSchedule(entries=tuple(entries), rule_tag=rule)
     except ValueError as err:
@@ -111,24 +105,11 @@ def write_control_csv(path: Path, solution: OCPSolution) -> None:
 
 def read_control_csv(path: Path) -> ContinuousControl:
     """Load a control grid; the cap is inferred as the max sampled rate."""
-    times: list[float] = []
-    values: list[float] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        for lineno, row in enumerate(reader, start=1):
-            if not row or (lineno == 1 and row[0].strip().lower() == "t"):
-                continue
-            if len(row) < 2:
-                raise ScheduleParseError(f"{path}:{lineno}: expected t,u_star,...")
-            try:
-                times.append(float(row[0]))
-                values.append(float(row[1]))
-            except ValueError as err:
-                raise ScheduleParseError(f"{path}:{lineno}: {err}") from None
-    if len(times) < 2:
+    rows = _read_rows(path, "t,u_star,...")
+    if len(rows) < 2:
         raise ScheduleParseError(f"{path}: control grid needs at least two samples")
-    t = np.asarray(times)
-    v = np.asarray(values)
+    t = np.array([t for _, _, t, _ in rows])
+    v = np.array([u for _, _, _, u in rows])
     if np.any(np.diff(t) <= 0):
         raise ScheduleParseError(f"{path}: sample times must increase")
     return ContinuousControl(times=t, values=v, t_star=float(t[-1]), cap_l=float(v.max()))

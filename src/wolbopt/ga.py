@@ -170,6 +170,11 @@ def simulate_batch(
     entries = None if target is None else np.full(b, np.nan)
     h = 1.0 / substeps
     zero_control = [0.0] * (substeps + 1)
+    if target is not None:
+        # Each day's nodes: its substeps, then the state after its release.
+        node_t = np.array([day - 1 + (k + 1) * h if k < substeps else float(day)
+                           for day in range(1, genes.shape[1] + 1)
+                           for k in range(substeps + 1)])
     if b > ROW_BATCH:
         # Looked up in the module at each call, so a wrapped ``rhs_arrays``
         # sees every evaluation of the array layout.
@@ -182,20 +187,17 @@ def simulate_batch(
         lanes = [(slice(i, i + 1), float(initial_wild), 0.0, row.tolist())
                  for i, row in enumerate(genes)]
     for rows, x, y, columns in lanes:
-        entry = None if entries is None else entries[rows]  # a view
-        for day, column in enumerate(columns, start=1):
+        inside = []  # ``in_secure_region`` at every node, in ``node_t`` order
+        for column in columns:
             xs, ys = rk4(flow, x, y, zero_control, h)
-            x, y = xs[-1], ys[-1]
-            if entry is not None:
-                for k in range(substeps):
-                    now = day - 1 + (k + 1) * h
-                    hit = np.isnan(entry) & in_secure_region(xs[k + 1], ys[k + 1], target)
-                    entry[hit] = now
-            y = y + column
-            if entry is not None:
-                hit = np.isnan(entry) & in_secure_region(x, y, target)
-                entry[hit] = float(day)
+            x, y = xs[-1], ys[-1] + column
+            if target is not None:
+                inside += [in_secure_region(xk, yk, target) for xk, yk in zip(xs[1:], ys[1:])]
+                inside.append(in_secure_region(x, y, target))
         x_end[rows], y_end[rows] = x, y
+        if inside:
+            inside = np.array(inside)
+            entries[rows] = np.where(inside.any(axis=0), node_t[inside.argmax(axis=0)], np.nan)
     return x_end, y_end, entries
 
 

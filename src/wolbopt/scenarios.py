@@ -14,15 +14,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .ga import (
-    EpsilonLoopConfig,
-    FitnessReport,
-    GAConfig,
-    ReleasePlan,
-    best_feasible,
-    epsilon_loop,
-    run_ga,
-)
+from . import ga
+from .ga import EpsilonLoopConfig, FitnessReport, GAConfig, ReleasePlan, best_feasible
 from .impulsive import (
     NoFeasibleRuleError,
     daily_impulses,
@@ -148,10 +141,11 @@ def best_ga_plan(
         scenario = build_scenario(params, frequency=frequency, seed=seed)
         cfg = ga_config(scenario, **ga_overrides)
         args = (scenario.params, scenario.target, scenario.initial_wild)
+        # Looked up in ``ga`` at each call, so a wrapped search sees it.
         if cell.floor_search:
-            res = epsilon_loop(epsilon_config(cell, frequency), cfg, *args)
+            res = ga.epsilon_loop(epsilon_config(cell, frequency), cfg, *args)
         else:
-            res = run_ga(cfg, cell.horizon, *args)
+            res = ga.run_ga(cfg, cell.horizon, *args)
         runs.append((res, scenario))
     win = best_feasible(res for res, _ in runs)
     if win is None:

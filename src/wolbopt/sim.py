@@ -6,13 +6,14 @@ kernel).  Everything else here runs scipy's adaptive RK45 (Dormand-Prince
 5(4) embedded pair) with dense output, one segment at a time through
 ``_segment``.  Impulsive releases are pure jumps of the infected
 population between segments: the flow between release instants is the
-uncontrolled model.
+uncontrolled model.  A ``Trajectory`` is its rows, a release instant
+twice (pre, then post).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -29,7 +30,6 @@ from .model import (
 from .params import StrainParams
 
 STABLE_EIG_TOL = 1e-12
-ENTRY_RESOLUTION = 1e-6  # days: bisection width of ``first_basin_entry``
 SEPARATRIX_OFFSET = 1e-4  # saddle displacement, relative to its norm
 SEPARATRIX_ARC_STRIDE = 10.0  # individuals between separatrix points
 SAMPLE_STRIDE = 0.25  # days between the samples of an adaptive segment
@@ -50,26 +50,19 @@ class SimOptions:
             raise ValueError("t_end must be positive")
 
 
-@dataclass(frozen=True)
-class Jump:
-    time: float
-    pre: tuple[float, float]
-    post: tuple[float, float]
-
-
 @dataclass
 class Trajectory:
-    """Sampled trajectory with explicit jump records.
+    """A trajectory as rows (t, x, y, u), times nondecreasing.
 
-    ``times`` are strictly increasing sample instants; jump instants
-    appear once in ``times`` (post-jump state) and twice in CSV exports
-    (pre and post rows).
+    A release instant appears twice: the pre-release row, then the
+    post-release row.  ``u_applied`` is the control rate for ``integrate``;
+    for ``simulate_impulsive`` it is 0 on every row but a post-release
+    row, where it is the release size.
     """
 
     times: np.ndarray
     states: np.ndarray  # shape (n, 2)
-    jumps: list[Jump] = field(default_factory=list)
-    u_applied: Optional[np.ndarray] = None
+    u_applied: np.ndarray
 
     @property
     def final_state(self) -> tuple[float, float]:
@@ -226,79 +219,59 @@ def simulate_impulsive(
 ) -> Trajectory:
     """Integrate with zero control between releases and pure jumps at them.
 
-    Each release instant adds the (integer) release size to the infected
-    population exactly and records the pre/post states.
+    The first row is s0; each segment adds its rows after its start, and
+    each release adds its (integer) size to the infected population
+    exactly, as a post-release row at the pre-release row's time.
 
     Raises:
-        ValueError: A release is scheduled after ``opts.t_end``.
+        ValueError: A release is scheduled before 0 or after ``opts.t_end``.
     """
-    late = [(t, size) for t, size in sched.entries if t > opts.t_end]
-    if late:
-        raise ValueError(
-            f"release of {late[0][1]} at t={late[0][0]:g} is after t_end={opts.t_end:g}"
-        )
-    times_out: list[np.ndarray] = []
-    states_out: list[np.ndarray] = []
-    jumps: list[Jump] = []
+    outside = [(t, size) for t, size in sched.entries if not 0.0 <= t <= opts.t_end]
+    if outside:
+        t, size = outside[0]
+        bound = "before t=0" if t < 0.0 else f"after t_end={opts.t_end:g}"
+        raise ValueError(f"release of {size} at t={t:g} is {bound}")
+    rows = [(np.zeros(1), np.array([[s0.x, s0.y]]), np.zeros(1))]
     x, y = s0.x, s0.y
     t_cur = 0.0
     u_zero = lambda t: 0.0  # noqa: E731
 
     # The sentinel (t_end, None) flows the tail; None, not 0, marks it so
-    # that a size-0 release still records its jump.
+    # that a size-0 release still adds its post-release row.
     for t_rel, size in (*sched.entries, (opts.t_end, None)):
         if t_rel > t_cur:
             ts, seg = _segment(params, (x, y), (t_cur, t_rel), u_zero, opts)
-            times_out.append(ts[:-1])
-            states_out.append(seg[:-1])
+            rows.append((ts[1:], seg[1:], np.zeros(ts.size - 1)))
             x, y = float(seg[-1, 0]), float(seg[-1, 1])
             t_cur = t_rel
         if size is None:
             break
-        pre = (x, y)
         y += size
-        jumps.append(Jump(time=t_rel, pre=pre, post=(x, y)))
-    times_out.append(np.array([t_cur]))
-    states_out.append(np.array([[x, y]]))
-
-    times = np.concatenate(times_out)
-    states = np.vstack(states_out)
-    return Trajectory(times=times, states=states, jumps=jumps)
+        rows.append((np.array([t_rel]), np.array([[x, y]]), np.array([float(size)])))
+    times, states, u = (np.concatenate(column) for column in zip(*rows))
+    return Trajectory(times=times, states=states, u_applied=u)
 
 
 def first_basin_entry(traj: Trajectory, target: tuple[float, float]) -> Optional[float]:
     """Earliest time at which the state is in the secure region
-    (``in_secure_region``: both thresholds strict).
+    (``in_secure_region``: both thresholds strict), or None when never.
 
-    Jump records are consulted so that entries caused by a release are
-    timed at the release instant.  Between samples the entry time is
-    located by bisection on linear interpolants down to
-    ``ENTRY_RESOLUTION`` days; returns None when the trajectory never enters.
+    Between the first inside row and the row before it the state moves on
+    the straight line; each threshold is crossed where the line meets it,
+    and the entry is the later crossing.  A release's pre and post rows
+    share one time, so an entry that a release causes is timed at it.
     """
     times, states = traj.times, traj.states
-    inside = in_secure_region(states[:, 0], states[:, 1], target)
-    jump_entries = [j.time for j in traj.jumps if in_secure_region(*j.post, target)]
-    idx = np.nonzero(inside)[0]
-    sample_entry = None
-    if idx.size:
-        i = int(idx[0])
-        if i == 0:
-            sample_entry = float(times[0])
-        else:
-            lo_t, hi_t = float(times[i - 1]), float(times[i])
-            lo_s, hi_s = states[i - 1], states[i]
-            while hi_t - lo_t > ENTRY_RESOLUTION:
-                mid = 0.5 * (lo_t + hi_t)
-                w = (mid - lo_t) / (hi_t - lo_t) if hi_t > lo_t else 0.0
-                sx = lo_s[0] + w * (hi_s[0] - lo_s[0])
-                sy = lo_s[1] + w * (hi_s[1] - lo_s[1])
-                if in_secure_region(sx, sy, target):
-                    hi_t = mid
-                else:
-                    lo_t = mid
-            sample_entry = hi_t
-    candidates = [t for t in (sample_entry, *jump_entries) if t is not None]
-    return min(candidates) if candidates else None
+    inside = np.nonzero(in_secure_region(states[:, 0], states[:, 1], target))[0]
+    if not inside.size:
+        return None
+    i = int(inside[0])
+    if i == 0:
+        return float(times[0])
+    (x0, y0), (x1, y1) = states[i - 1], states[i]
+    w_x = (x0 - target[0]) / (x0 - x1) if x0 >= target[0] else 0.0
+    w_y = (target[1] - y0) / (y1 - y0) if y0 <= target[1] else 0.0
+    return float(times[i - 1] + max(w_x, w_y) * (times[i] - times[i - 1]))
 
 
 def separatrix(params: StrainParams) -> np.ndarray:

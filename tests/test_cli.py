@@ -75,7 +75,7 @@ def test_simulate_schedule_roundtrip(tmp_path):
     rows = (tmp_path / "trajectory_wmel.csv").read_text().splitlines()
     assert rows[0] == "t,x,y,u_applied"
     times = [float(r.split(",")[0]) for r in rows[1:]]
-    # Jump instants appear twice (pre and post rows).
+    # Release instants appear twice (pre and post rows).
     assert times.count(1.0) == 2
     assert times.count(2.0) == 2
 

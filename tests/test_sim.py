@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from wolbopt import sim
 from wolbopt.model import State, absorbing_bound, equilibria, make_rhs, rhs_arrays
 from wolbopt.params import offspring_numbers
 from wolbopt.sim import (
@@ -85,17 +86,24 @@ def test_empty_schedule_equals_uncontrolled(wmel, wmel_scenario):
     b = integrate(wmel, State(x0, 100.0), None, (0.0, 50.0), opts)
     assert a.final_state[0] == pytest.approx(b.final_state[0], rel=1e-9)
     assert a.final_state[1] == pytest.approx(b.final_state[1], rel=1e-9)
-    assert a.jumps == []
+    # No release rows: every time appears once and no row carries a size.
+    assert np.all(np.diff(a.times) > 0.0)
+    assert not a.u_applied.any()
 
 
-def test_jump_records_conserve_total(wmel, wmel_scenario):
+def test_release_rows_conserve_total(wmel, wmel_scenario):
     entries = tuple((float(d), 150 * d) for d in range(1, 8))
     sched = ImpulseSchedule(entries=entries)
     traj = simulate_impulsive(
         wmel, State(wmel_scenario.initial_wild, 0.0), sched, SimOptions(t_end=10.0)
     )
-    jumped = sum(int(round(j.post[1] - j.pre[1])) for j in traj.jumps)
-    assert jumped == sched.total
+    post = np.nonzero(np.diff(traj.times) == 0.0)[0] + 1
+    assert traj.times[post].tolist() == [t for t, _ in entries]
+    assert traj.u_applied.sum() == sched.total
+    assert np.all(traj.u_applied[np.setdiff1d(np.arange(traj.times.size), post)] == 0.0)
+    jumped = np.rint(traj.states[post, 1] - traj.states[post - 1, 1]).astype(int)
+    assert jumped.tolist() == [size for _, size in entries]
+    assert np.all(traj.states[post, 0] == traj.states[post - 1, 0])
 
 
 def test_release_after_t_end_rejected(wmel, wmel_scenario):
@@ -103,12 +111,18 @@ def test_release_after_t_end_rejected(wmel, wmel_scenario):
     late = ImpulseSchedule(entries=((5.0, 100), (12.0, 200), (15.0, 300)))
     with pytest.raises(ValueError, match="200 at t=12 is after t_end=10"):
         simulate_impulsive(wmel, s0, late, SimOptions(t_end=10.0))
-    # A release exactly at t_end is applied and is the last sample.
+    with pytest.raises(ValueError, match="100 at t=-1 is before t=0"):
+        simulate_impulsive(wmel, s0, ImpulseSchedule(entries=((-1.0, 100),)))
+    # A release exactly at t_end is applied: it gives the last two rows,
+    # pre then post, and the final state is the post row.
     at_end = ImpulseSchedule(entries=((10.0, 100),))
     traj = simulate_impulsive(wmel, s0, at_end, SimOptions(t_end=10.0))
-    assert [j.time for j in traj.jumps] == [10.0]
-    assert traj.times[-1] == 10.0
-    assert traj.final_state == traj.jumps[0].post
+    assert traj.times[-2:].tolist() == [10.0, 10.0]
+    assert traj.times[-3] < 10.0
+    assert traj.u_applied[-2:].tolist() == [0.0, 100.0]
+    pre, post = traj.states[-2], traj.states[-1]
+    assert post[0] == pre[0] and post[1] == pre[1] + 100
+    assert traj.final_state == (post[0], post[1])
 
 
 def test_tolerance_halving_consistency(wmel, wmel_scenario):
@@ -156,6 +170,63 @@ def test_entry_dominance_on_sampled_schedules(wmel, wmel_scenario):
         if eb is not None:
             assert ea is not None
             assert ea <= eb + 1e-6
+
+
+def test_release_caused_entry_timed_at_release(wmel):
+    # From (3000, 500) the flow alone stays outside until after t = 1;
+    # the release of 4000 at t = 1 lifts y over the threshold at once.
+    eq = equilibria(wmel)
+    target = (eq.eu.state.x, eq.eu.state.y)
+    s0 = State(3000.0, 500.0)
+    opts = SimOptions(t_end=5.0)
+    flow = simulate_impulsive(wmel, s0, ImpulseSchedule(entries=()), opts)
+    entry_flow = first_basin_entry(flow, target)
+    assert entry_flow is None or entry_flow > 1.0
+    traj = simulate_impulsive(wmel, s0, ImpulseSchedule(entries=((1.0, 4000),)), opts)
+    assert first_basin_entry(traj, target) == 1.0
+
+
+@pytest.mark.parametrize("strain, horizon", [("wmel", 20), ("wmelpop", 70)])
+def test_entry_matches_fine_sampling(strain, horizon, request, monkeypatch):
+    # The closed-form entry between 0.25-day rows against the same rule on
+    # 0.0005-day rows, on seeded daily schedules of half to full cap.
+    scenario = request.getfixturevalue(f"{strain}_scenario")
+    s0, cap = State(scenario.initial_wild, 0.0), int(scenario.cap_l)
+    rng = np.random.default_rng(11)
+    scheds = [
+        ImpulseSchedule(entries=tuple(
+            (float(d), int(v)) for d, v in enumerate(rng.integers(cap // 2, cap + 1, horizon), 1)
+        ))
+        for _ in range(4)
+    ]
+    opts = SimOptions(t_end=horizon + 10.0)
+
+    def entries():
+        return [
+            first_basin_entry(simulate_impulsive(scenario.params, s0, s, opts), scenario.target)
+            for s in scheds
+        ]
+
+    coarse = entries()
+    monkeypatch.setattr(sim, "SAMPLE_STRIDE", 0.0005)
+    reference = entries()
+    assert None not in reference
+    assert None not in coarse
+    assert np.max(np.abs(np.subtract(coarse, reference))) <= 2e-3
+
+
+@pytest.mark.parametrize("strain", ["wmel", "wmelpop"])
+def test_ocp_control_enters_before_t_star(strain, request):
+    # The OCP ends one individual inside the x threshold at t*, so the
+    # adaptive run of its own control must enter before t*.
+    scenario = request.getfixturevalue(f"{strain}_scenario")
+    ctrl = request.getfixturevalue(f"{strain}_solution").control
+    traj = integrate(
+        scenario.params, State(scenario.initial_wild, 0.0), (ctrl.times, ctrl.values),
+        (0.0, ctrl.t_star + 5.0),
+    )
+    entry = first_basin_entry(traj, scenario.target)
+    assert entry is not None and ctrl.t_star - 0.5 < entry < ctrl.t_star
 
 
 def test_bounded_control_keeps_states_nonnegative(wmel, wmel_scenario):
