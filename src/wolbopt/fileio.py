@@ -12,6 +12,9 @@ Formats:
   summaries        JSON with sorted keys; every summary embeds the
                    scenario seed and a hash of the full configuration so
                    reruns are byte-comparable.
+
+A schedule or control CSV read back must hold finite numbers in its first
+two columns: inf or nan is rejected with its line number.
 """
 
 from __future__ import annotations
@@ -58,8 +61,8 @@ def write_schedule_csv(path: Path, sched: ImpulseSchedule) -> None:
 
 def _read_rows(path: Path, columns: str) -> list[tuple[int, list[str], float, float]]:
     """(line number, row, first, second) for each data row of a CSV whose
-    first two ``columns`` are numbers; blank rows and a header row (its
-    first cell names the first column) are skipped."""
+    first two ``columns`` are finite numbers; blank rows and a header row
+    (its first cell names the first column) are skipped."""
     header = columns.split(",")[0]
     out = []
     with open(path, newline="") as fh:
@@ -69,9 +72,12 @@ def _read_rows(path: Path, columns: str) -> list[tuple[int, list[str], float, fl
             if len(row) < 2:
                 raise ScheduleParseError(f"{path}:{lineno}: expected {columns}")
             try:
-                out.append((lineno, row, float(row[0]), float(row[1])))
+                first, second = float(row[0]), float(row[1])
+                if not (math.isfinite(first) and math.isfinite(second)):
+                    raise ValueError(f"expected finite {columns}")
             except ValueError as err:
                 raise ScheduleParseError(f"{path}:{lineno}: {err}") from None
+            out.append((lineno, row, first, second))
     return out
 
 

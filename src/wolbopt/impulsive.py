@@ -1,11 +1,12 @@
 """Build timed-release schedules from a continuous optimal control.
 
-The continuous rate is extended by zero beyond its horizon, split into
-unit-day windows, and converted to integer release sizes: per-day sizes
-use the trapezoid/ceiling branch rule; sparser schedules either aggregate
-the daily sizes over m-day blocks or use per-block excess estimates
-(m times the ceiled block maximum), the latter for strains whose released
-adults die too quickly for aggregated sizes to work.
+The continuous rate is read by ``sim.sampled_rate`` (0 outside its
+grid), split into unit-day windows, and converted to integer release
+sizes: per-day sizes use the trapezoid/ceiling branch rule; sparser
+schedules either aggregate the daily sizes over m-day blocks or use
+per-block excess estimates (m times the ceiled block maximum), the latter
+for strains whose released adults die too quickly for aggregated sizes
+to work.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 from .model import State
 from .ocp import ContinuousControl
 from .params import StrainParams
-from .sim import ImpulseSchedule, SimOptions, first_basin_entry, simulate_impulsive
+from .sim import ImpulseSchedule, SimOptions, first_basin_entry, sampled_rate, simulate_impulsive
 
 
 @dataclass(frozen=True)
@@ -81,52 +82,32 @@ class IndicatorReport:
     feasible: bool
 
 
-def extended_control(ctrl: ContinuousControl):
-    """The control as a function of time, zero beyond the horizon."""
-    times, values, t_star = ctrl.times, ctrl.values, ctrl.t_star
-
-    def u_hat(t):
-        t = np.asarray(t, dtype=float)
-        out = np.interp(t, times, values, left=values[0], right=0.0)
-        return np.where(t > t_star, 0.0, out)
-
-    return u_hat
-
-
-def _window_max(ctrl: ContinuousControl, lo: float, hi: float) -> float:
-    """Max of the (piecewise-linear, zero-extended) control on [lo, hi].
-
-    The extrema of a linear interpolant lie on nodes, so grid nodes inside
-    the window plus both endpoints are enough.
-    """
-    u_hat = extended_control(ctrl)
-    inside = ctrl.times[(ctrl.times >= lo) & (ctrl.times <= hi)]
-    candidates = np.concatenate([inside, [lo, hi]])
-    return float(np.max(u_hat(candidates)))
-
-
 def horizon_days(ctrl: ContinuousControl) -> int:
-    """Number of daily windows: the ceiled optimal horizon."""
-    return int(math.ceil(ctrl.t_star - 1e-12))
+    """Number of daily windows: the ceiled optimal horizon, at least 1."""
+    return max(1, int(math.ceil(ctrl.t_star - 1e-12)))
 
 
-def _window_integral(ctrl: ContinuousControl, lo: float, hi: float) -> float:
-    """Exact integral of the zero-extended piecewise-linear control."""
-    hi_eff = min(hi, ctrl.t_star)
-    if hi_eff <= lo:
-        return 0.0
-    inside = ctrl.times[(ctrl.times > lo) & (ctrl.times < hi_eff)]
-    pts = np.unique(np.concatenate([[lo, hi_eff], inside]))
-    vals = np.interp(pts, ctrl.times, ctrl.values)
-    return float(np.trapezoid(vals, pts))
+def _windows(ctrl: ContinuousControl, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Integral and maximum of the control (``sampled_rate``) over each
+    window [edges[i], edges[i+1]], all in one pass.
+
+    The knots are the edges and the grid nodes between them.  The control
+    is linear between knots, so the trapezoid over them is exact and its
+    extrema lie on them; the integral runs over the knots clipped to the
+    grid, because the control drops to 0 past both of its ends.
+    """
+    times = ctrl.times
+    knots = np.union1d(edges, times[(times > edges[0]) & (times < edges[-1])])
+    at = np.searchsorted(knots, edges)
+    u = sampled_rate(times, ctrl.values)(knots)
+    areas = np.diff(np.clip(knots, times[0], times[-1])) * (u[1:] + u[:-1]) / 2.0
+    maxima = np.maximum(np.maximum.reduceat(u[:-1], at[:-1]), u[at[1:]])
+    return np.add.reduceat(areas, at[:-1]), maxima
 
 
 def daily_window_totals(ctrl: ContinuousControl) -> np.ndarray:
-    """Integral of the extended control over each unit window."""
-    t_hat = horizon_days(ctrl)
-    return np.array(
-        [_window_integral(ctrl, n - 1.0, float(n)) for n in range(1, t_hat + 1)]
-    )
+    """Integral of the control over each unit window."""
+    return _windows(ctrl, np.arange(horizon_days(ctrl) + 1.0))[0]
 
 
 def daily_impulses(ctrl: ContinuousControl) -> DailyImpulseSequence:
@@ -136,26 +117,23 @@ def daily_impulses(ctrl: ContinuousControl) -> DailyImpulseSequence:
     the size; otherwise the ceiled window maximum is used so the size
     still dominates the true window total.
     """
-    u_hat = extended_control(ctrl)
     t_hat = horizon_days(ctrl)
-    totals = daily_window_totals(ctrl)
-    sizes = []
-    margin, margin_day = math.inf, 0
-    for n in range(1, t_hat + 1):
-        tr = 0.5 * (float(u_hat(float(n))) + float(u_hat(n - 1.0)))
-        if totals[n - 1] <= tr + 1e-9 * max(1.0, tr):
-            q = tr
-        else:
-            q = _window_max(ctrl, n - 1.0, float(n))
-        sizes.append(int(math.ceil(q - 1e-12)))
-        if 0.0 < q < ctrl.cap_l and abs(q - round(q)) < margin:
-            margin, margin_day = abs(q - round(q)), n
+    edges = np.arange(t_hat + 1.0)
+    totals, maxima = _windows(ctrl, edges)
+    u = sampled_rate(ctrl.times, ctrl.values)(edges)
+    tr = 0.5 * (u[1:] + u[:-1])
+    q = np.where(totals <= tr + 1e-9 * np.maximum(1.0, tr), tr, maxima)
+    # Distance to the nearest integer, day by day after an inf for "no day":
+    # argmin takes the first smallest, and a clamped day never counts.
+    gaps = np.where((q > 0.0) & (q < ctrl.cap_l), np.abs(q - np.round(q)), np.inf)
+    gaps = np.concatenate([[np.inf], gaps])
+    day = int(np.argmin(gaps))
     return DailyImpulseSequence(
-        window_totals=tuple(totals),
-        sizes=tuple(sizes),
+        window_totals=tuple(totals.tolist()),
+        sizes=tuple(np.ceil(q - 1e-12).astype(int).tolist()),
         t_hat=t_hat,
-        ceiling_margin=margin,
-        ceiling_day=margin_day,
+        ceiling_margin=float(gaps[day]),
+        ceiling_day=day,
     )
 
 
@@ -170,28 +148,23 @@ def num_blocks(t_hat: int, m: int) -> int:
     return max(1, math.floor(t_hat / m + 0.5))
 
 
+def _block_edges(t_hat: int, m: int) -> np.ndarray:
+    """Block boundaries in days: 0, m, ..., (k-1) m, t_hat."""
+    return np.append(np.arange(num_blocks(t_hat, m)) * m, t_hat)
+
+
 def aggregate_periodic(daily: DailyImpulseSequence, m: int) -> PeriodicImpulseSequence:
     """Sum daily sizes over m-day blocks; totals are conserved exactly."""
-    k = num_blocks(daily.t_hat, m)
-    sizes = []
-    for i in range(1, k + 1):
-        lo = (i - 1) * m + 1
-        hi = i * m if i < k else daily.t_hat
-        sizes.append(int(sum(daily.sizes[lo - 1:hi])))
-    return PeriodicImpulseSequence(period_m=m, sizes=tuple(sizes), rule="aggregate")
+    running = np.concatenate([[0], np.cumsum(daily.sizes, dtype=np.int64)])
+    sizes = np.diff(running[_block_edges(daily.t_hat, m)])
+    return PeriodicImpulseSequence(period_m=m, sizes=tuple(sizes.tolist()), rule="aggregate")
 
 
 def excess_periodic(ctrl: ContinuousControl, m: int) -> PeriodicImpulseSequence:
     """Per-block excess sizes: m times the ceiled block maximum."""
-    t_hat = horizon_days(ctrl)
-    k = num_blocks(t_hat, m)
-    sizes = []
-    for i in range(1, k + 1):
-        lo = (i - 1) * m
-        hi = float(i * m) if i < k else float(max(i * m, t_hat))
-        block_max = _window_max(ctrl, float(lo), hi)
-        sizes.append(int(m * math.ceil(block_max - 1e-12)))
-    return PeriodicImpulseSequence(period_m=m, sizes=tuple(sizes), rule="excess")
+    maxima = _windows(ctrl, _block_edges(horizon_days(ctrl), m))[1]
+    sizes = m * np.ceil(maxima - 1e-12).astype(int)
+    return PeriodicImpulseSequence(period_m=m, sizes=tuple(sizes.tolist()), rule="excess")
 
 
 def evaluate_schedule(

@@ -76,7 +76,9 @@ class OCPConfig:
 
 @dataclass(frozen=True)
 class ContinuousControl:
-    """Optimal release rate sampled on a uniform grid over [0, t_star]."""
+    """A release rate sampled at ``times`` up to ``t_star``, read by
+    ``sim.sampled_rate``: the OCP's grid is uniform over [0, t_star], a
+    CSV's is the file's own."""
 
     times: np.ndarray
     values: np.ndarray

@@ -100,23 +100,14 @@ class ImpulseSchedule:
 ControlLike = Union[None, Callable[[float], float], tuple[np.ndarray, np.ndarray]]
 
 
-def _control_function(control: ControlLike) -> Callable[[float], float]:
-    if control is None:
-        return lambda t: 0.0
-    if callable(control):
-        return control
-    times, values = control
-    times = np.asarray(times, dtype=float)
-    values = np.asarray(values, dtype=float)
+def sampled_rate(times: np.ndarray, values: np.ndarray) -> Callable:
+    """The rate sampled at ``times``, for floats or arrays: linear between
+    samples, the sample itself at both ends, and 0 outside them."""
+    return lambda t: np.interp(t, times, values, left=0.0, right=0.0)
 
-    def interp(t: float) -> float:
-        if t <= times[0]:
-            return float(values[0]) if t == times[0] else 0.0
-        if t >= times[-1]:
-            return 0.0 if t > times[-1] else float(values[-1])
-        return float(np.interp(t, times, values))
 
-    return interp
+def _no_control(t: float) -> float:
+    return 0.0
 
 
 class IntegrationError(RuntimeError):
@@ -202,13 +193,27 @@ def integrate(
     """Integrate the model under a continuous (or zero) control.
 
     ``control`` may be None (no releases), a callable rate, or a
-    ``(times, values)`` grid sampled control with linear interpolation
-    and zero extension outside the grid.
+    ``(times, values)`` sampled control, read by ``sampled_rate``.  Such a
+    control drops to 0 at a grid end whose sample is not 0; inside the
+    span a segment ends there, so that no adaptive step crosses the drop,
+    and a segment outside the grid runs uncontrolled.  The segments' rows
+    are joined as in ``simulate_impulsive``.
     """
-    u_fn = _control_function(control)
-    ts, states = _segment(params, (s0.x, s0.y), span, u_fn, opts)
-    u_vals = np.array([u_fn(t) for t in ts])
-    return Trajectory(times=ts, states=states, u_applied=u_vals)
+    u_fn = control or _no_control
+    t_lo, t_hi, ends = -math.inf, math.inf, []  # a rate with no grid has no ends
+    if isinstance(control, tuple):
+        times, values = (np.asarray(column, dtype=float) for column in control)
+        u_fn, t_lo, t_hi = sampled_rate(times, values), times[0], times[-1]
+        ends = [t for t, u in ((t_lo, values[0]), (t_hi, values[-1]))
+                if span[0] < t < span[1] and u != 0.0]
+    rows, t0, state = [], span[0], (s0.x, s0.y)
+    for t1 in (*ends, span[1]):
+        fn = u_fn if t0 < t_hi and t1 > t_lo else _no_control
+        ts, seg = _segment(params, state, (t0, t1), fn, opts)
+        rows.append((ts, seg) if not rows else (ts[1:], seg[1:]))
+        state, t0 = (float(seg[-1, 0]), float(seg[-1, 1])), t1
+    ts, states = (np.concatenate(column) for column in zip(*rows))
+    return Trajectory(times=ts, states=states, u_applied=np.array([u_fn(t) for t in ts]))
 
 
 def simulate_impulsive(
@@ -234,13 +239,12 @@ def simulate_impulsive(
     rows = [(np.zeros(1), np.array([[s0.x, s0.y]]), np.zeros(1))]
     x, y = s0.x, s0.y
     t_cur = 0.0
-    u_zero = lambda t: 0.0  # noqa: E731
 
     # The sentinel (t_end, None) flows the tail; None, not 0, marks it so
     # that a size-0 release still adds its post-release row.
     for t_rel, size in (*sched.entries, (opts.t_end, None)):
         if t_rel > t_cur:
-            ts, seg = _segment(params, (x, y), (t_cur, t_rel), u_zero, opts)
+            ts, seg = _segment(params, (x, y), (t_cur, t_rel), _no_control, opts)
             rows.append((ts[1:], seg[1:], np.zeros(ts.size - 1)))
             x, y = float(seg[-1, 0]), float(seg[-1, 1])
             t_cur = t_rel

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from wolbopt import fileio
+from wolbopt import cli, fileio
 from wolbopt.cli import main
 from wolbopt.model import State
 from wolbopt.ocp import STATS_KEYS
@@ -80,12 +80,26 @@ def test_simulate_schedule_roundtrip(tmp_path):
     assert times.count(2.0) == 2
 
 
-def test_simulate_malformed_schedule(tmp_path, capsys):
-    sched = tmp_path / "bad.csv"
-    sched.write_text("day,size\n1,notanumber\n")
-    code = run(["simulate", "--strain", "wmel", "--schedule", str(sched)], tmp_path)
-    assert code == 2
-    assert ":2:" in capsys.readouterr().err
+def test_simulate_malformed_schedule(tmp_path, capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("a malformed file reached the integrator")
+
+    # Non-finite numbers are rejected with their line: none may reach the
+    # integrator (a nan rate made it run without end).
+    monkeypatch.setattr(cli, "simulate_impulsive", never)
+    monkeypatch.setattr(cli, "integrate", never)
+    bad = tmp_path / "bad.csv"
+    for flag, text, line in (
+        ("--schedule", "day,size\n1,notanumber\n", 2),
+        ("--schedule", "day,size\n1,inf\n", 2),
+        ("--schedule", "day,size\n1,nan\n", 2),
+        ("--schedule", "day,size\nnan,5\n", 2),
+        ("--control", "t,u_star\n0,100\nnan,50\n2,0\n", 3),
+        ("--control", "t,u_star\n0,100\n1,nan\n2,0\n", 3),
+    ):
+        bad.write_text(text)
+        assert run(["simulate", "--strain", "wmel", flag, str(bad)], tmp_path) == 2
+        assert f"bad.csv:{line}:" in capsys.readouterr().err
     missing = str(tmp_path / "missing.csv")
     for flag in ("--schedule", "--control"):
         assert run(["simulate", "--strain", "wmel", flag, missing], tmp_path) == 2

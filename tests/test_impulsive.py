@@ -50,6 +50,41 @@ def test_window_totals_cover_partial_final_day():
     assert totals[3] == pytest.approx(50.0, rel=1e-6)
 
 
+def reference_day(ctrl: ContinuousControl, n: int) -> tuple[float, int]:
+    """Window total and size of day n, computed for that window alone: the
+    rate is linear between samples and 0 outside its grid."""
+    t, v = ctrl.times, ctrl.values
+    u = lambda s: np.interp(s, t, v, left=0.0, right=0.0)  # noqa: E731
+    lo, hi = n - 1.0, float(n)
+    a, b = max(lo, t[0]), min(hi, t[-1])
+    total = 0.0
+    if b > a:
+        pts = np.union1d([a, b], t[(t > a) & (t < b)])
+        total = float(np.trapezoid(u(pts), pts))
+    tr = 0.5 * (u(lo) + u(hi))
+    peak = np.max(u(np.union1d([lo, hi], t[(t >= lo) & (t <= hi)])))
+    q = tr if total <= tr + 1e-9 * max(1.0, tr) else peak
+    return total, math.ceil(q - 1e-12)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_windows_match_per_window_reference(seed):
+    # Grids that start after t = 0 and end at a non-integer t_star: the
+    # control reads 0 before the first sample and after the last.
+    rng = np.random.default_rng(seed)
+    t0 = rng.uniform(0.2, 2.5)
+    t = np.sort(np.concatenate([[t0, t0 + rng.uniform(3.0, 9.0)], rng.uniform(t0, t0 + 3.0, 20)]))
+    v = rng.uniform(0.0, 700.0, t.size)
+    ctrl = ContinuousControl(times=t, values=v, t_star=float(t[-1]), cap_l=750.0)
+    daily = daily_impulses(ctrl)
+    assert daily.t_hat == math.ceil(t[-1]) and t[-1] % 1.0 != 0.0
+    totals, sizes = zip(*(reference_day(ctrl, n) for n in range(1, daily.t_hat + 1)))
+    assert daily_window_totals(ctrl) == pytest.approx(totals, rel=1e-12, abs=1e-9)
+    assert daily.sizes == sizes
+    assert t0 < 1.0 or daily.sizes[0] == 0  # nothing is released before the grid
+    assert daily.total >= np.trapezoid(v, t)
+
+
 def test_daily_sizes_constant_control():
     ctrl = constant_control(123.4, 6.0)
     daily = daily_impulses(ctrl)

@@ -229,6 +229,29 @@ def test_ocp_control_enters_before_t_star(strain, request):
     assert entry is not None and ctrl.t_star - 0.5 < entry < ctrl.t_star
 
 
+def test_sampled_control_dropping_inside_span(wmel, wmel_scenario):
+    # 3,000/day on [t0, 150] drops to 0 at both grid ends; an adaptive step
+    # across the drop at t = 150 (or t0 = 2) overflowed exp in its trial state.
+    s0 = State(wmel_scenario.initial_wild, 0.0)
+    runs = [
+        integrate(
+            wmel, s0, (np.array([t0, 150.0]), np.array([3000.0, 3000.0])), (0.0, 200.0)
+        )
+        for t0 in (0.0, 2.0)
+    ]
+    for traj in runs:
+        assert np.all(np.diff(traj.times) > 0.0)  # a segment end appears once
+        assert np.all(traj.u_applied[traj.times > 150.0] == 0.0)
+        assert np.all(np.isfinite(traj.states))
+    late = runs[1]
+    assert np.all(late.u_applied[late.times < 2.0] == 0.0)
+    assert np.all(late.states[late.times <= 2.0] == late.states[0])
+    # s0 is the wild-only equilibrium, so the grid that starts 2 days late
+    # enters the secure region 2 days late.
+    early, later = (first_basin_entry(traj, wmel_scenario.target) for traj in runs)
+    assert later - early == pytest.approx(2.0, abs=1e-6)
+
+
 def test_bounded_control_keeps_states_nonnegative(wmel, wmel_scenario):
     cap = 750.0
     control = lambda t: cap * (0.5 + 0.5 * math.sin(0.7 * t))  # noqa: E731
