@@ -61,47 +61,3 @@ from .sim import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "ContinuousControl",
-    "DailyImpulseSequence",
-    "EpsilonLoopConfig",
-    "EquilibriumSet",
-    "FitnessReport",
-    "GAConfig",
-    "GAResult",
-    "ImpulseSchedule",
-    "IndicatorReport",
-    "OCPConfig",
-    "OCPSolution",
-    "OffspringNumbers",
-    "PeriodicImpulseSequence",
-    "ReleasePlan",
-    "SimOptions",
-    "State",
-    "StrainParams",
-    "Trajectory",
-    "aggregate_periodic",
-    "daily_impulses",
-    "daily_window_totals",
-    "epsilon_loop",
-    "equilibria",
-    "evaluate_schedule",
-    "excess_periodic",
-    "first_basin_entry",
-    "in_secure_region",
-    "integrate",
-    "jacobian",
-    "objective",
-    "offspring_numbers",
-    "phase_field",
-    "preset",
-    "rhs",
-    "run_ga",
-    "secure_region",
-    "select_rule",
-    "separatrix",
-    "simulate_impulsive",
-    "solve",
-    "verify_plan",
-]

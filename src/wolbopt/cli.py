@@ -14,7 +14,7 @@ import argparse
 import configparser
 import os
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 from typing import Optional, get_type_hints
 
@@ -25,14 +25,7 @@ from .ga import EpsilonLoopConfig, GAConfig, epsilon_loop, run_ga, verify_plan
 from .impulsive import daily_impulses
 from .model import State, absorbing_bound, equilibria, secure_region
 from .ocp import CapInfeasibleError, NonConvergenceError, OCPConfig, solve
-from .params import (
-    PRESET_NAMES,
-    StrainParams,
-    UnknownStrainError,
-    parse_number,
-    preset,
-    with_overrides,
-)
+from .params import PRESET_NAMES, StrainParams, UnknownStrainError, parse_number, preset
 from .scenarios import (
     Scenario,
     build_scenario,
@@ -62,23 +55,6 @@ class UsageError(RuntimeError):
     pass
 
 
-def _resolve_params(args, name: Optional[str], cfg: configparser.ConfigParser) -> StrainParams:
-    if not name:
-        raise UsageError("no strain given (use --strain or a config file)")
-    params = preset(name)  # an unknown name exits 2 through ``main``
-    if cfg.has_section("strain"):
-        params = with_overrides(params, dict(cfg.items("strain")))
-    if args.params:
-        text = Path(args.params).read_text()  # a missing file exits 2 through ``main``
-        override_cfg = configparser.ConfigParser()
-        override_cfg.read_string(text if text.lstrip().startswith("[") else "[strain]\n" + text)
-        other = [f"[{s}]" for s in override_cfg.sections() if s != "strain"]
-        if other:
-            raise UsageError(f"--params takes only a [strain] section, not {', '.join(other)}")
-        params = with_overrides(params, dict(override_cfg.items("strain")))
-    return params
-
-
 def _section_keys(cls, supplied_by_scenario=()) -> dict:
     """A dataclass's fields and their types, less those the scenario sets."""
     hints = get_type_hints(cls)
@@ -98,13 +74,14 @@ _SECTIONS = {
 }
 
 
-def _read_config(path: Optional[str]) -> configparser.ConfigParser:
+def _read_config(path: Optional[str], header: str = "") -> configparser.ConfigParser:
     """The config file, every section and key checked against ``_SECTIONS``
-    whichever command reads it."""
+    whichever command reads it; ``header`` goes before a file that starts
+    with no section header."""
     cfg = configparser.ConfigParser()
     if path:
-        with open(path) as fh:  # a missing file exits 2 through ``main``
-            cfg.read_file(fh)
+        text = Path(path).read_text()  # a missing file exits 2 through ``main``
+        cfg.read_string(text if text.lstrip().startswith("[") else header + text, path)
     for section in cfg.sections():
         if section not in _SECTIONS:
             raise UsageError(f"unknown config section [{section}]")
@@ -116,26 +93,39 @@ def _read_config(path: Optional[str]) -> configparser.ConfigParser:
 
 def _settings(args, cfg: configparser.ConfigParser, section: str) -> dict:
     """The values one config section sets, each parsed by its type, with
-    every same-named flag that was given laid over them."""
+    every same-named flag that was given laid over them.  Every number from
+    outside the program passes here: one that does not parse or is not
+    finite exits 2, naming its section and key."""
     keys = _SECTIONS[section]
     out = {}
-    if cfg.has_section(section):
-        for key, raw in cfg.items(section):
-            if keys[key] is int:
-                out[key] = int(raw)
-            elif keys[key] is str:
-                out[key] = raw
-            else:
-                out[key] = parse_number(raw)
+    for key, raw in cfg.items(section) if cfg.has_section(section) else ():
+        try:
+            out[key] = keys[key](raw) if keys[key] in (int, str) else parse_number(raw)
+        except ValueError as err:
+            raise UsageError(f"[{section}] {key}: {err}") from None
     for key in keys:
         if getattr(args, key, None) is not None:
             out[key] = getattr(args, key)
+    for key, value in out.items():
+        if isinstance(value, float) and not np.isfinite(value):
+            raise UsageError(f"[{section}] {key} must be a finite number, not {value}")
     return out
 
 
 def _resolve_scenario(args, cfg: configparser.ConfigParser) -> Scenario:
+    """The scenario: the preset, then ``[strain]``, then ``--params`` (a
+    ``[strain]`` section, its header optional), then the other settings."""
     settings = _settings(args, cfg, "scenario")
-    params = _resolve_params(args, settings.pop("strain", None), cfg)
+    name = settings.pop("strain", None)
+    if not name:
+        raise UsageError("no strain given (use --strain or a config file)")
+    params = replace(preset(name), **_settings(args, cfg, "strain"))
+    if args.params:
+        override = _read_config(args.params, header="[strain]\n")
+        other = [f"[{s}]" for s in override.sections() if s != "strain"]
+        if other:
+            raise UsageError(f"--params takes only a [strain] section, not {', '.join(other)}")
+        params = replace(params, **_settings(args, override, "strain"))
     return build_scenario(params, **settings)
 
 
@@ -312,7 +302,7 @@ def cmd_ga(args) -> int:
         loop_cfg = EpsilonLoopConfig(
             epsilon_0=args.epsilon0,
             step=scenario.frequency if args.epsilon_step is None else args.epsilon_step,
-            restarts_per_epsilon=3 if args.restarts is None else args.restarts,
+            **({} if args.restarts is None else {"restarts_per_epsilon": args.restarts}),
         )
         res = epsilon_loop(loop_cfg, gcfg, scenario.params, target, scenario.initial_wild)
         summary["stats"] = res.stats
@@ -455,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_seed=False):
+    def common(p):
         p.add_argument("--strain", help=f"preset name ({', '.join(PRESET_NAMES)})")
         p.add_argument("--params", help="strain override file (key = value, rationals allowed)")
         p.add_argument("--config", help="scenario config file (INI sections)")
@@ -506,7 +496,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ga.add_argument("--epsilon0", type=int, default=None, help="run the epsilon loop")
     p_ga.add_argument("--epsilon-step", type=int, default=None)
     p_ga.add_argument("--restarts", type=int, default=None,
-                      help="GA runs per epsilon round (default 3)")
+                      help="GA runs per epsilon round "
+                      f"(default {EpsilonLoopConfig.restarts_per_epsilon})")
     p_ga.add_argument("--seeds", type=int, default=None,
                       help="seed count for --reproduce (default 5)")
     p_ga.add_argument("--reproduce", choices=["table4"], default=None)

@@ -59,7 +59,7 @@ class ReleasePlan:
             for day, size in enumerate(self.genes.tolist(), start=1)
             if size > 0
         )
-        return ImpulseSchedule(entries=entries, period_m=self.block_p, rule_tag="ga")
+        return ImpulseSchedule(entries=entries, rule_tag="ga")
 
 
 def validate_plan(plan: ReleasePlan, cap_l: float) -> None:

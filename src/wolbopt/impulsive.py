@@ -25,7 +25,7 @@ from .sim import ImpulseSchedule, SimOptions, first_basin_entry, sampled_rate, s
 
 @dataclass(frozen=True)
 class DailyImpulseSequence:
-    """Per-day window totals and integer sizes.
+    """Integer daily sizes, one per unit window of ``daily_window_totals``.
 
     ``ceiling_margin`` is the smallest distance from a ceiled quantity to
     the nearest integer, on day ``ceiling_day``: a size decided by less
@@ -34,7 +34,6 @@ class DailyImpulseSequence:
     other day the margin is inf and the day 0.
     """
 
-    window_totals: tuple[float, ...]
     sizes: tuple[int, ...]
     t_hat: int
     ceiling_margin: float
@@ -48,7 +47,7 @@ class DailyImpulseSequence:
         entries = tuple(
             (float(day), size) for day, size in enumerate(self.sizes, start=1)
         )
-        return ImpulseSchedule(entries=entries, period_m=1, rule_tag="daily")
+        return ImpulseSchedule(entries=entries, rule_tag="daily")
 
 
 @dataclass(frozen=True)
@@ -67,9 +66,7 @@ class PeriodicImpulseSequence:
         entries = tuple(
             (1.0 + i * self.period_m, size) for i, size in enumerate(self.sizes)
         )
-        return ImpulseSchedule(
-            entries=entries, period_m=self.period_m, rule_tag=self.rule
-        )
+        return ImpulseSchedule(entries=entries, rule_tag=self.rule)
 
 
 @dataclass(frozen=True)
@@ -129,7 +126,6 @@ def daily_impulses(ctrl: ContinuousControl) -> DailyImpulseSequence:
     gaps = np.concatenate([[np.inf], gaps])
     day = int(np.argmin(gaps))
     return DailyImpulseSequence(
-        window_totals=tuple(totals.tolist()),
         sizes=tuple(np.ceil(q - 1e-12).astype(int).tolist()),
         t_hat=t_hat,
         ceiling_margin=float(gaps[day]),

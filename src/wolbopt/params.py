@@ -7,9 +7,8 @@ or rationals like ``1/28`` (rates are stored unrounded for this reason).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
 
 
 @dataclass(frozen=True)
@@ -139,26 +138,15 @@ def preset(name: str) -> StrainParams:
 
 
 def parse_number(text: str) -> float:
-    """Parse a decimal or rational string such as ``0.95`` or ``1/28``."""
+    """Parse a decimal or rational string such as ``0.95`` or ``1/28``.
+
+    Raises:
+        ValueError: If ``text`` is not a number or divides by zero.
+    """
     text = text.strip()
     if "/" in text:
-        num, _, den = text.partition("/")
-        return float(Fraction(num.strip()) / Fraction(den.strip()))
+        num, den = (Fraction(part.strip()) for part in text.split("/", 1))
+        if den == 0:
+            raise ValueError(f"{text!r} divides by zero")
+        return float(num / den)
     return float(text)
-
-
-def with_overrides(base: StrainParams, overrides: Mapping[str, str]) -> StrainParams:
-    """Apply field overrides (string values, rationals allowed) to a preset.
-
-    Unknown keys raise ``ValueError`` so config typos fail loudly.
-    """
-    fields = {}
-    for key, raw in overrides.items():
-        key = key.strip().lower()
-        if key == "name":
-            fields[key] = raw.strip()
-            continue
-        if key not in StrainParams.__dataclass_fields__:
-            raise ValueError(f"unknown strain parameter {key!r}")
-        fields[key] = parse_number(raw)
-    return replace(base, **fields)

@@ -99,13 +99,7 @@ GA_CELLS = {
 
 
 def ga_config(scenario: Scenario, **overrides) -> GAConfig:
-    fields = dict(
-        pop_n=100,
-        generations_g=100,
-        cap_l=scenario.cap_l,
-        block_p=scenario.frequency,
-        rng_seed=scenario.seed,
-    )
+    fields = dict(cap_l=scenario.cap_l, block_p=scenario.frequency, rng_seed=scenario.seed)
     fields.update(overrides)
     return GAConfig(**fields)
 

@@ -78,7 +78,6 @@ class ImpulseSchedule:
     """
 
     entries: tuple[tuple[float, int], ...]
-    period_m: int = 1
     rule_tag: str = "manual"
 
     def __post_init__(self) -> None:

@@ -49,6 +49,50 @@ def test_params_file_takes_only_strain(tmp_path, capsys):
     assert not (tmp_path / "equilibria_wmel.json").exists()
 
 
+def test_params_file_overrides(tmp_path, capsys):
+    # Checked and parsed like [strain]: rationals, a new name, and an
+    # unknown key named in the message.
+    override = tmp_path / "p.ini"
+    override.write_text("name = custom\ndelta_n = 1/30\n")
+    assert run(["equilibria", "--strain", "wmel", "--params", str(override)], tmp_path) == 0
+    summary = json.loads((tmp_path / "equilibria_custom.json").read_text())
+    assert summary["scenario"]["strain"]["delta_n"] == 1 / 30
+    override.write_text("not_a_field = 1\n")
+    assert run(["equilibria", "--strain", "wmel", "--params", str(override)], tmp_path) == 2
+    assert "unknown [strain] option 'not_a_field'" in capsys.readouterr().err
+
+
+def test_non_finite_settings_exit_2(tmp_path, capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("a bad setting reached a solver")
+
+    # A nan or inf setting made simulate run without end, and x/0 printed
+    # a traceback: each must stop before any solver, naming its key.
+    for name in ("integrate", "simulate_impulsive", "solve", "run_ga", "epsilon_loop"):
+        monkeypatch.setattr(cli, name, never)
+    settings = str(tmp_path / "settings.ini")
+    wmel = ["--strain", "wmel"]
+    for argv, text, named in (
+        (["simulate", *wmel, "--t-end", "nan"], None, "[sim] t_end"),
+        (["simulate", *wmel, "--t-end", "inf"], None, "[sim] t_end"),
+        (["simulate", *wmel, "--config", settings], "[sim]\nrel_tol = nan\n", "[sim] rel_tol"),
+        (["ga", *wmel, "--cap-l", "inf"], None, "[scenario] cap_l"),
+        (["ocp", *wmel, "--cap-l", "inf"], None, "[scenario] cap_l"),
+        (["ocp", *wmel, "--config", settings], "[scenario]\ninitial_wild = inf\n",
+         "[scenario] initial_wild"),
+        (["ocp", *wmel, "--weight-p", "nan"], None, "[ocp] weight_p"),
+        (["equilibria", *wmel, "--initial-wild", "nan"], None, "[scenario] initial_wild"),
+        (["equilibria", *wmel, "--params", settings], "sigma = 1/0\n", "[strain] sigma"),
+        (["equilibria", *wmel, "--params", settings], "sigma = nan\n", "[strain] sigma"),
+        (["ocp", *wmel, "--config", settings], "[ocp]\nweight_p = 1/0\n", "[ocp] weight_p"),
+    ):
+        if text is not None:
+            (tmp_path / "settings.ini").write_text(text)
+        assert run(argv, tmp_path) == 2, argv
+        assert named in capsys.readouterr().err, argv
+    assert not list(tmp_path.glob("*.json"))
+
+
 def test_equilibria_reproducible_bytes(tmp_path):
     a_dir = tmp_path / "a"
     b_dir = tmp_path / "b"
@@ -247,7 +291,7 @@ def test_trajectory_csv_jump_rows(tmp_path, wmel):
 
 
 def test_schedule_csv_roundtrip(tmp_path):
-    sched = ImpulseSchedule(entries=((1.0, 100), (8.0, 40)), period_m=7, rule_tag="excess")
+    sched = ImpulseSchedule(entries=((1.0, 100), (8.0, 40)), rule_tag="excess")
     path = tmp_path / "s.csv"
     fileio.write_schedule_csv(path, sched)
     again = fileio.read_schedule_csv(path)

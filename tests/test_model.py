@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from wolbopt.model import (
     rhs_arrays,
     secure_region,
 )
-from wolbopt.params import StrainParams, offspring_numbers, with_overrides
+from wolbopt.params import StrainParams, offspring_numbers
 
 
 def fd_jacobian(params, x, y, h=1e-3):
@@ -76,7 +77,7 @@ def test_rhs_arrays_cached_per_params(wmel):
     again = rhs_arrays(wmel, xs, ys)
     assert [a.tobytes() for a in again] == [a.tobytes() for a in first]
     # A copy that keeps the name but not the fields gets its own field.
-    other = with_overrides(wmel, {"omega": "0.01"})
+    other = replace(wmel, omega=0.01)
     assert other.name == wmel.name
     got = rhs_arrays(other, xs, ys)
     expect = make_rhs(other, np.exp)(xs, ys, 0.0)

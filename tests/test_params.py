@@ -6,7 +6,6 @@ from wolbopt.params import (
     offspring_numbers,
     parse_number,
     preset,
-    with_overrides,
 )
 
 
@@ -75,12 +74,5 @@ def test_parse_number_rational():
     assert parse_number("1/28") == pytest.approx(1.0 / 28.0, rel=1e-15)
     assert parse_number(" 0.95 ") == 0.95
     assert parse_number("0.1/140") == pytest.approx(0.1 / 140.0, rel=1e-15)
-
-
-def test_with_overrides(wmel):
-    p = with_overrides(wmel, {"eta": "0.95", "delta_n": "1/30", "name": "custom"})
-    assert p.eta == 0.95
-    assert p.delta_n == pytest.approx(1.0 / 30.0, rel=1e-15)
-    assert p.name == "custom"
-    with pytest.raises(ValueError):
-        with_overrides(wmel, {"not_a_field": "1"})
+    with pytest.raises(ValueError, match="divides by zero"):
+        parse_number("1/0")
