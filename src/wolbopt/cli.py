@@ -1,11 +1,14 @@
 """Command-line pipeline: equilibria, simulate, ocp, impulsive, ga, phase.
 
-Every command resolves a scenario from preset + config file + flags (flags
-win), writes its CSV artifacts and a JSON summary embedding the seed and a
-configuration hash, and exits 0 on success, 1 on non-convergence or
-infeasibility, 2 on usage or parse errors.  ``ocp --reproduce table2`` and
-``ga --reproduce table4`` run the presets' strain-by-frequency matrix and
-print the ``scenarios.table2``/``table4`` rows against the published values.
+Every setting is resolved once, before any command runs: the config file,
+then ``--params``, then the flags (flags win), every section checked
+whichever command runs.  A command on a scenario (the preset with these
+settings laid over it) writes its CSV artifacts and a JSON summary embedding
+the seed and a configuration hash, and exits 0 on success, 1 on
+non-convergence or infeasibility, 2 on usage or parse errors.
+``ocp --reproduce table2`` and ``ga --reproduce table4`` run the presets'
+strain-by-frequency matrix and print the ``scenarios.table2``/``table4``
+rows against the published values.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import os
+import re
 import sys
 from dataclasses import asdict, fields, replace
 from pathlib import Path
@@ -74,113 +78,117 @@ _SECTIONS = {
 }
 
 
-def _read_config(path: Optional[str], header: str = "") -> configparser.ConfigParser:
-    """The config file, every section and key checked against ``_SECTIONS``
-    whichever command reads it; ``header`` goes before a file that starts
-    with no section header."""
+def _read_config(path: Optional[str], strain_only: bool = False) -> dict[str, dict]:
+    """The settings of an INI file, ``{section: {key: value}}``: every
+    section and key checked against ``_SECTIONS`` and every value parsed by
+    its type, whichever command runs.  A ``strain_only`` file (``--params``)
+    holds one ``[strain]`` section, whose header may be left out."""
+    if not path:
+        return {}
+    text = Path(path).read_text()  # a missing file exits 2 through ``main``
     cfg = configparser.ConfigParser()
-    if path:
-        text = Path(path).read_text()  # a missing file exits 2 through ``main``
-        cfg.read_string(text if text.lstrip().startswith("[") else header + text, path)
+    headerless = strain_only and not text.lstrip().startswith("[")
+    try:
+        cfg.read_string("[strain]\n" + text if headerless else text, path)
+    except configparser.Error as err:
+        if not headerless:
+            raise
+        # Give the file's own line numbers, not counting the header put before it.
+        raise UsageError(
+            re.sub(r"\[line +(\d+)\]", lambda m: f"[line {int(m[1]) - 1:2d}]", str(err))
+        ) from None
+    settings = {}
     for section in cfg.sections():
         if section not in _SECTIONS:
             raise UsageError(f"unknown config section [{section}]")
-        for key in cfg[section]:
-            if key not in _SECTIONS[section]:
+        keys = _SECTIONS[section]
+        values = settings[section] = {}
+        for key, raw in cfg.items(section):
+            if key not in keys:
                 raise UsageError(f"unknown [{section}] option {key!r}")
-    return cfg
+            try:
+                values[key] = keys[key](raw) if keys[key] in (int, str) else parse_number(raw)
+            except ValueError as err:
+                raise UsageError(f"[{section}] {key}: {err}") from None
+    other = [f"[{s}]" for s in settings if strain_only and s != "strain"]
+    if other:
+        raise UsageError(f"--params takes only a [strain] section, not {', '.join(other)}")
+    return settings
 
 
-def _settings(args, cfg: configparser.ConfigParser, section: str) -> dict:
-    """The values one config section sets, each parsed by its type, with
-    every same-named flag that was given laid over them.  Every number from
-    outside the program passes here: one that does not parse or is not
-    finite exits 2, naming its section and key."""
-    keys = _SECTIONS[section]
-    out = {}
-    for key, raw in cfg.items(section) if cfg.has_section(section) else ():
-        try:
-            out[key] = keys[key](raw) if keys[key] in (int, str) else parse_number(raw)
-        except ValueError as err:
-            raise UsageError(f"[{section}] {key}: {err}") from None
-    for key in keys:
-        if getattr(args, key, None) is not None:
-            out[key] = getattr(args, key)
-    for key, value in out.items():
-        if isinstance(value, float) and not np.isfinite(value):
-            raise UsageError(f"[{section}] {key} must be a finite number, not {value}")
-    return out
-
-
-def _resolve_scenario(args, cfg: configparser.ConfigParser) -> Scenario:
-    """The scenario: the preset, then ``[strain]``, then ``--params`` (a
-    ``[strain]`` section, its header optional), then the other settings."""
-    settings = _settings(args, cfg, "scenario")
-    name = settings.pop("strain", None)
-    if not name:
-        raise UsageError("no strain given (use --strain or a config file)")
-    params = replace(preset(name), **_settings(args, cfg, "strain"))
+def _resolve(args) -> dict[str, dict]:
+    """Every section's settings: the config file, then ``--params`` over
+    ``[strain]``, then every given flag over its same-named key.  A number
+    that is not finite exits 2, naming its section and key."""
+    settings = {section: {} for section in _SECTIONS}
+    settings.update(_read_config(args.config))
     if args.params:
-        override = _read_config(args.params, header="[strain]\n")
-        other = [f"[{s}]" for s in override.sections() if s != "strain"]
-        if other:
-            raise UsageError(f"--params takes only a [strain] section, not {', '.join(other)}")
-        params = replace(params, **_settings(args, override, "strain"))
-    return build_scenario(params, **settings)
+        settings["strain"].update(_read_config(args.params, strain_only=True).get("strain", {}))
+    for section, keys in _SECTIONS.items():
+        values = settings[section]
+        values.update((k, getattr(args, k)) for k in keys if getattr(args, k, None) is not None)
+        for key, value in values.items():
+            if isinstance(value, float) and not np.isfinite(value):
+                raise UsageError(f"[{section}] {key} must be a finite number, not {value}")
+    return settings
 
 
-def _outdir(args) -> Path:
-    out = args.out or os.environ.get("WOLBOPT_OUTDIR") or "."
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+def _run(args, settings: dict[str, dict]) -> int:
+    """Run a command on the resolved settings, then write what it made into
+    the output directory: its files and, for a scenario command, the summary
+    ``<command>_<strain>[_summary].json``.  A command that raises writes
+    nothing, so a usage error leaves no output directory."""
+    if getattr(args, "reproduce", None):
+        _check_reproducible(args, settings)
+        reproduce = _reproduce_table2 if args.reproduce == "table2" else _reproduce_table4
+        status, files = reproduce(args, settings)
+    else:
+        given = dict(settings["scenario"])
+        strain = given.pop("strain", None)
+        if not strain:
+            raise UsageError("no strain given (use --strain or a config file)")
+        scenario = build_scenario(replace(preset(strain), **settings["strain"]), **given)
+        status, summary, files = args.func(args, settings, scenario)
+        desc = asdict(scenario)
+        desc["strain"] = desc.pop("params")
+        summary.update(scenario=desc, seed=scenario.seed, config_hash=fileio.config_hash(desc))
+        suffix = "" if args.command in ("equilibria", "simulate") else "_summary"
+        name = f"{args.command}_{scenario.params.name}{suffix}.json"
+        files.append((name, fileio.write_summary, summary))
+    out = Path(args.out or os.environ.get("WOLBOPT_OUTDIR") or ".")
+    for name, write, data in files:
+        out.mkdir(parents=True, exist_ok=True)
+        write(out / name, data)
+    return status
 
 
-def _scenario_summary(scenario: Scenario) -> dict:
-    desc = {
-        "strain": asdict(scenario.params),
-        "initial_wild": scenario.initial_wild,
-        "cap_l": scenario.cap_l,
-        "frequency": scenario.frequency,
-        "seed": scenario.seed,
-    }
-    return {
-        "scenario": desc,
-        "seed": scenario.seed,
-        "config_hash": fileio.config_hash(desc),
-    }
+# Each command takes the arguments, the resolved settings and the scenario,
+# and returns its exit status, its summary fields and the files it made, as
+# (name, writer, data).
 
 
-def cmd_equilibria(args) -> int:
-    cfg = _read_config(args.config)
-    scenario = _resolve_scenario(args, cfg)
+def cmd_equilibria(args, settings, scenario):
     eq = equilibria(scenario.params)
-    rows = []
+    table = {}
     for label, e in (("E0", eq.e0), ("Ex", eq.ex), ("Eu", eq.eu), ("Es", eq.es), ("Ey", eq.ey)):
         if e is None:
             continue
-        rows.append((label, e.state.x, e.state.y, e.stability))
+        table[label] = {"x": e.state.x, "y": e.state.y, "stability": e.stability}
         print(f"{label:3s} x={e.state.x:10.2f}  y={e.state.y:10.2f}  {e.stability}")
     if eq.collision:
         print("warning: coexistence equilibria collide (pitchfork degeneracy)")
-    summary = _scenario_summary(scenario)
-    summary["equilibria"] = {
-        label: {"x": x, "y": y, "stability": s} for label, x, y, s in rows
-    }
-    summary["collision"] = eq.collision
+    summary = {"equilibria": table, "collision": eq.collision}
     if eq.eu is not None:
         xu, yu = secure_region(eq)
         summary["secure_region"] = {"x_u": xu, "y_u": yu}
         print(f"secure region: x < {xu:.2f} and y > {yu:.2f}")
-    out = _outdir(args)
-    fileio.write_summary(out / f"equilibria_{scenario.params.name}.json", summary)
-    return EXIT_OK
+    return EXIT_OK, summary, []
 
 
-def cmd_simulate(args) -> int:
-    cfg = _read_config(args.config)
-    scenario = _resolve_scenario(args, cfg)
-    opts = SimOptions(**_settings(args, cfg, "sim"))
+def cmd_simulate(args, settings, scenario):
+    if args.schedule and args.control:
+        raise UsageError("simulate takes --schedule or --control, not both")
+    opts = SimOptions(**settings["sim"])
     s0 = State(scenario.initial_wild, 0.0)
     if args.schedule:
         sched = fileio.read_schedule_csv(Path(args.schedule))
@@ -196,67 +204,48 @@ def cmd_simulate(args) -> int:
         traj = integrate(scenario.params, s0, None, (0.0, opts.t_end), opts)
         total = 0.0
     entry = first_basin_entry(traj, scenario.target)
-    out = _outdir(args)
     name = f"trajectory_{scenario.params.name}.csv"
-    fileio.write_trajectory_csv(out / name, traj)
-    summary = _scenario_summary(scenario)
-    summary.update(
-        {
-            "total_released": total,
-            "basin_entry_time": entry,
-            "feasible": entry is not None,
-            "final_state": {"x": traj.final_state[0], "y": traj.final_state[1]},
-            "trajectory_csv": name,
-        }
-    )
-    fileio.write_summary(out / f"simulate_{scenario.params.name}.json", summary)
+    summary = {
+        "total_released": total,
+        "basin_entry_time": entry,
+        "feasible": entry is not None,
+        "final_state": {"x": traj.final_state[0], "y": traj.final_state[1]},
+        "trajectory_csv": name,
+    }
     print(
         f"final state ({traj.final_state[0]:.1f}, {traj.final_state[1]:.1f}); "
         f"basin entry: {entry if entry is not None else 'never'}"
     )
-    return EXIT_OK
+    return EXIT_OK, summary, [(name, fileio.write_trajectory_csv, traj)]
 
 
-def cmd_ocp(args) -> int:
-    if args.reproduce:
-        return _reproduce_table2(args)
-    cfg = _read_config(args.config)
-    scenario = _resolve_scenario(args, cfg)
-    sol = solve(scenario.params, ocp_config(scenario, **_settings(args, cfg, "ocp")))
-    out = _outdir(args)
+def cmd_ocp(args, settings, scenario):
+    sol = solve(scenario.params, ocp_config(scenario, **settings["ocp"]))
     control_name = f"ocp_{scenario.params.name}_control.csv"
-    fileio.write_control_csv(out / control_name, sol)
-    summary = _scenario_summary(scenario)
-    summary.update(
-        {
-            "t_star": sol.control.t_star,
-            "total_released": sol.total_released,
-            "objective": sol.objective_j,
-            "residuals": sol.residuals,
-            "converged": sol.converged,
-            "stats": sol.stats,
-            "history": [row._asdict() for row in sol.history],
-            "control_csv": control_name,
-        }
-    )
-    fileio.write_summary(out / f"ocp_{scenario.params.name}_summary.json", summary)
+    summary = {
+        "t_star": sol.control.t_star,
+        "total_released": sol.total_released,
+        "objective": sol.objective_j,
+        "residuals": sol.residuals,
+        "converged": sol.converged,
+        "stats": sol.stats,
+        "history": [row._asdict() for row in sol.history],
+        "control_csv": control_name,
+    }
     print(
         f"t_star={sol.control.t_star:.4f}  total={sol.total_released:.1f}  "
         f"converged={sol.converged}"
     )
-    return EXIT_OK if sol.converged else EXIT_FAILED
+    status = EXIT_OK if sol.converged else EXIT_FAILED
+    return status, summary, [(control_name, fileio.write_control_csv, sol)]
 
 
-def cmd_impulsive(args) -> int:
+def cmd_impulsive(args, settings, scenario):
     if not args.control:
         raise UsageError("impulsive requires --control CONTROL_CSV")
-    cfg = _read_config(args.config)
-    scenario = _resolve_scenario(args, cfg)
     ctrl = fileio.read_control_csv(Path(args.control))
-    out = _outdir(args)
-    summary = _scenario_summary(scenario)
     name = scenario.params.name
-    cells = {}
+    cells, files = {}, []
     status = EXIT_OK
     for m, cell in impulsive_cells(scenario, ctrl, sorted({1, scenario.frequency})).items():
         key = "daily" if m == 1 else f"m{m}"
@@ -266,23 +255,19 @@ def cmd_impulsive(args) -> int:
             continue
         seq, rep = cell
         sched = seq.schedule()
-        fileio.write_schedule_csv(out / f"impulsive_{name}_{key}.csv", sched)
+        files.append((f"impulsive_{name}_{key}.csv", fileio.write_schedule_csv, sched))
         cells[key] = {**asdict(rep), "rule": sched.rule_tag}
         if not rep.feasible:
             status = EXIT_FAILED
-    summary["schedules"] = cells
-    fileio.write_summary(out / f"impulsive_{name}_summary.json", summary)
     for key, cell in cells.items():
         print(
             f"{key}: releases={cell['num_releases']} total={cell['overall_size']} "
             f"entry={cell['basin_entry_time']} rule={cell['rule']}"
         )
-    return status
+    return status, {"schedules": cells}, files
 
 
-def cmd_ga(args) -> int:
-    if args.reproduce:
-        return _reproduce_table4(args)
+def cmd_ga(args, settings, scenario):
     if args.seeds is not None:
         raise UsageError("--seeds applies only to --reproduce table4")
     loop_only = [f"--{k.replace('_', '-')}" for k in ("epsilon_step", "restarts")
@@ -291,13 +276,10 @@ def cmd_ga(args) -> int:
         raise UsageError(f"{', '.join(loop_only)} applies only to the epsilon loop (--epsilon0)")
     if args.horizon is not None and args.epsilon0 is not None:
         raise UsageError("--horizon does not apply to the epsilon loop (--epsilon0 starts it)")
-    cfg = _read_config(args.config)
-    scenario = _resolve_scenario(args, cfg)
     target = scenario.target
-    gcfg = ga_config(scenario, **_settings(args, cfg, "ga"))
-    out = _outdir(args)
+    gcfg = ga_config(scenario, **settings["ga"])
     name = scenario.params.name
-    summary = _scenario_summary(scenario)
+    files = []
     if args.epsilon0 is not None:
         loop_cfg = EpsilonLoopConfig(
             epsilon_0=args.epsilon0,
@@ -305,28 +287,23 @@ def cmd_ga(args) -> int:
             **({} if args.restarts is None else {"restarts_per_epsilon": args.restarts}),
         )
         res = epsilon_loop(loop_cfg, gcfg, scenario.params, target, scenario.initial_wild)
-        summary["stats"] = res.stats
         if res.best is None:
             print("no feasible plan at the initial horizon", file=sys.stderr)
-            summary["feasible"] = False
-            fileio.write_summary(out / f"ga_{name}_summary.json", summary)
-            return EXIT_FAILED
-        plan, report, horizon = res.best, res.report, res.horizon
-        summary["per_epsilon"] = [
-            {"epsilon": e, "best_j": j} for e, j in res.per_epsilon
-        ]
-        history = None
+            return EXIT_FAILED, {"stats": res.stats, "feasible": False}, files
+        plan, report, horizon, stats = res.best, res.report, res.horizon, res.stats
+        summary = {"per_epsilon": [{"epsilon": e, "best_j": j} for e, j in res.per_epsilon]}
     else:
         horizon = ga_cell(name, scenario.frequency).horizon if args.horizon is None else args.horizon
         if horizon <= 0 or horizon % scenario.frequency:
             raise UsageError("--horizon must be a positive multiple of the release period")
         result = run_ga(gcfg, horizon, scenario.params, target, scenario.initial_wild)
-        summary["stats"] = result.stats
-        plan, report, history = result.best, result.report, result.history
-        fileio.write_history_csv(out / f"ga_{name}_history.csv", history)
-    fileio.write_schedule_csv(out / f"ga_{name}_plan.csv", plan.schedule())
+        plan, report, stats = result.best, result.report, result.stats
+        summary = {}
+        files.append((f"ga_{name}_history.csv", fileio.write_history_csv, result.history))
+    files.append((f"ga_{name}_plan.csv", fileio.write_schedule_csv, plan.schedule()))
     summary.update(
         {
+            "stats": stats,
             "horizon": horizon,
             "j_value": report.j_value,
             "num_releases": plan.num_releases,
@@ -336,55 +313,47 @@ def cmd_ga(args) -> int:
             "ga_config": asdict(gcfg),
         }
     )
-    fileio.write_summary(out / f"ga_{name}_summary.json", summary)
     print(
         f"horizon={horizon}  J={report.j_value}  releases={plan.num_releases}  "
         f"feasible={report.feasible}"
     )
-    return EXIT_OK if report.feasible else EXIT_FAILED
+    return EXIT_OK if report.feasible else EXIT_FAILED, summary, files
 
 
-def cmd_phase(args) -> int:
+def cmd_phase(args, settings, scenario):
     if args.grid < 2:
         raise UsageError("--grid must be at least 2")
-    cfg = _read_config(args.config)
-    scenario = _resolve_scenario(args, cfg)
     eq = equilibria(scenario.params)
     bound = absorbing_bound(scenario.params)
     n = args.grid
     xs = np.linspace(0.0, 1.1 * bound, n)
     ys = np.linspace(0.0, 1.1 * bound, n)
-    rows = phase_field(scenario.params, xs, ys)
-    out = _outdir(args)
     name = scenario.params.name
-    fileio.write_phase_csv(out / f"phase_{name}.csv", rows)
-    summary = _scenario_summary(scenario)
-    summary["grid"] = {"n": n, "max": 1.1 * bound}
+    files = [(f"phase_{name}.csv", fileio.write_phase_csv, phase_field(scenario.params, xs, ys))]
+    summary = {"grid": {"n": n, "max": 1.1 * bound}}
     if eq.eu is not None:
         curve = separatrix(scenario.params)
-        fileio.write_separatrix_csv(out / f"separatrix_{name}.csv", curve)
+        files.append((f"separatrix_{name}.csv", fileio.write_separatrix_csv, curve))
         summary["separatrix_points"] = int(curve.shape[0])
-    fileio.write_summary(out / f"phase_{name}_summary.json", summary)
     print(f"wrote {n * n} field samples")
-    return EXIT_OK
+    return EXIT_OK, summary, files
 
 
-def _reproduce_settings(args, cfg: configparser.ConfigParser, section: str) -> tuple[dict, int]:
-    """The ``[section]`` settings and the seed of a ``--reproduce`` run.  It
-    runs the preset scenarios, so any other scenario setting exits 2."""
-    scenario = _settings(args, cfg, "scenario")
-    seed = scenario.pop("seed", 0)
-    rejected = [f"--{k.replace('_', '-')}/[scenario] {k}" for k in scenario]
+def _check_reproducible(args, settings: dict[str, dict]) -> None:
+    """``--reproduce`` runs the preset scenarios: any scenario setting but
+    the seed exits 2."""
+    rejected = [
+        f"--{k.replace('_', '-')}/[scenario] {k}" for k in settings["scenario"] if k != "seed"
+    ]
     rejected += [
         f"--{k.replace('_', '-')}"
         for k in ("params", "horizon", "epsilon0", "epsilon_step", "restarts")
         if getattr(args, k, None) is not None
     ]
-    if cfg.has_section("strain"):
+    if settings["strain"] and not args.params:
         rejected.append("[strain]")
     if rejected:
         raise UsageError(f"--reproduce runs the preset scenarios; it takes no {', '.join(rejected)}")
-    return _settings(args, cfg, section), seed
 
 
 def _print_rows(title: str, rows) -> None:
@@ -394,19 +363,17 @@ def _print_rows(title: str, rows) -> None:
         print(f"  {r.label:42s} {r.value:12.2f}  reference {r.reference:10.2f}  dev {dev:+7.2f}%")
 
 
-def _reproduce_table2(args) -> int:
-    overrides, _ = _reproduce_settings(args, _read_config(args.config), "ocp")
-    status = EXIT_OK
-    out = _outdir(args)
+def _reproduce_table2(args, settings):
+    status, files = EXIT_OK, []
     for name in PRESET_NAMES:
         scenario = build_scenario(preset(name))
         try:
-            sol = solve(scenario.params, ocp_config(scenario, **overrides))
+            sol = solve(scenario.params, ocp_config(scenario, **settings["ocp"]))
         except (CapInfeasibleError, NonConvergenceError) as err:
             print(f"{name}: OCP failed: {err}", file=sys.stderr)
             status = EXIT_FAILED
             continue
-        fileio.write_control_csv(out / f"ocp_{name}_control.csv", sol)
+        files.append((f"ocp_{name}_control.csv", fileio.write_control_csv, sol))
         rows, missing = table2(scenario, sol)
         for label in missing:
             print(f"{label}: does not enter the secure region", file=sys.stderr)
@@ -417,25 +384,25 @@ def _reproduce_table2(args) -> int:
             f"  note: the daily sizes are ceilings; the closest call is day {daily.ceiling_day} "
             f"(size {daily.sizes[daily.ceiling_day - 1]}), {daily.ceiling_margin:.4f} from an integer"
         )
-    return status
+    return status, files
 
 
-def _reproduce_table4(args) -> int:
+def _reproduce_table4(args, settings):
     n_seeds = 5 if args.seeds is None else args.seeds
     if n_seeds < 1:
         raise UsageError("--seeds must be at least 1")
-    overrides, first = _reproduce_settings(args, _read_config(args.config), "ga")
+    first = settings["scenario"].get("seed", 0)
     seeds = range(first, first + n_seeds)
     status = EXIT_OK
     for name in PRESET_NAMES:
         for freq in (1, 7, 14):
-            rows, best = table4(preset(name), freq, seeds, **overrides)
+            rows, best = table4(preset(name), freq, seeds, **settings["ga"])
             if best is None:
                 print(f"{name} p={freq}: no feasible plan found", file=sys.stderr)
                 status = EXIT_FAILED
                 continue
             _print_rows(f"=== discrete search: {name} p={freq} ===", rows)
-    return status
+    return status, []
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -457,7 +424,6 @@ def build_parser() -> argparse.ArgumentParser:
             "(use 7030 for the published per-hectare field density)",
         )
         p.add_argument("--out", "-o", help="output directory (or $WOLBOPT_OUTDIR)")
-        p.add_argument("--seed", type=int, default=None)
 
     p_eq = sub.add_parser("equilibria", help="equilibria, stability, secure region")
     common(p_eq)
@@ -481,7 +447,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_imp = sub.add_parser("impulsive", help="schedules from a solved control")
     common(p_imp)
-    p_imp.add_argument("--cap-l", type=float, default=None)
     p_imp.add_argument("--control", help="control CSV from the ocp stage")
     p_imp.add_argument("--frequency", type=int, default=None, help="release period in days")
     p_imp.set_defaults(func=cmd_impulsive)
@@ -489,6 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ga = sub.add_parser("ga", help="genetic search for discrete plans")
     common(p_ga)
     p_ga.add_argument("--cap-l", type=float, default=None)
+    p_ga.add_argument("--seed", type=int, default=None)
     p_ga.add_argument("--frequency", type=int, default=None)
     p_ga.add_argument("--horizon", type=int, default=None)
     p_ga.add_argument("--pop-n", type=int, default=None)
@@ -512,10 +478,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return _run(args, _resolve(args))
     # Bad input: a missing or unreadable file, a malformed config or CSV,
     # an out-of-range value.
     except (UsageError, UnknownStrainError, ValueError, OSError, configparser.Error) as err:

@@ -60,6 +60,11 @@ def test_params_file_overrides(tmp_path, capsys):
     override.write_text("not_a_field = 1\n")
     assert run(["equilibria", "--strain", "wmel", "--params", str(override)], tmp_path) == 2
     assert "unknown [strain] option 'not_a_field'" in capsys.readouterr().err
+    # A malformed line is named by the file's own number: the [strain]
+    # header put before a headerless file is not counted.
+    override.write_text("delta_n = 1/30\nsigma\n")
+    assert run(["equilibria", "--strain", "wmel", "--params", str(override)], tmp_path) == 2
+    assert "[line  2]: 'sigma" in capsys.readouterr().err
 
 
 def test_non_finite_settings_exit_2(tmp_path, capsys, monkeypatch):
@@ -85,6 +90,10 @@ def test_non_finite_settings_exit_2(tmp_path, capsys, monkeypatch):
         (["equilibria", *wmel, "--params", settings], "sigma = 1/0\n", "[strain] sigma"),
         (["equilibria", *wmel, "--params", settings], "sigma = nan\n", "[strain] sigma"),
         (["ocp", *wmel, "--config", settings], "[ocp]\nweight_p = 1/0\n", "[ocp] weight_p"),
+        # Every section's values are checked, whether or not the command reads them.
+        (["equilibria", *wmel, "--config", settings], "[ocp]\ngrid_n = abc\n", "[ocp] grid_n"),
+        (["phase", *wmel, "--config", settings], "[sim]\nt_end = nan\n", "[sim] t_end"),
+        (["simulate", *wmel, "--config", settings], "[ga]\npop_n = 1/0\n", "[ga] pop_n"),
     ):
         if text is not None:
             (tmp_path / "settings.ini").write_text(text)
@@ -216,6 +225,11 @@ def test_ga_rejects_flags_it_would_ignore(tmp_path, capsys):
     base = ["ga", "--strain", "wmel", "--frequency", "14", "--horizon", "14"]
     # 0 is a value, not "unset": it must not fall back to the default.
     loop = base[:-2] + ["--epsilon0", "28"]
+    sched, ctrl = tmp_path / "s.csv", tmp_path / "c.csv"
+    sched.write_text("day,size\n1,3000\n")
+    ctrl.write_text("t,u_star\n0,100\n1,0\n")
+    # simulate runs one input, so it rejects both rather than drop one.
+    both = ["simulate", "--strain", "wmel", "--schedule", str(sched), "--control", str(ctrl)]
     for argv, flag in (
         (base + ["--seeds", "9"], "--seeds"),
         (["ga", "--reproduce", "table4", "--restarts", "7"], "--restarts"),
@@ -225,10 +239,12 @@ def test_ga_rejects_flags_it_would_ignore(tmp_path, capsys):
         (base[:-1] + ["0"], "--horizon"),
         (loop + ["--epsilon-step", "0"], "step"),
         (loop + ["--restarts", "0"], "restarts"),
+        (both, "--schedule or --control"),
     ):
         assert run(argv, tmp_path) == 2
         assert flag in capsys.readouterr().err
     assert not (tmp_path / "ga_wmel_summary.json").exists()
+    assert not (tmp_path / "simulate_wmel.json").exists()
 
 
 def test_ocp_command_small_grid(tmp_path):
@@ -368,11 +384,19 @@ def test_config_file_unknown_stage_key(tmp_path, capsys):
         assert code == 2
         err = capsys.readouterr().err
         assert f"[{section}]" in err and (key in err or section == "gaa")
-    # The removed --t-init flag is a usage error too.
-    with pytest.raises(SystemExit) as exit_info:
-        main(["ocp", "--strain", "wmel", "--t-init", "30", "--out", str(tmp_path)])
-    assert exit_info.value.code == 2
-    capsys.readouterr()
+    # Removed flags are usage errors too: --t-init, impulsive's --cap-l (the
+    # release sizes come from the control) and --seed but for ga (only the
+    # GA draws random numbers).
+    for argv in (
+        ["ocp", "--strain", "wmel", "--t-init", "30"],
+        ["impulsive", "--strain", "wmel", "--control", "c.csv", "--cap-l", "100"],
+        ["ocp", "--reproduce", "table2", "--seed", "3"],
+        ["equilibria", "--strain", "wmel", "--seed", "3"],
+    ):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv + ["--out", str(tmp_path)])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
     # A config file without any section header is malformed, not a crash.
     cfg.write_text("strain = wmel\n")
     assert main(["equilibria", "--config", str(cfg), "--out", str(tmp_path)]) == 2
