@@ -244,6 +244,11 @@ def cmd_impulsive(args, settings, scenario):
     if not args.control:
         raise UsageError("impulsive requires --control CONTROL_CSV")
     ctrl = fileio.read_control_csv(Path(args.control))
+    if ctrl.cap_l > scenario.cap_l:
+        raise UsageError(
+            f"{args.control}: the control peaks at {ctrl.cap_l:g}/day, "
+            f"above cap_l = {scenario.cap_l:g}"
+        )
     name = scenario.params.name
     cells, files = {}, []
     status = EXIT_OK

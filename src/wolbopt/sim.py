@@ -2,22 +2,21 @@
 
 Two integrators.  ``rk4`` is the fixed-step RK4 pass on a uniform grid,
 for floats (the OCP forward and adjoint passes) or arrays (the GA batch
-kernel).  Everything else here runs scipy's adaptive RK45 (Dormand-Prince
-5(4) embedded pair) with dense output, one segment at a time through
-``_segment``.  Impulsive releases are pure jumps of the infected
-population between segments: the flow between release instants is the
-uncontrolled model.  A ``Trajectory`` is its rows, a release instant
-twice (pre, then post).
+kernel).  Everything else here runs ``solve_ivp``, the adaptive
+Dormand-Prince 5(4) pair with its quartic dense output, one segment at a
+time through ``_segment``.  Impulsive releases are pure jumps of the
+infected population between segments: the flow between release instants
+is the uncontrolled model.  A ``Trajectory`` is its rows, a release
+instant twice (pre, then post).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .model import (
     State,
@@ -142,6 +141,187 @@ def rk4(rhs, x, y, u: Sequence, h: float) -> tuple[list, list]:
     return xs, ys
 
 
+# The Dormand-Prince 5(4) pair (Dormand & Prince 1980) with Shampine's
+# (1986) quartic dense output and the step control of Hairer, Norsett &
+# Wanner (1993), sec. II.4: RMS error norm, safety 0.9, step factors in
+# [0.2, 10], no growth right after a rejection.  The numbers are scipy's
+# RK45.  ``_A``'s last row is the 5th-order weights: the 7th stage is the
+# derivative at the new state (first same as last).
+_C = (1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+_A = (
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+)
+_E = (-71 / 57600, 0.0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40)
+_P = np.array([
+    [1, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200 / 32700410799, -68118460800 / 10900136933,
+     87487479700 / 32700410799],
+    [0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072],
+    [0, 127303824393 / 49829197408, -318862633887 / 49829197408,
+     701980252875 / 199316789632],
+    [0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
+    [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
+])
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR, _ERR_EXP = 0.9, 0.2, 10.0, -1 / 5
+_EPS = np.finfo(float).eps
+
+
+def _rms(a: float, b: float) -> float:
+    return math.hypot(a, b) / math.sqrt(2.0)
+
+
+@dataclass(frozen=True)
+class DenseSolution:
+    """One ``solve_ivp`` run: its accepted steps and its cost.
+
+    A row of ``steps`` is (t_old, h, x_old, y_old, the seven stages' dx,
+    the seven stages' dy).  Calling the solution evaluates the steps'
+    quartic interpolants; a time on a step boundary reads the earlier
+    step at its end.
+    """
+
+    y0: tuple[float, float]
+    steps: np.ndarray
+    t_stop: float  # the span's end, or where the stop function hit 0
+    nfev: int
+
+    def __call__(self, ts: np.ndarray) -> np.ndarray:
+        """The states at ``ts`` (times inside the run), as rows (x, y)."""
+        ts = np.asarray(ts, dtype=float)
+        if not self.steps.size:
+            return np.tile(self.y0, (ts.size, 1))
+        st = self.steps
+        nodes = np.append(st[:, 0], self.t_stop)
+        seg = np.clip(np.searchsorted(nodes, ts, side="left") - 1, 0, len(st) - 1)
+        t_old, h = st[seg, 0], st[seg, 1]
+        p = np.cumprod(np.tile((ts - t_old) / h, (4, 1)), axis=0)  # s, s^2, s^3, s^4
+        out = np.empty((ts.size, 2))
+        for i in range(2):
+            q = (st[:, 4 + 7 * i:11 + 7 * i] @ _P)[seg]  # each sample's step polynomial
+            out[:, i] = h * np.einsum("mj,jm->m", q, p) + st[seg, 2 + i]
+        return out
+
+
+def _finite(f: tuple[float, float], t: float) -> tuple[float, float]:
+    if not (math.isfinite(f[0]) and math.isfinite(f[1])):
+        raise IntegrationError(f"non-finite derivative {tuple(f)} at t={t:g}")
+    return f
+
+
+def _initial_step(fun, t0, x0, y0, fx, fy, t1, max_step, rtol, atol) -> float:
+    """Hairer, Norsett & Wanner's first step (sec. II.4) for order 4."""
+    span = t1 - t0
+    sx, sy = atol + abs(x0) * rtol, atol + abs(y0) * rtol
+    d0, d1 = _rms(x0 / sx, y0 / sy), _rms(fx / sx, fy / sy)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, span)
+    gx, gy = _finite(fun(t0 + h0, x0 + h0 * fx, y0 + h0 * fy), t0 + h0)
+    d2 = _rms((gx - fx) / sx, (gy - fy) / sy) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+    return min(100 * h0, h1, span, max_step)
+
+
+def solve_ivp(
+    fun: Callable[[float, float, float], tuple[float, float]],
+    span: tuple[float, float],
+    y0: tuple[float, float],
+    rtol: float,
+    atol: float,
+    max_step: float = math.inf,
+    stop: Optional[Callable[[float, float, float], float]] = None,
+) -> DenseSolution:
+    """Adaptive Dormand-Prince 5(4) for the two-component system
+    (x, y)' = ``fun(t, x, y)`` over ``span``, run forward on floats.
+
+    ``stop(t, x, y)``, when given, ends the run where it first falls
+    through 0: at the root on the step's interpolant (to 4 ulp).
+
+    Raises:
+        IntegrationError: A derivative or a step is not finite, or the
+            step falls below 10 ulp of t.
+        ValueError: ``span`` runs backward.
+    """
+    t, t1 = float(span[0]), float(span[1])
+    if t1 < t:
+        raise ValueError(f"span ({t:g}, {t1:g}) runs backward")
+    x0, y0 = x, y = float(y0[0]), float(y0[1])
+    fx, fy = _finite(fun(t, x, y), t)
+    if t1 == t:
+        return DenseSolution((x0, y0), np.empty((0, 18)), t1, 1)
+    h_abs = _initial_step(fun, t, x, y, fx, fy, t1, max_step, rtol, atol)
+    nfev = 2
+    g = stop(t, x, y) if stop else 0.0
+    steps = []
+    while t < t1:
+        min_step = 10.0 * (math.nextafter(t, math.inf) - t)
+        h_abs = min(max(h_abs, min_step), max_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                raise IntegrationError(f"step {h_abs:.3e} below 10 ulp at t={t:g}")
+            t_new = min(t + h_abs, t1)
+            h = h_abs = t_new - t  # as taken: rounded, or cut at the span's end
+            kx, ky = [fx], [fy]
+            for c, a in zip(_C, _A):
+                dx = dy = 0.0
+                for ai, kxi, kyi in zip(a, kx, ky):
+                    dx += ai * kxi
+                    dy += ai * kyi
+                x_new, y_new = x + dx * h, y + dy * h
+                gx, gy = fun(t + c * h, x_new, y_new)
+                kx.append(gx)
+                ky.append(gy)
+            nfev += 6
+            ex = ey = 0.0
+            for ei, kxi, kyi in zip(_E, kx, ky):
+                ex += ei * kxi
+                ey += ei * kyi
+            err = _rms(
+                ex * h / (atol + max(abs(x), abs(x_new)) * rtol),
+                ey * h / (atol + max(abs(y), abs(y_new)) * rtol),
+            )
+            if not math.isfinite(err):
+                raise IntegrationError(f"non-finite derivative in a step from t={t:g}")
+            if err < 1.0:
+                factor = _MAX_FACTOR if err == 0 else min(_MAX_FACTOR, _SAFETY * err**_ERR_EXP)
+                h_abs *= min(1.0, factor) if rejected else factor
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * err**_ERR_EXP)
+            rejected = True
+        steps.append((t, h, x, y, *kx, *ky))
+        t, x, y, fx, fy = t_new, x_new, y_new, kx[-1], ky[-1]
+        if stop:
+            g_new = stop(t, x, y)
+            if g >= 0.0 >= g_new:
+                sol = DenseSolution((x0, y0), np.array(steps), t, nfev)
+                return replace(sol, t_stop=_falling_root(stop, sol))
+            g = g_new
+    return DenseSolution((x0, y0), np.array(steps), t1, nfev)
+
+
+def _falling_root(stop, sol: DenseSolution) -> float:
+    """Bisect ``stop`` along the last step's interpolant, from its start
+    (>= 0) to its end (<= 0), to 4 ulp of the root."""
+    lo, hi = float(sol.steps[-1, 0]), sol.t_stop
+    while hi - lo > 4.0 * _EPS * (1.0 + abs(hi)):
+        mid = 0.5 * (lo + hi)
+        x, y = sol(np.array([mid]))[0]
+        if stop(mid, x, y) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
 def _segment(
     params: StrainParams,
     state0: tuple[float, float],
@@ -149,26 +329,18 @@ def _segment(
     u_fn: Callable[[float], float],
     opts: SimOptions,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Adaptive RK45 over ``span``, sampled every ``SAMPLE_STRIDE`` days
+    """``solve_ivp`` over ``span``, sampled every ``SAMPLE_STRIDE`` days
     (both ends included) and clamped at zero; returns (times, states)."""
     rhs = make_rhs(params)
-
-    def f(t, z):
-        return rhs(z[0], z[1], u_fn(t))
-
     sol = solve_ivp(
-        f,
+        lambda t, x, y: rhs(x, y, float(u_fn(t))),
         span,
         state0,
-        method="RK45",
         rtol=opts.rel_tol,
         atol=opts.abs_tol,
-        dense_output=True,
     )
-    if not sol.success:
-        raise IntegrationError(sol.message)
     ts = _sample_times(span[0], span[1], SAMPLE_STRIDE)
-    states = sol.sol(ts).T
+    states = sol(ts)
     low = states.min()
     if low < -opts.abs_tol * 100.0:
         raise IntegrationError(
@@ -303,18 +475,15 @@ def separatrix(params: StrainParams) -> np.ndarray:
     bound = 1.5 * absorbing_bound(params)
     rhs = make_rhs(params)
 
-    def backward_unit(s, z):
-        dx, dy = rhs(z[0], z[1], 0.0)
+    def backward_unit(s, x, y):
+        dx, dy = rhs(x, y, 0.0)
         speed = math.hypot(dx, dy)
         if speed < 1e-14:
             return (0.0, 0.0)
         return (-dx / speed, -dy / speed)
 
-    def leave(s, z):
-        return min(z[0], z[1], bound - (z[0] + z[1]))
-
-    leave.terminal = True
-    leave.direction = -1.0
+    def leave(s, x, y):
+        return min(x, y, bound - (x + y))
 
     branches = []
     scale = SEPARATRIX_OFFSET * float(np.linalg.norm(saddle))
@@ -325,18 +494,13 @@ def separatrix(params: StrainParams) -> np.ndarray:
             backward_unit,
             (0.0, s_max),
             z0,
-            method="RK45",
             rtol=SimOptions.rel_tol,
             atol=SimOptions.abs_tol,
             max_step=5.0 * SEPARATRIX_ARC_STRIDE,
-            dense_output=True,
-            events=leave,
+            stop=leave,
         )
-        if not sol.success:
-            raise IntegrationError(sol.message)
-        s_stop = float(sol.t[-1])
-        ss = _sample_times(0.0, s_stop, SEPARATRIX_ARC_STRIDE)
-        branches.append(np.clip(sol.sol(ss).T, 0.0, None))
+        ss = _sample_times(0.0, sol.t_stop, SEPARATRIX_ARC_STRIDE)
+        branches.append(np.clip(sol(ss), 0.0, None))
 
     plus, minus = branches
     curve = np.vstack([minus[::-1], saddle, plus])

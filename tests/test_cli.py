@@ -293,6 +293,23 @@ def test_impulsive_command_from_control(tmp_path):
     assert [t for t, _ in sched.entries] == [1.0, 8.0]
 
 
+def test_impulsive_rejects_control_above_cap(tmp_path, capsys):
+    # The release sizes come from the control, so a control that peaks
+    # above the scenario's cap would give schedules that break it.
+    control = tmp_path / "c.csv"
+    control.write_text("t,u_star,lambda1,lambda2\n0,750,0,0\n1,750,0,0\n2,0,0,0\n")
+    cfg = tmp_path / "c.ini"
+    cfg.write_text("[scenario]\ncap_l = 100\n")
+    code = run(
+        ["impulsive", "--strain", "wmel", "--control", str(control), "--config", str(cfg)],
+        tmp_path,
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "750" in err and "100" in err
+    assert not list(tmp_path.glob("impulsive_*"))
+
+
 def test_trajectory_csv_jump_rows(tmp_path, wmel):
     sched = ImpulseSchedule(entries=((2.0, 500),))
     traj = simulate_impulsive(wmel, State(6000.0, 0.0), sched, SimOptions(t_end=5.0))
