@@ -95,11 +95,12 @@ def make_rhs(
     return rhs
 
 
-def make_jacobian(params: StrainParams) -> Callable[[float, float], tuple[float, float, float, float]]:
-    """Return a scalar closure (x, y) -> row-major entries of d(rhs)/d(x,y).
+def make_jacobian(params: StrainParams) -> Callable:
+    """Return the closure (x, y) -> row-major entries of d(rhs)/d(x,y).
 
-    Valid for x + y > 0; the origin uses the along-axes limit (see
-    ``jacobian``).
+    It runs on floats or elementwise on arrays (``np.exp``): the OCP's
+    adjoint pass calls it on every grid step at once.  Valid for x + y > 0;
+    the origin uses the along-axes limit (see ``jacobian``).
     """
     rho_n = params.rho_n
     eta = params.eta
@@ -110,11 +111,10 @@ def make_jacobian(params: StrainParams) -> Callable[[float, float], tuple[float,
     delta_n = params.delta_n
     decay_w = params.omega + params.delta_w
     sigma = params.sigma
-    exp = math.exp
 
-    def jac(x: float, y: float) -> tuple[float, float, float, float]:
+    def jac(x, y):
         s = x + y
-        e = exp(-sigma * s)
+        e = np.exp(-sigma * s)
         a = x * (x + one_eta * y)
         inv_s = 1.0 / s
         g = rho_n * a * inv_s

@@ -8,15 +8,18 @@ of lambda2 to [0, L]; the optimal horizon satisfies H(T) = 0.
 
 Solver: forward-backward sweeps on a fixed horizon where the unknown
 terminal multiplier mu = lambda1(T) enforces the terminal state.  Both
-passes run ``sim.rk4``, the backward one from T with the state as drive.
-The adjoint system is linear in its terminal value, so each sweep needs
-one unit backward pass; the multiplier is then located by forward passes
-only, from the previous multiplier by a Newton step whose slope the same
-unit adjoint gives, then secant steps, kept inside a bracket by Illinois
-false position.  Sweeps are relaxed and Anderson(1)-accelerated.
-Illinois false position on T drives H(T) to zero; a horizon whose sweep
-does not settle has no value.  The bracket's short end comes from one
-full-capacity pass, its long end from 1.2x steps.
+passes run ``sim.rk4``, the forward one on floats.  The adjoint system is
+linear in its terminal value, so each sweep needs one unit backward pass:
+one ``rk4`` step on arrays over every grid step gives the steps' 2x2
+transition matrices, and a scan of those from T the unit adjoint.  The
+multiplier is then located by forward passes only: the first at the root
+of a first-order model of x(T) in mu (no pass needed), then a Newton step
+whose slope the unit adjoint gives, then secant steps, kept inside a
+bracket by Illinois false position.  Sweeps are relaxed and
+Anderson(1)-accelerated.  Illinois false position on T drives H(T) to
+zero; a horizon whose sweep does not settle has no value, and one far from
+the root is settled only to the sign of its H(T).  The bracket's short end
+comes from one full-capacity pass, its long end from 1.2x steps.
 """
 
 from __future__ import annotations
@@ -40,6 +43,10 @@ class NonConvergenceError(RuntimeError):
     """Iteration budget exhausted before residuals met tolerances."""
 
 
+class CoarseGridError(ValueError):
+    """The grid is too coarse for RK4 to follow the full-capacity pass."""
+
+
 # A solution converges when its boundary and clamp residuals are within
 # TOL_BC and |H(T)| within TOL_H.
 TOL_BC = 0.5
@@ -50,6 +57,12 @@ SWEEP_RELAXATION = 0.5
 # H(T) evaluations a solve may spend, and the longest horizon it tries.
 MAX_OUTER_ITERATIONS = 100
 MAX_HORIZON = 400.0
+# Far from the root a sweep may stop once its control change is below
+# SIGN_DU_REL of the cap while |H(T)| > SIGN_H: from cold starts, H(T) at
+# that change stayed within 4.3e3 of its value at a 2e-5 change (13
+# horizons of both strains, grids 100 and 2000), a tenfold margin on the sign.
+SIGN_DU_REL = 1e-2
+SIGN_H = 250.0 * TOL_H
 
 
 @dataclass(frozen=True)
@@ -96,12 +109,15 @@ STATS_KEYS = (
 
 class HorizonStep(NamedTuple):
     """One H(T) evaluation: its horizon, H(T) (None when the horizon has no
-    value), and the sweeps and forward passes it cost."""
+    value), the sweeps and forward passes it cost, and how its sweep was
+    settled: "sign" (far from the root, to the sign of H(T)), "normal",
+    "tight" (near the root), or None when the horizon has no value."""
 
     T: float
     h_terminal: Optional[float]
     sweeps: int
     forward_passes: int
+    settled: Optional[str]
 
 
 @dataclass(frozen=True)
@@ -134,9 +150,9 @@ def objective(control: ContinuousControl, weight_p: float) -> float:
 
 def _adjoint_field(jac):
     """The adjoint system as an ``rk4`` field (l1, l2, z) -> -J(z)^T (l1, l2)
-    with the state as a complex drive z = x + iy.  J(z) is kept while ``rk4``
-    passes the same z object (to k2 and k3, and to a step's first node after
-    the previous step's last): 2n + 1 Jacobians a pass, not 3n.
+    with the state as a complex drive z = x + iy, floats or arrays.  J(z) is
+    kept while ``rk4`` passes the same z object (k2 and k3 share the
+    midpoint), so one step makes 3 Jacobian calls, not 4.
     """
     last = [None, None]
 
@@ -179,19 +195,43 @@ class _Bracket:
             self.a, self.fa, self.moved = m, fm, "a"
 
 
-def _mu_slope(phi2: list[float], u: list[float], h: float, cap: float) -> float:
+def _mu_slope(phi2: np.ndarray, u: np.ndarray, h: float, cap: float) -> float:
     """dx(T)/dmu under u = clamp(mu phi2): x(T) responds to u(t) by phi2(t)
     and du/dmu = phi2 where the clamp is inactive, so the slope is the
     trapezoid sum of phi2^2 over the unclamped nodes."""
-    s = sum(v * v for v, w in zip(phi2, u) if 0.0 < w < cap)
-    for i in (0, -1):  # the end nodes carry half weight
-        if 0.0 < u[i] < cap:
-            s -= 0.5 * phi2[i] * phi2[i]
-    return h * s
+    s = np.where((u > 0.0) & (u < cap), phi2 * phi2, 0.0)
+    return h * float(s.sum() - 0.5 * (s[0] + s[-1]))
 
 
-# Passes a mu search may spend.
+def _predict_mu(
+    phi2: np.ndarray, u: np.ndarray, r_base: float, h: float, cap: float, mu: float, xtol: float
+) -> float:
+    """The root of the first-order model of x(T) - x_target in mu, made about
+    the forward pass under ``u`` (residual ``r_base``): r(mu) = r_base +
+    h sum' phi2 (clamp(mu phi2) - u), with ``_mu_slope``'s trapezoid weights.
+
+    For mu < 0 the model is increasing and convex (more nodes reach the cap
+    as mu falls), so Newton's steps from ``mu`` settle on its root without a
+    pass; the previous ``mu`` is kept when they cannot.
+    """
+    w = h * phi2
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    r_const = r_base - float(w @ u)
+    m = mu
+    for _ in range(_PREDICT_STEPS):
+        v = np.clip(m * phi2, 0.0, cap)
+        r = r_const + float(w @ v)
+        slope = _mu_slope(phi2, v, h, cap)
+        if abs(r) < xtol or slope <= 0.0:
+            break
+        m -= r / slope
+    return m if m < 0.0 else mu
+
+
+# Passes a mu search may spend, and Newton steps on its first-order model.
 _MU_ITERATIONS = 60
+_PREDICT_STEPS = 8
 # A sweep whose control change sets no new low for this many sweeps in a
 # row has locked into a cycle or is diverging; at grid 100 a settling one
 # never went more than 2, at either strain and x0 from x# - 50 to x# + 600.
@@ -215,23 +255,40 @@ class _Sweeper:
 
     def _backward(self, xs: list[float], ys: list[float], h: float):
         """Adjoints from the unit terminal data (1, 0) back to t = 0; the
-        system is linear, so lambda1(T) = mu scales them."""
+        system is linear, so lambda1(T) = mu scales them.
+
+        One ``rk4`` step on arrays runs every grid step at once, backward
+        from node i + 1 to node i with drive [z_{i+1}, z_i], from both unit
+        vectors: it gives each step's 2x2 transition matrix.  A scan of
+        those matrices from T then carries (1, 0) back to t = 0.
+        """
         self.stats["backward_passes"] += 1
-        zs = [complex(x, y) for x, y in zip(reversed(xs), reversed(ys))]
-        p1, p2 = rk4(self.adj, 1.0, 0.0, zs, -h)
-        return p1[::-1], p2[::-1]
+        z = np.array(xs) + 1j * np.array(ys)
+        unit = np.eye(2)[:, :, None]  # row k of (l1, l2) starts from e_k
+        (_, l1), (_, l2) = rk4(self.adj, unit[0], unit[1], [z[1:], z[:-1]], -h)
+        (r11, r12), (r21, r22) = l1.tolist(), l2.tolist()
+        n = len(r11)
+        p1, p2 = [1.0] * (n + 1), [0.0] * (n + 1)
+        a, b = 1.0, 0.0
+        for i in range(n - 1, -1, -1):
+            a, b = r11[i] * a + r12[i] * b, r21[i] * a + r22[i] * b
+            p1[i], p2[i] = a, b
+        return np.array(p1), np.array(p2)
 
     def _mu_search(
-        self, phi2: list[float], h: float, mu_guess: float, r_zero: float, xtol: float
+        self, phi2: np.ndarray, u: np.ndarray, r_base: float, h: float,
+        mu_guess: float, r_zero: float, xtol: float,
     ):
         """Locate mu < 0 with x(T) = x_target; forward passes only.
 
         ``r_zero`` > 0 is the residual at mu = 0, the positive end of every
-        bracket.  The first pass is at the previous multiplier; the first
-        step is Newton's with the adjoint slope (``_mu_slope``), later ones
-        are secants through the last two points.  A step that leaves the
-        known bracket takes the bracket's Illinois point instead, and while
-        no negative end is known mu doubles.
+        bracket.  The first pass is at the root of the first-order model
+        made about the last forward pass, under ``u`` with residual
+        ``r_base`` (``_predict_mu``); the first step is Newton's with the
+        adjoint slope (``_mu_slope``), later ones are secants through the
+        last two points.  A step that leaves the known bracket takes the
+        bracket's Illinois point instead, and while no negative end is known
+        mu doubles.
         """
         cap = self.cfg.cap_l
         stats = self.stats
@@ -239,19 +296,23 @@ class _Sweeper:
         passes_before = stats["forward_passes"]
 
         def resid(mu: float):
-            u = [min(max(mu * v, 0.0), cap) for v in phi2]
-            xs, ys = self._forward(u, h)
+            u = np.clip(mu * phi2, 0.0, cap)
+            xs, ys = self._forward(u.tolist(), h)
             return xs[-1] - self.x_target, (mu, u, xs, ys)
 
         try:
             mu = mu_guess if mu_guess < -1.0 else -1000.0
+            mu = _predict_mu(phi2, u, r_base, h, cap, mu, xtol)
             pos = (0.0, r_zero)  # the residual rises with mu
             bracket = prev = None
             for _ in range(_MU_ITERATIONS):
                 r, found = resid(mu)
-                if abs(r) < xtol:
-                    return found
                 slope = _mu_slope(phi2, found[1], h, cap)
+                # H(T) = -P + mu f1(T), so the multiplier's error r / slope
+                # leaves |r f1 / slope| in H(T): keep that within TOL_H too.
+                f1 = self.rhs(found[2][-1], found[3][-1], 0.0)[0]
+                if abs(r) < xtol and (slope == 0.0 or abs(r * f1) <= TOL_H * slope):
+                    return found
                 if slope == 0.0 and r > 0.0:
                     # Every node sits on a clamp that a more negative mu keeps.
                     raise CapInfeasibleError("terminal target unreachable under cap_l")
@@ -285,14 +346,21 @@ class _Sweeper:
         mu: float,
         max_sweeps: int = 120,
         du_tol_rel: float = 1e-4,
+        sign_only: bool = False,
     ):
         """The settled sweep at horizon T.
+
+        With ``sign_only`` the sweep also stops once its control change is
+        below ``SIGN_DU_REL`` of the cap while |H(T)| exceeds ``SIGN_H``: only
+        the sign of such an H(T) enters the outer bracket.  ``settled`` in
+        the result says which test stopped it ("sign" or "normal").
 
         Raises CapInfeasibleError when no multiplier reaches the target and
         NonConvergenceError when the sweep does not settle: either way the
         horizon has no value.
         """
         n = self.cfg.grid_n
+        cap = self.cfg.cap_l
         h = T / n
         alpha = SWEEP_RELAXATION
         # A copy: an unusable horizon must not poison the caller's warm start.
@@ -307,19 +375,27 @@ class _Sweeper:
             )
         # The multiplier tolerance sets the sweep noise floor; keep it a
         # fraction of the control tolerance being asked for.
-        xtol = max(0.2 * du_tol_rel * self.cfg.cap_l, 1e-6)
+        xtol = max(0.2 * du_tol_rel * cap, 1e-6)
         xs, ys = self._forward(u.tolist(), h)
-        settled = False
+        settled = None
         best_du, stalled = math.inf, 0
         last = None  # (u, f, du) of the previous sweep
         for sweep in range(max_sweeps):
             self.stats["sweeps"] += 1
-            phi1, phi2 = self._backward(xs, ys, h)
-            mu, u_star, xs, ys = self._mu_search(phi2, h, mu, r_zero, xtol)
-            f = np.array(u_star) - u
+            _, phi2 = self._backward(xs, ys, h)
+            mu, u_star, xs, ys = self._mu_search(
+                phi2, u, xs[-1] - self.x_target, h, mu, r_zero, xtol
+            )
+            f = u_star - u
             du = float(np.max(np.abs(f)))
-            if du < du_tol_rel * self.cfg.cap_l:
-                u, settled = u_star, True
+            # H(T) at lambda(T) = (mu, 0), where the control is clamp(0) = 0.
+            h_T = _hamiltonian(self.rhs(xs[-1], ys[-1], 0.0), mu, 0.0, 0.0, self.cfg.weight_p)
+            if du < du_tol_rel * cap:
+                settled = "normal"
+            elif sign_only and du < SIGN_DU_REL * cap and abs(h_T) > SIGN_H:
+                settled = "sign"
+            if settled:
+                u = u_star
                 break
             best_du, stalled = (du, 0) if du < best_du else (best_du, stalled + 1)
             if stalled == _STALL_SWEEPS:
@@ -333,7 +409,7 @@ class _Sweeper:
                 theta = float(df @ f) / float(df @ df)
                 step -= theta * ((u - last[0]) + alpha * df)
             last = u, f, du
-            u = np.clip(u + step, 0.0, self.cfg.cap_l)
+            u = np.clip(u + step, 0.0, cap)
             xs, ys = self._forward(u.tolist(), h)
         if not settled:
             raise NonConvergenceError(
@@ -341,15 +417,9 @@ class _Sweeper:
             )
         # xs, ys are the states under u = u_star from the multiplier search.
         phi1, phi2 = self._backward(xs, ys, h)
-        l1 = [mu * v for v in phi1]
-        l2 = [mu * v for v in phi2]
-        u_T = min(max(l2[-1], 0.0), self.cfg.cap_l)
-        h_T = _hamiltonian(
-            self.rhs(xs[-1], ys[-1], 0.0), l1[-1], l2[-1], u_T, self.cfg.weight_p
-        )
         return dict(
-            u=u, xs=xs, ys=ys, l1=l1, l2=l2, mu=mu, h=h,
-            h_terminal=h_T, x_terminal=xs[-1], sweep_delta=du,
+            u=u, xs=xs, ys=ys, l1=mu * phi1, l2=mu * phi2, mu=mu, h=h,
+            h_terminal=h_T, x_terminal=xs[-1], sweep_delta=du, settled=settled,
         )
 
 
@@ -357,6 +427,7 @@ def solve(params: StrainParams, cfg: OCPConfig) -> OCPSolution:
     """Solve the free-time problem; see module docstring for the contract.
 
     Raises:
+        CoarseGridError: the full-capacity pass overflows at this grid_n.
         CapInfeasibleError: a full-capacity pass does not reach the target
             within MAX_HORIZON days (cap_l too small).
         NonConvergenceError: no horizon up to MAX_HORIZON has H(T) <= 0, or
@@ -378,16 +449,16 @@ def solve(params: StrainParams, cfg: OCPConfig) -> OCPSolution:
 
     def H_at(T: float, tight: bool = False):
         nonlocal u, mu
-        kwargs = dict(max_sweeps=300, du_tol_rel=2e-5) if tight else {}
+        kwargs = dict(max_sweeps=300, du_tol_rel=2e-5) if tight else dict(sign_only=True)
         before = sweeper.stats["sweeps"], sweeper.stats["forward_passes"]
-        h_T = None
+        h_T = settled = None
         try:
             out = sweeper.converge(T, u, mu, **kwargs)  # no value: u, mu stay as they were
-            h_T = out["h_terminal"]
+            h_T, settled = out["h_terminal"], "tight" if tight else out["settled"]
         finally:
             history.append(HorizonStep(
                 T, h_T, sweeper.stats["sweeps"] - before[0],
-                sweeper.stats["forward_passes"] - before[1],
+                sweeper.stats["forward_passes"] - before[1], settled,
             ))
         u, mu = out["u"], out["mu"]
         return out
@@ -397,7 +468,15 @@ def solve(params: StrainParams, cfg: OCPConfig) -> OCPSolution:
     # No control reaches the target sooner than full capacity does, so the
     # node before that pass crosses it is a short end that needs no value.
     h_max = MAX_HORIZON / n
-    xs, _ = sweeper._forward([cfg.cap_l] * (n + 1), h_max)
+    try:
+        xs, ys = sweeper._forward([cfg.cap_l] * (n + 1), h_max)
+    except OverflowError:
+        xs = ys = [math.inf]
+    if not math.isfinite(sum(xs) + sum(ys)):
+        raise CoarseGridError(
+            f"grid_n={n} is too coarse: the full-capacity pass over {MAX_HORIZON:g} "
+            f"days in steps of {h_max:.3g} days overflows"
+        )
     crossing = next((i for i, x in enumerate(xs) if x <= x_target), None)
     if crossing is None:
         raise CapInfeasibleError(

@@ -29,12 +29,9 @@ from wolbopt.scenarios import (
     table2,
     table4,
 )
-from wolbopt.sim import (
-    SimOptions,
-    classify_endpoint,
-    separatrix,
-    separatrix_height,
-)
+from wolbopt.sim import SimOptions, separatrix
+
+from oracles import classify_endpoint, separatrix_height
 
 LONG = SimOptions(t_end=600.0)
 

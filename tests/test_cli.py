@@ -247,6 +247,15 @@ def test_ga_rejects_flags_it_would_ignore(tmp_path, capsys):
     assert not (tmp_path / "simulate_wmel.json").exists()
 
 
+def test_ocp_grid_too_coarse_exits_2(tmp_path, capsys):
+    """At grid 12 the full-capacity pass that starts the horizon bracket
+    takes 33-day RK4 steps and overflows: a message naming grid_n, exit 2,
+    and no files."""
+    assert run(["ocp", "--strain", "wmelpop", "--grid-n", "12"], tmp_path) == 2
+    assert "grid_n=12" in capsys.readouterr().err
+    assert not tmp_path.exists() or not any(tmp_path.iterdir())
+
+
 def test_ocp_command_small_grid(tmp_path):
     code = run(
         ["ocp", "--strain", "wmel", "--grid-n", "600"],
@@ -260,7 +269,9 @@ def test_ocp_command_small_grid(tmp_path):
     assert summary["stats"]["forward_passes"] > summary["stats"]["sweeps"] > 0
     history = summary["history"]
     assert len(history) == summary["stats"]["outer_evaluations"]
-    assert set(history[0]) == {"T", "h_terminal", "sweeps", "forward_passes"}
+    assert set(history[0]) == {"T", "h_terminal", "sweeps", "forward_passes", "settled"}
+    assert {row["settled"] for row in history} <= {"sign", "normal", "tight", None}
+    assert history[-1]["settled"] == "tight"
     # Every sweep is spent inside some H(T) evaluation, and so is every
     # forward pass but one: the full-capacity pass that starts the bracket.
     assert sum(row["sweeps"] for row in history) == summary["stats"]["sweeps"]

@@ -72,9 +72,20 @@ def test_adjoint_rhs_matches_hamiltonian_gradient(wmel, wmelpop):
             assert got[1] == pytest.approx(-dh_dy, rel=1e-6, abs=1e-9)
 
 
-def test_backward_pass_reuses_jacobians(wmel, monkeypatch):
-    """One adjoint pass evaluates J at each node and each step midpoint
-    once, 2n + 1 calls; a second pass reuses nothing from the first."""
+def _sequential_adjoint(params, xs, ys, h):
+    """The oracle: the unit adjoint pass run by ``rk4`` node by node on
+    floats, back from T with the state as a complex drive."""
+    zs = [complex(x, y) for x, y in zip(reversed(xs), reversed(ys))]
+    p1, p2 = rk4(ocp._adjoint_field(make_jacobian(params)), 1.0, 0.0, zs, -h)
+    return p1[::-1], p2[::-1]
+
+
+@pytest.mark.parametrize("name", ["wmel", "wmelpop"])
+def test_array_adjoint_pass_matches_sequential_rk4(name, wmel, wmelpop, monkeypatch):
+    """The adjoint pass as one array RK4 step over every grid step and a
+    scan of the steps' transition matrices agrees with the sequential pass,
+    and makes 3 Jacobian calls (k1, the shared midpoint, k4) per pass."""
+    params = {"wmel": wmel, "wmelpop": wmelpop}[name]
     calls = 0
     make = ocp.make_jacobian
 
@@ -89,14 +100,23 @@ def test_backward_pass_reuses_jacobians(wmel, monkeypatch):
         return counted
 
     monkeypatch.setattr(ocp, "make_jacobian", counting)
-    sc = build_scenario(wmel)
-    n, h = 50, 0.25
-    sweeper = _Sweeper(wmel, ocp_config(sc, grid_n=n), sc.initial_wild, 100.0)
-    xs, ys = sweeper._forward([100.0] * (n + 1), h)
-    first = sweeper._backward(xs, ys, h)
-    assert calls == 2 * n + 1
-    assert sweeper._backward(list(xs), list(ys), h) == first
-    assert calls == 2 * (2 * n + 1)
+    sc = build_scenario(params)
+    cfg = ocp_config(sc, grid_n=200)
+    T = {"wmel": 13.73, "wmelpop": 57.47}[name]
+    h = T / cfg.grid_n
+    x_target = equilibria(params).eu.state.x - 1.0
+    sweeper = _Sweeper(params, cfg, sc.initial_wild, x_target)
+    u = np.clip(np.linspace(1.2, -0.3, cfg.grid_n + 1) * cfg.cap_l, 0.0, cfg.cap_l)
+    xs, ys = sweeper._forward(u.tolist(), h)
+    phi1, phi2 = sweeper._backward(xs, ys, h)
+    assert calls == 3
+    o1, o2 = _sequential_adjoint(params, xs, ys, h)
+    assert phi1 == pytest.approx(o1, rel=1e-12)
+    assert phi2 == pytest.approx(o2, rel=1e-12, abs=1e-12 * max(map(abs, o2)))
+    assert (phi1[-1], phi2[-1]) == (1.0, 0.0)
+    again = sweeper._backward(list(xs), list(ys), h)
+    assert calls == 6
+    assert again[0].tobytes() == phi1.tobytes() and again[1].tobytes() == phi2.tobytes()
 
 
 def test_negative_states_unrepresentable():
@@ -300,13 +320,37 @@ def test_mu_slope_matches_finite_difference(name, wmel, wmelpop):
     _, phi2 = sweeper._backward(out["xs"], out["ys"], h)
 
     def x_final(m):
-        u = [min(max(m * v, 0.0), cap) for v in phi2]
+        u = np.clip(m * phi2, 0.0, cap).tolist()
         return rk4(make_rhs(params), sc.initial_wild, 0.0, u, h)[0][-1]
 
     d = 1e-4 * abs(mu)
     fd = (x_final(mu + d) - x_final(mu - d)) / (2.0 * d)
-    slope = _mu_slope(phi2, [min(max(mu * v, 0.0), cap) for v in phi2], h, cap)
+    slope = _mu_slope(phi2, np.clip(mu * phi2, 0.0, cap), h, cap)
     assert slope == pytest.approx(fd, rel=1e-3)
+
+
+@pytest.mark.parametrize(
+    "name,T", [("wmel", 14.4), ("wmel", 13.8), ("wmel", 13.5),
+               ("wmelpop", 62.4), ("wmelpop", 57.2), ("wmelpop", 57.97)],
+)
+def test_sign_only_exit_keeps_the_sign(name, T, wmel, wmelpop):
+    """Far from the root a horizon is settled only to the sign of H(T):
+    from a cold start the sign exit fires, and its H(T) has the sign of the
+    same horizon settled at the solver's tight tolerance."""
+    params = {"wmel": wmel, "wmelpop": wmelpop}[name]
+    sc = build_scenario(params)
+    cfg = ocp_config(sc, grid_n=100)
+    x_target = equilibria(params).eu.state.x - 1.0
+    cold = [cfg.cap_l / 2.0] * 101
+
+    def evaluate(**kwargs):
+        return _Sweeper(params, cfg, sc.initial_wild, x_target).converge(T, cold, -1000.0, **kwargs)
+
+    quick = evaluate(sign_only=True)
+    settled = evaluate(max_sweeps=300, du_tol_rel=2e-5)
+    assert quick["settled"] == "sign"
+    assert abs(quick["h_terminal"]) > ocp.SIGN_H
+    assert (quick["h_terminal"] > 0.0) == (settled["h_terminal"] > 0.0)
 
 
 def test_solver_converges_from_many_starts(wmel, wmelpop):
@@ -318,7 +362,7 @@ def test_solver_converges_from_many_starts(wmel, wmelpop):
             sol = solve(params, ocp_config(sc, grid_n=100))
             assert sol.converged, (params.name, dx)
             passes += sol.stats["forward_passes"]
-    assert passes <= 4500
+    assert passes <= 3000
 
 
 @pytest.mark.parametrize("name", ["wmel", "wmelpop"])
@@ -328,8 +372,8 @@ def test_solver_work_at_bench_grid(name, wmel, wmelpop):
     stats = sol.stats
     assert sol.converged
     assert set(stats) == set(STATS_KEYS)
-    assert stats["forward_passes"] <= 400
-    assert stats["backward_passes"] <= 110
+    assert stats["forward_passes"] <= 250
+    assert stats["backward_passes"] <= 90
     assert stats["outer_evaluations"] <= 12
     assert stats["mu_searches_capped"] == 0
     # Every sweep runs one mu search and one backward pass; every outer
@@ -341,8 +385,8 @@ def test_solver_work_at_bench_grid(name, wmel, wmelpop):
 
 def test_solver_work_at_paper_grid(wmel_solution, wmelpop_solution):
     for sol in (wmel_solution, wmelpop_solution):
-        assert sol.stats["forward_passes"] <= 400
-        assert sol.stats["backward_passes"] <= 110
+        assert sol.stats["forward_passes"] <= 250
+        assert sol.stats["backward_passes"] <= 90
         assert sol.stats["outer_evaluations"] <= 12
         assert sol.stats["mu_searches_capped"] == 0
 

@@ -9,15 +9,15 @@ from wolbopt.params import offspring_numbers
 from wolbopt.sim import (
     ImpulseSchedule,
     SimOptions,
-    classify_endpoint,
     first_basin_entry,
     integrate,
     phase_field,
     rk4,
     separatrix,
-    separatrix_height,
     simulate_impulsive,
 )
+
+from oracles import classify_endpoint, separatrix_height
 
 LONG = SimOptions(t_end=600.0)
 
