@@ -14,7 +14,8 @@ Formats:
                    reruns are byte-comparable.
 
 A schedule or control CSV read back must hold finite numbers in its first
-two columns: inf or nan is rejected with its line number.
+two columns: inf or nan is rejected with its line number, and so is a
+negative size or release rate.
 """
 
 from __future__ import annotations
@@ -112,6 +113,9 @@ def write_control_csv(path: Path, solution: OCPSolution) -> None:
 def read_control_csv(path: Path) -> ContinuousControl:
     """Load a control grid; the cap is inferred as the max sampled rate."""
     rows = _read_rows(path, "t,u_star,...")
+    for lineno, _, _, u in rows:
+        if u < 0:
+            raise ScheduleParseError(f"{path}:{lineno}: release rate must be nonnegative")
     if len(rows) < 2:
         raise ScheduleParseError(f"{path}: control grid needs at least two samples")
     t = np.array([t for _, _, t, _ in rows])

@@ -91,6 +91,8 @@ class GAConfig:
             raise ValueError("mutation_rate must lie in [0, 1]")
         if self.block_p < 1:
             raise ValueError("block_p must be at least 1")
+        if self.cap_l <= 0:
+            raise ValueError("cap_l must be positive")
 
 
 @dataclass(frozen=True)

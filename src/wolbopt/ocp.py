@@ -339,21 +339,16 @@ class _Sweeper:
             passes = stats["forward_passes"] - passes_before
             stats["mu_passes_max"] = max(stats["mu_passes_max"], passes)
 
-    def converge(
-        self,
-        T: float,
-        u: list[float],
-        mu: float,
-        max_sweeps: int = 120,
-        du_tol_rel: float = 1e-4,
-        sign_only: bool = False,
-    ):
-        """The settled sweep at horizon T.
+    def converge(self, T: float, u: list[float], mu: float, tight: bool = False):
+        """The settled sweep at horizon T: its control, states, multiplier
+        and H(T), without the adjoints (``solve`` needs them at one horizon).
 
-        With ``sign_only`` the sweep also stops once its control change is
-        below ``SIGN_DU_REL`` of the cap while |H(T)| exceeds ``SIGN_H``: only
-        the sign of such an H(T) enters the outer bracket.  ``settled`` in
-        the result says which test stopped it ("sign" or "normal").
+        A ``tight`` sweep (near the root) settles its control change to
+        2e-5 of the cap within 300 sweeps.  Any other settles it to 1e-4 of
+        the cap within 120, or stops once the change is below
+        ``SIGN_DU_REL`` of the cap while |H(T)| exceeds ``SIGN_H``: only the
+        sign of such an H(T) enters the outer bracket.  ``settled`` in the
+        result says which test stopped it ("tight", "normal" or "sign").
 
         Raises CapInfeasibleError when no multiplier reaches the target and
         NonConvergenceError when the sweep does not settle: either way the
@@ -362,6 +357,7 @@ class _Sweeper:
         n = self.cfg.grid_n
         cap = self.cfg.cap_l
         h = T / n
+        max_sweeps, du_tol_rel = (300, 2e-5) if tight else (120, 1e-4)
         alpha = SWEEP_RELAXATION
         # A copy: an unusable horizon must not poison the caller's warm start.
         u = np.array(u, dtype=float)
@@ -391,8 +387,8 @@ class _Sweeper:
             # H(T) at lambda(T) = (mu, 0), where the control is clamp(0) = 0.
             h_T = _hamiltonian(self.rhs(xs[-1], ys[-1], 0.0), mu, 0.0, 0.0, self.cfg.weight_p)
             if du < du_tol_rel * cap:
-                settled = "normal"
-            elif sign_only and du < SIGN_DU_REL * cap and abs(h_T) > SIGN_H:
+                settled = "tight" if tight else "normal"
+            elif not tight and du < SIGN_DU_REL * cap and abs(h_T) > SIGN_H:
                 settled = "sign"
             if settled:
                 u = u_star
@@ -416,9 +412,8 @@ class _Sweeper:
                 f"sweep did not settle at T={T:.6g} after {sweep + 1} sweeps (du={du:.3g})"
             )
         # xs, ys are the states under u = u_star from the multiplier search.
-        phi1, phi2 = self._backward(xs, ys, h)
         return dict(
-            u=u, xs=xs, ys=ys, l1=mu * phi1, l2=mu * phi2, mu=mu, h=h,
+            u=u, xs=xs, ys=ys, mu=mu, h=h,
             h_terminal=h_T, x_terminal=xs[-1], sweep_delta=du, settled=settled,
         )
 
@@ -449,12 +444,11 @@ def solve(params: StrainParams, cfg: OCPConfig) -> OCPSolution:
 
     def H_at(T: float, tight: bool = False):
         nonlocal u, mu
-        kwargs = dict(max_sweeps=300, du_tol_rel=2e-5) if tight else dict(sign_only=True)
         before = sweeper.stats["sweeps"], sweeper.stats["forward_passes"]
         h_T = settled = None
         try:
-            out = sweeper.converge(T, u, mu, **kwargs)  # no value: u, mu stay as they were
-            h_T, settled = out["h_terminal"], "tight" if tight else out["settled"]
+            out = sweeper.converge(T, u, mu, tight)  # no value: u, mu stay as they were
+            h_T, settled = out["h_terminal"], out["settled"]
         finally:
             history.append(HorizonStep(
                 T, h_T, sweeper.stats["sweeps"] - before[0],
@@ -534,7 +528,7 @@ def solve(params: StrainParams, cfg: OCPConfig) -> OCPSolution:
     times = np.linspace(0.0, T, n + 1)
     values = np.array(out["u"])
     states = np.column_stack([out["xs"], out["ys"]])
-    adjoints = np.column_stack([out["l1"], out["l2"]])
+    adjoints = out["mu"] * np.column_stack(sweeper._backward(out["xs"], out["ys"], out["h"]))
     control = ContinuousControl(times=times, values=values, t_star=T, cap_l=cfg.cap_l)
 
     p = cfg.weight_p

@@ -37,6 +37,14 @@ class Scenario:
     frequency: int
     seed: int
 
+    def __post_init__(self) -> None:
+        if self.initial_wild < 0:
+            raise ValueError(f"initial_wild must be nonnegative, not {self.initial_wild:g}")
+        if self.cap_l <= 0:
+            raise ValueError(f"cap_l must be positive, not {self.cap_l:g}")
+        if self.frequency < 1:
+            raise ValueError(f"frequency must be at least 1, not {self.frequency}")
+
     @property
     def target(self) -> tuple[float, float]:
         return secure_region(equilibria(self.params))

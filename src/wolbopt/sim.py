@@ -3,11 +3,11 @@
 Two integrators.  ``rk4`` is the fixed-step RK4 pass on a uniform grid,
 for floats (the OCP forward and adjoint passes) or arrays (the GA batch
 kernel).  Everything else here runs ``solve_ivp``, the adaptive
-Dormand-Prince 5(4) pair with its quartic dense output, one segment at a
-time through ``_segment``.  Impulsive releases are pure jumps of the
-infected population between segments: the flow between release instants
-is the uncontrolled model.  A ``Trajectory`` is its rows, a release
-instant twice (pre, then post).
+Dormand-Prince 5(4) pair with its quartic dense output; ``integrate`` and
+``simulate_impulsive`` share one driver, ``_flow``, that runs it from stop
+to stop.  Impulsive releases are pure jumps of the infected population at
+stops: the flow between release instants is the uncontrolled model.  A
+``Trajectory`` is its rows, a release instant twice (pre, then post).
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from .model import (
     in_secure_region,
     jacobian,
     make_rhs,
+    rhs_arrays,
 )
 from .params import StrainParams
 
@@ -92,7 +93,8 @@ class ImpulseSchedule:
 
     @property
     def num_releases(self) -> int:
-        return len(self.entries)
+        """Entries of nonzero size: a size-0 entry releases nothing."""
+        return sum(1 for _, size in self.entries if size)
 
 
 ControlLike = Union[None, Callable[[float], float], tuple[np.ndarray, np.ndarray]]
@@ -322,36 +324,46 @@ def _falling_root(stop, sol: DenseSolution) -> float:
     return hi
 
 
-def _segment(
-    params: StrainParams,
-    state0: tuple[float, float],
-    span: tuple[float, float],
-    u_fn: Callable[[float], float],
-    opts: SimOptions,
-) -> tuple[np.ndarray, np.ndarray]:
-    """``solve_ivp`` over ``span``, sampled every ``SAMPLE_STRIDE`` days
-    (both ends included) and clamped at zero; returns (times, states)."""
-    rhs = make_rhs(params)
-    sol = solve_ivp(
-        lambda t, x, y: rhs(x, y, float(u_fn(t))),
-        span,
-        state0,
-        rtol=opts.rel_tol,
-        atol=opts.abs_tol,
-    )
-    ts = _sample_times(span[0], span[1], SAMPLE_STRIDE)
-    states = sol(ts)
-    low = states.min()
-    if low < -opts.abs_tol * 100.0:
-        raise IntegrationError(
-            f"negative excursion {low:.3e} exceeds tolerance; integrator misconfigured"
-        )
-    return ts, np.clip(states, 0.0, None)
-
-
 def _sample_times(t0: float, t1: float, stride: float) -> np.ndarray:
     n = max(1, int(math.ceil((t1 - t0) / stride)))
     return np.linspace(t0, t1, n + 1)
+
+
+def _flow(
+    params: StrainParams, s0: State, t0: float, stops: Sequence[tuple[float, Optional[int]]],
+    u_fn: Callable[[float], float], opts: SimOptions,
+    grid: tuple[float, float] = (-math.inf, math.inf),
+) -> Trajectory:
+    """The trajectory from s0 at t0 through each stop (t, size) in turn.
+
+    Up to each stop ``solve_ivp`` runs under the rate ``u_fn`` (uncontrolled
+    on a stretch that lies outside ``grid``), sampled every ``SAMPLE_STRIDE``
+    days and clamped at zero; the stretch adds its rows after its start.  A
+    stop whose size is not None (0 included) is a release: its size is
+    added to the infected population exactly, as a post-release row whose
+    ``u_applied`` is the size.  Every other row's ``u_applied`` is 0.
+    """
+    rhs = make_rhs(params)
+    x, y = s0.x, s0.y
+    rows = [(np.array([t0]), np.array([[x, y]]), np.zeros(1))]
+    for t1, size in stops:
+        if t1 > t0:
+            fn = u_fn if t0 < grid[1] and t1 > grid[0] else _no_control
+            sol = solve_ivp(lambda t, x, y: rhs(x, y, float(fn(t))), (t0, t1), (x, y),
+                            rtol=opts.rel_tol, atol=opts.abs_tol)
+            ts = _sample_times(t0, t1, SAMPLE_STRIDE)
+            seg = sol(ts)
+            if seg.min() < -opts.abs_tol * 100.0:
+                raise IntegrationError(f"negative excursion {seg.min():.3e} exceeds "
+                                       "tolerance; integrator misconfigured")
+            seg = np.clip(seg[1:], 0.0, None)
+            rows.append((ts[1:], seg, np.zeros(ts.size - 1)))
+            x, y, t0 = float(seg[-1, 0]), float(seg[-1, 1]), t1
+        if size is not None:
+            y += size
+            rows.append((np.array([t1]), np.array([[x, y]]), np.array([float(size)])))
+    times, states, u = (np.concatenate(column) for column in zip(*rows))
+    return Trajectory(times=times, states=states, u_applied=u)
 
 
 def integrate(
@@ -366,25 +378,18 @@ def integrate(
     ``control`` may be None (no releases), a callable rate, or a
     ``(times, values)`` sampled control, read by ``sampled_rate``.  Such a
     control drops to 0 at a grid end whose sample is not 0; inside the
-    span a segment ends there, so that no adaptive step crosses the drop,
-    and a segment outside the grid runs uncontrolled.  The segments' rows
-    are joined as in ``simulate_impulsive``.
+    span a stretch ends there, so that no adaptive step crosses the drop,
+    and a stretch outside the grid runs uncontrolled.  ``u_applied`` is
+    the rate at each row.
     """
-    u_fn = control or _no_control
-    t_lo, t_hi, ends = -math.inf, math.inf, []  # a rate with no grid has no ends
+    u_fn, grid, ends = control or _no_control, (-math.inf, math.inf), ()
     if isinstance(control, tuple):
         times, values = (np.asarray(column, dtype=float) for column in control)
-        u_fn, t_lo, t_hi = sampled_rate(times, values), times[0], times[-1]
-        ends = [t for t, u in ((t_lo, values[0]), (t_hi, values[-1]))
+        u_fn, grid = sampled_rate(times, values), (times[0], times[-1])
+        ends = [(t, None) for t, u in zip(grid, (values[0], values[-1]))
                 if span[0] < t < span[1] and u != 0.0]
-    rows, t0, state = [], span[0], (s0.x, s0.y)
-    for t1 in (*ends, span[1]):
-        fn = u_fn if t0 < t_hi and t1 > t_lo else _no_control
-        ts, seg = _segment(params, state, (t0, t1), fn, opts)
-        rows.append((ts, seg) if not rows else (ts[1:], seg[1:]))
-        state, t0 = (float(seg[-1, 0]), float(seg[-1, 1])), t1
-    ts, states = (np.concatenate(column) for column in zip(*rows))
-    return Trajectory(times=ts, states=states, u_applied=np.array([u_fn(t) for t in ts]))
+    traj = _flow(params, s0, span[0], (*ends, (span[1], None)), u_fn, opts, grid)
+    return replace(traj, u_applied=np.array([u_fn(t) for t in traj.times]))
 
 
 def simulate_impulsive(
@@ -395,9 +400,9 @@ def simulate_impulsive(
 ) -> Trajectory:
     """Integrate with zero control between releases and pure jumps at them.
 
-    The first row is s0; each segment adds its rows after its start, and
-    each release adds its (integer) size to the infected population
-    exactly, as a post-release row at the pre-release row's time.
+    The first row is s0 at t = 0; each release adds its (integer) size to
+    the infected population exactly, as a post-release row at the
+    pre-release row's time, and the flow runs on to ``opts.t_end``.
 
     Raises:
         ValueError: A release is scheduled before 0 or after ``opts.t_end``.
@@ -407,24 +412,9 @@ def simulate_impulsive(
         t, size = outside[0]
         bound = "before t=0" if t < 0.0 else f"after t_end={opts.t_end:g}"
         raise ValueError(f"release of {size} at t={t:g} is {bound}")
-    rows = [(np.zeros(1), np.array([[s0.x, s0.y]]), np.zeros(1))]
-    x, y = s0.x, s0.y
-    t_cur = 0.0
-
-    # The sentinel (t_end, None) flows the tail; None, not 0, marks it so
-    # that a size-0 release still adds its post-release row.
-    for t_rel, size in (*sched.entries, (opts.t_end, None)):
-        if t_rel > t_cur:
-            ts, seg = _segment(params, (x, y), (t_cur, t_rel), _no_control, opts)
-            rows.append((ts[1:], seg[1:], np.zeros(ts.size - 1)))
-            x, y = float(seg[-1, 0]), float(seg[-1, 1])
-            t_cur = t_rel
-        if size is None:
-            break
-        y += size
-        rows.append((np.array([t_rel]), np.array([[x, y]]), np.array([float(size)])))
-    times, states, u = (np.concatenate(column) for column in zip(*rows))
-    return Trajectory(times=times, states=states, u_applied=u)
+    # The last stop's None, not 0, marks the end of the span: a size-0
+    # release still adds its post-release row.
+    return _flow(params, s0, 0.0, (*sched.entries, (opts.t_end, None)), _no_control, opts)
 
 
 def first_basin_entry(traj: Trajectory, target: tuple[float, float]) -> Optional[float]:
@@ -513,12 +503,8 @@ def phase_field(
     y_grid: Sequence[float],
 ) -> np.ndarray:
     """Uncontrolled vector field sampled on a grid, as rows (x, y, dx, dy)."""
-    rhs = make_rhs(params)
-    rows = []
-    for x in x_grid:
-        for y in y_grid:
-            if x < 0 or y < 0:
-                raise ValueError("grid must lie in the nonnegative quadrant")
-            dx, dy = rhs(float(x), float(y), 0.0)
-            rows.append((float(x), float(y), dx, dy))
-    return np.array(rows)
+    x, y = (a.ravel() for a in np.meshgrid(
+        np.asarray(x_grid, dtype=float), np.asarray(y_grid, dtype=float), indexing="ij"))
+    if np.any(x < 0) or np.any(y < 0):
+        raise ValueError("grid must lie in the nonnegative quadrant")
+    return np.column_stack((x, y, *rhs_arrays(params, x, y)))

@@ -149,6 +149,8 @@ def test_simulate_malformed_schedule(tmp_path, capsys, monkeypatch):
         ("--schedule", "day,size\nnan,5\n", 2),
         ("--control", "t,u_star\n0,100\nnan,50\n2,0\n", 3),
         ("--control", "t,u_star\n0,100\n1,nan\n2,0\n", 3),
+        # A negative rate made the integrator report a negative excursion.
+        ("--control", "t,u_star\n0,100\n1,-50\n2,0\n", 3),
     ):
         bad.write_text(text)
         assert run(["simulate", "--strain", "wmel", flag, str(bad)], tmp_path) == 2
@@ -157,6 +159,27 @@ def test_simulate_malformed_schedule(tmp_path, capsys, monkeypatch):
     for flag in ("--schedule", "--control"):
         assert run(["simulate", "--strain", "wmel", flag, missing], tmp_path) == 2
         assert "missing.csv" in capsys.readouterr().err
+
+
+def test_out_of_range_scenario_exits_2(tmp_path, capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("a bad scenario reached a solver")
+
+    # A negative initial_wild ran the whole search before verify_plan
+    # rejected it, and a negative cap_l exited with numpy's "high <= 0".
+    for name in ("solve", "run_ga", "epsilon_loop", "integrate"):
+        monkeypatch.setattr(cli, name, never)
+    wmel = ["--strain", "wmel"]
+    for argv, named in (
+        (["ga", *wmel, "--initial-wild", "-5"], "initial_wild"),
+        (["ga", *wmel, "--cap-l", "-3"], "cap_l"),
+        (["ocp", *wmel, "--cap-l", "0"], "cap_l"),
+        (["ga", *wmel, "--frequency", "0"], "frequency"),
+        (["simulate", *wmel, "--initial-wild", "-1"], "initial_wild"),
+    ):
+        assert run(argv, tmp_path) == 2, argv
+        assert named in capsys.readouterr().err, argv
+    assert not list(tmp_path.iterdir())
 
 
 def test_simulate_rejects_release_after_t_end(tmp_path, capsys):

@@ -460,6 +460,8 @@ def test_config_validation():
         GAConfig(pop_n=0)
     with pytest.raises(ValueError):
         GAConfig(mutation_rate=1.5)
+    with pytest.raises(ValueError, match="cap_l"):
+        GAConfig(cap_l=-3.0)
     with pytest.raises(ValueError):
         EpsilonLoopConfig(epsilon_0=0, step=1)
 

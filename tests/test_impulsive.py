@@ -173,6 +173,23 @@ def test_monotone_sizes_for_nonincreasing_control(wmel_solution):
         assert all(a >= b for a, b in zip(sol_sizes, sol_sizes[1:]))
 
 
+def test_zero_size_days_are_not_releases(wmel, wmel_scenario):
+    """A control that is 0 over days 5-6 keeps those days in the daily
+    schedule with size 0; they release nothing and are not counted."""
+    t = np.arange(13.0)
+    v = np.where((t >= 4.0) & (t <= 6.0), 0.0, 500.0)
+    ctrl = ContinuousControl(times=t, values=v, t_star=12.0, cap_l=500.0)
+    sched = daily_impulses(ctrl).schedule()
+    assert [size for _, size in sched.entries].count(0) == 2
+    assert sched.num_releases == len(sched.entries) - 2 == 10
+    eq = equilibria(wmel)
+    rep = evaluate_schedule(
+        wmel, sched, (eq.eu.state.x, eq.eu.state.y), wmel_scenario.initial_wild,
+        SimOptions(t_end=60.0),
+    )
+    assert rep.num_releases == 10
+
+
 def test_evaluate_empty_schedule_infeasible(wmel, wmel_scenario):
     eq = equilibria(wmel)
     rep = evaluate_schedule(
