@@ -33,7 +33,6 @@ from .model import (
     equilibria,
     in_secure_region,
     jacobian,
-    rhs,
     secure_region,
 )
 from .ocp import (

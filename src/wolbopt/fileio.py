@@ -45,11 +45,14 @@ def _write_rows(path: Path, header: list[str], rows: Iterable[list]) -> None:
         writer.writerows(rows)
 
 
+def _write_floats(path: Path, header: list[str], rows: Iterable) -> None:
+    """A CSV of float rows, every value written ``.10g``."""
+    _write_rows(path, header, ([f"{v:.10g}" for v in row] for row in rows))
+
+
 def write_trajectory_csv(path: Path, traj: Trajectory) -> None:
-    rows = np.column_stack((traj.times, traj.states, traj.u_applied)).tolist()
-    _write_rows(
-        path, ["t", "x", "y", "u_applied"], ([f"{v:.10g}" for v in row] for row in rows)
-    )
+    rows = np.column_stack((traj.times, traj.states, traj.u_applied))
+    _write_floats(path, ["t", "x", "y", "u_applied"], rows)
 
 
 def write_schedule_csv(path: Path, sched: ImpulseSchedule) -> None:
@@ -126,13 +129,11 @@ def read_control_csv(path: Path) -> ContinuousControl:
 
 
 def write_phase_csv(path: Path, rows: np.ndarray) -> None:
-    _write_rows(
-        path, ["x", "y", "dx", "dy"], ([f"{v:.10g}" for v in row] for row in rows)
-    )
+    _write_floats(path, ["x", "y", "dx", "dy"], rows)
 
 
 def write_separatrix_csv(path: Path, curve: np.ndarray) -> None:
-    _write_rows(path, ["x", "y"], ([f"{v:.10g}" for v in point] for point in curve))
+    _write_floats(path, ["x", "y"], curve)
 
 
 def write_history_csv(path: Path, history) -> None:

@@ -1,8 +1,8 @@
 """Genetic search for integer release plans under an epsilon time bound.
 
 A plan assigns an integer release to each day of a horizon T (multiple of
-the release period p).  For p = 1 every day may release up to L insects;
-for p > 1 each p-day block holds at most one nonzero gene bounded by pL.
+the release period p).  Each p-day block holds at most one nonzero gene,
+of at most ``gene_cap`` = floor(pL) insects; a daily plan is p = 1.
 Fitness is the reciprocal of the released total, penalized by p*L*T when
 the end state misses the secure region, so any feasible plan outranks
 every infeasible one.  Evaluation screens each plan at one RK4 substep
@@ -62,6 +62,12 @@ class ReleasePlan:
         return ImpulseSchedule(entries=entries, rule_tag="ga")
 
 
+def gene_cap(block_p: int, cap_l: float) -> int:
+    """The largest gene: a block's one release holds at most its p days'
+    worth of the daily cap L, floor(pL) whole insects."""
+    return int(block_p * cap_l)
+
+
 def validate_plan(plan: ReleasePlan, cap_l: float) -> None:
     """Raise ValueError when a plan violates the gene invariants."""
     genes, p = plan.genes, plan.block_p
@@ -69,8 +75,8 @@ def validate_plan(plan: ReleasePlan, cap_l: float) -> None:
         raise ValueError("horizon must be a multiple of the block period")
     if np.any(genes < 0):
         raise ValueError("genes must be nonnegative")
-    if np.any(genes > p * cap_l):
-        raise ValueError("genes must not exceed p * cap_l")
+    if np.any(genes > gene_cap(p, cap_l)):
+        raise ValueError("genes must not exceed floor(p * cap_l)")
     if np.any(np.count_nonzero(genes.reshape(-1, p), axis=1) > 1):
         raise ValueError("at most one nonzero gene per block")
 
@@ -91,8 +97,12 @@ class GAConfig:
             raise ValueError("mutation_rate must lie in [0, 1]")
         if self.block_p < 1:
             raise ValueError("block_p must be at least 1")
-        if self.cap_l <= 0:
-            raise ValueError("cap_l must be positive")
+        if not self.cap_l >= 1.0:
+            raise ValueError(f"cap_l must be at least 1 individual a day, not {self.cap_l:g}")
+
+    @property
+    def gene_cap(self) -> int:
+        return gene_cap(self.block_p, self.cap_l)
 
 
 @dataclass(frozen=True)
@@ -261,13 +271,12 @@ def init_population(
     if horizon_t % cfg.block_p != 0:
         raise ValueError("horizon must be a multiple of block_p")
     n, p = cfg.pop_n, cfg.block_p
-    cap = int(cfg.cap_l)
-    if p == 1:
-        return rng.integers(0, cap + 1, size=(n, horizon_t), dtype=np.int64)
     nb = horizon_t // p
     genes = np.zeros((n, horizon_t), dtype=np.int64)
+    # At p = 1 ``integers(0, 1)`` draws no bits, so a daily population
+    # takes only the value draws, one uniform (n, T) matrix.
     positions = rng.integers(0, p, size=(n, nb))
-    values = rng.integers(0, p * cap + 1, size=(n, nb), dtype=np.int64)
+    values = rng.integers(0, cfg.gene_cap + 1, size=(n, nb), dtype=np.int64)
     genes[np.arange(n)[:, None], np.arange(nb) * p + positions] = values
     return genes
 
@@ -296,34 +305,26 @@ def mutate(
 ) -> np.ndarray:
     """Segment mutation applied with per-individual probability.
 
-    For p = 1 a random day range is refilled with uniform integers in
-    [0, L].  For p > 1 the nonzero gene of each block in a random block
-    range is redrawn in [0, pL] (position kept; an all-zero block gets a
-    uniform position).
+    The gene of each block in a random block range is redrawn in
+    [0, ``gene_cap``], at its position (an all-zero block gets a uniform
+    position).  At p = 1 this refills a random day range.
     """
     if rng.random() >= cfg.mutation_rate:
         return genes
     out = genes.copy()
-    t = genes.shape[0]
     p = cfg.block_p
-    cap = int(cfg.cap_l)
-    if p == 1:
-        r3 = int(rng.integers(1, t + 1))
-        r4 = int(rng.integers(r3, t + 1))
-        out[r3 - 1:r4] = rng.integers(0, cap + 1, size=r4 - r3 + 1, dtype=np.int64)
-        return out
-    nb = t // p
+    nb = genes.shape[0] // p
     b1 = int(rng.integers(0, nb))
     b2 = int(rng.integers(b1, nb))
     for bidx in range(b1, b2 + 1):
         block = out[bidx * p:(bidx + 1) * p]
         nz = np.nonzero(block)[0]
-        if nz.size:
-            pos = int(nz[0])
-        else:
-            pos = int(rng.integers(0, p))
+        # At p = 1 ``integers(0, 1)`` draws no bits, and each scalar value
+        # draw takes the bits of one element of an array draw, so a day
+        # range is refilled with the draws of one array call.
+        pos = int(nz[0]) if nz.size else int(rng.integers(0, p))
         block[:] = 0
-        block[pos] = rng.integers(0, p * cap + 1)
+        block[pos] = rng.integers(0, cfg.gene_cap + 1)
     return out
 
 
@@ -410,13 +411,12 @@ def _roll_tail(genes: np.ndarray, eps: int, cfg: GAConfig) -> np.ndarray:
     """Truncate to ``eps`` days, pushing dropped releases into the kept tail."""
     out = genes[:eps].copy()
     dropped = int(genes[eps:].sum())
-    cap = int(cfg.cap_l) if cfg.block_p == 1 else int(cfg.block_p * cfg.cap_l)
     for i in range(eps - 1, -1, -1):
         if dropped <= 0:
             break
         if cfg.block_p > 1 and out[i] == 0:
-            continue
-        room = cap - int(out[i])
+            continue  # one release per block: fill only its nonzero gene
+        room = cfg.gene_cap - int(out[i])
         add = min(room, dropped)
         out[i] += add
         dropped -= add

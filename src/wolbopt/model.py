@@ -67,10 +67,10 @@ def make_rhs(
 ) -> Callable[[float, float, float], tuple[float, float]]:
     """Return the closure (x, y, u) -> (dx/dt, dy/dt).
 
-    This is the only statement of the vector field: ``rhs`` and
-    ``rhs_arrays`` call it, and ``make_jacobian`` is its derivative.  With
-    the default ``math.exp`` it is the fast scalar path; with
-    ``exp=np.exp`` the same arithmetic runs elementwise on arrays.
+    This is the only statement of the vector field: ``rhs_arrays`` calls
+    it, and ``make_jacobian`` is its derivative.  With the default
+    ``math.exp`` it is the fast scalar path; with ``exp=np.exp`` the same
+    arithmetic runs elementwise on arrays.
     """
     rho_n = params.rho_n
     one_eta = 1.0 - params.eta
@@ -128,13 +128,6 @@ def make_jacobian(params: StrainParams) -> Callable:
         return j11, j12, j21, j22
 
     return jac
-
-
-def rhs(params: StrainParams, state: State, u: float = 0.0) -> tuple[float, float]:
-    """Time derivative (dx/dt, dy/dt) at a state under release rate u."""
-    if u < 0.0:
-        raise ValueError("release rate must be nonnegative")
-    return make_rhs(params)(state.x, state.y, u)
 
 
 @lru_cache(maxsize=16)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -97,7 +97,7 @@ class ImpulseSchedule:
         return sum(1 for _, size in self.entries if size)
 
 
-ControlLike = Union[None, Callable[[float], float], tuple[np.ndarray, np.ndarray]]
+ControlLike = Optional[tuple[np.ndarray, np.ndarray]]
 
 
 def sampled_rate(times: np.ndarray, values: np.ndarray) -> Callable:
@@ -373,23 +373,22 @@ def integrate(
     span: tuple[float, float],
     opts: SimOptions = SimOptions(),
 ) -> Trajectory:
-    """Integrate the model under a continuous (or zero) control.
+    """Integrate the model under a sampled (or zero) control.
 
-    ``control`` may be None (no releases), a callable rate, or a
-    ``(times, values)`` sampled control, read by ``sampled_rate``.  Such a
-    control drops to 0 at a grid end whose sample is not 0; inside the
-    span a stretch ends there, so that no adaptive step crosses the drop,
-    and a stretch outside the grid runs uncontrolled.  ``u_applied`` is
-    the rate at each row.
+    ``control`` is None (no releases) or a ``(times, values)`` sampled
+    control, read by ``sampled_rate``.  Such a control drops to 0 at a grid
+    end whose sample is not 0; inside the span a stretch ends there, so
+    that no adaptive step crosses the drop, and a stretch outside the grid
+    runs uncontrolled.  ``u_applied`` is the rate at each row.
     """
-    u_fn, grid, ends = control or _no_control, (-math.inf, math.inf), ()
-    if isinstance(control, tuple):
-        times, values = (np.asarray(column, dtype=float) for column in control)
-        u_fn, grid = sampled_rate(times, values), (times[0], times[-1])
-        ends = [(t, None) for t, u in zip(grid, (values[0], values[-1]))
-                if span[0] < t < span[1] and u != 0.0]
+    if control is None:
+        return _flow(params, s0, span[0], ((span[1], None),), _no_control, opts)
+    times, values = (np.asarray(column, dtype=float) for column in control)
+    u_fn, grid = sampled_rate(times, values), (times[0], times[-1])
+    ends = [(t, None) for t, u in zip(grid, (values[0], values[-1]))
+            if span[0] < t < span[1] and u != 0.0]
     traj = _flow(params, s0, span[0], (*ends, (span[1], None)), u_fn, opts, grid)
-    return replace(traj, u_applied=np.array([u_fn(t) for t in traj.times]))
+    return replace(traj, u_applied=u_fn(traj.times))
 
 
 def simulate_impulsive(

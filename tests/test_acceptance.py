@@ -18,7 +18,6 @@ from wolbopt.model import (
     jacobian,
     make_jacobian,
     make_rhs,
-    rhs,
 )
 from wolbopt.ocp import _adjoint_field, _hamiltonian
 from wolbopt.params import preset
@@ -191,8 +190,8 @@ def test_criterion6_jacobian_matches_finite_differences():
             h = 1e-3
             fd = np.empty((2, 2))
             for j, (dx, dy) in enumerate(((h, 0.0), (0.0, h))):
-                fp = rhs(params, State(x + dx, y + dy))
-                fm = rhs(params, State(x - dx, y - dy))
+                fp = make_rhs(params)(x + dx, y + dy, 0.0)
+                fm = make_rhs(params)(x - dx, y - dy, 0.0)
                 fd[0, j] = (fp[0] - fm[0]) / (2 * h)
                 fd[1, j] = (fp[1] - fm[1]) / (2 * h)
             assert np.allclose(jac, fd, rtol=1e-6, atol=1e-9)

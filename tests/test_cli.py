@@ -173,6 +173,8 @@ def test_out_of_range_scenario_exits_2(tmp_path, capsys, monkeypatch):
     for argv, named in (
         (["ga", *wmel, "--initial-wild", "-5"], "initial_wild"),
         (["ga", *wmel, "--cap-l", "-3"], "cap_l"),
+        # Below one individual a day every gene was 0: the search ran and exited 1.
+        (["ga", *wmel, "--cap-l", "0.5", "--pop-n", "10", "--generations", "2"], "cap_l"),
         (["ocp", *wmel, "--cap-l", "0"], "cap_l"),
         (["ga", *wmel, "--frequency", "0"], "frequency"),
         (["simulate", *wmel, "--initial-wild", "-1"], "initial_wild"),

@@ -49,25 +49,32 @@ def test_init_population_daily_bounds():
     assert genes.min() >= 0 and genes.max() <= 750
 
 
-def test_init_population_block_structure():
-    cfg = small_cfg(block_p=14, cap_l=750.0)
+@pytest.mark.parametrize("p", [1, 14])
+def test_init_population_block_structure(p):
+    cfg = small_cfg(block_p=p, cap_l=750.0)
     for horizon in (14, 42):
         genes = init_population(cfg, horizon, np.random.default_rng(0))
-        nb = horizon // 14
+        nb = horizon // p
         for row in genes:
-            for blk in row.reshape(nb, 14):
+            for blk in row.reshape(nb, p):
                 assert np.count_nonzero(blk) <= 1
-            assert row.max() <= 14 * 750
-            validate_plan(ReleasePlan(genes=row, block_p=14), cfg.cap_l)
+            assert row.max() <= p * 750
+            validate_plan(ReleasePlan(genes=row, block_p=p), cfg.cap_l)
         # Reference: the same draws placed block by block.
         rng = np.random.default_rng(0)
-        positions = rng.integers(0, 14, size=(cfg.pop_n, nb))
-        values = rng.integers(0, 14 * 750 + 1, size=(cfg.pop_n, nb), dtype=np.int64)
+        positions = rng.integers(0, p, size=(cfg.pop_n, nb))
+        values = rng.integers(0, p * 750 + 1, size=(cfg.pop_n, nb), dtype=np.int64)
         ref = np.zeros_like(genes)
         for i in range(cfg.pop_n):
             for b in range(nb):
-                ref[i, b * 14 + positions[i, b]] = values[i, b]
+                ref[i, b * p + positions[i, b]] = values[i, b]
         assert np.array_equal(genes, ref)
+        if p == 1:
+            # A one-day block draws no position bits: the daily population
+            # is one uniform (n, T) draw.
+            daily = np.random.default_rng(0).integers(
+                0, 751, size=(cfg.pop_n, horizon), dtype=np.int64)
+            assert np.array_equal(genes, daily)
     two = np.zeros(42, dtype=np.int64)
     two[[15, 20]] = 1  # both in the second block
     with pytest.raises(ValueError, match="one nonzero gene per block"):
@@ -462,21 +469,26 @@ def test_config_validation():
         GAConfig(mutation_rate=1.5)
     with pytest.raises(ValueError, match="cap_l"):
         GAConfig(cap_l=-3.0)
+    # Below one individual a day every gene would be capped at 0.
+    with pytest.raises(ValueError, match="cap_l"):
+        GAConfig(cap_l=0.5)
     with pytest.raises(ValueError):
         EpsilonLoopConfig(epsilon_0=0, step=1)
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.integers(0, 2**31 - 1), st.sampled_from([1, 7]))
-def test_operators_never_break_bounds(seed, p_blk):
+@given(st.integers(0, 2**31 - 1), st.sampled_from([1, 7]), st.sampled_from([500.0, 1.5, 2.7]))
+def test_operators_never_break_bounds(seed, p_blk, cap_l):
     rng = np.random.default_rng(seed)
     cfg = GAConfig(
-        pop_n=6, generations_g=1, cap_l=500.0, block_p=p_blk,
+        pop_n=6, generations_g=1, cap_l=cap_l, block_p=p_blk,
         mutation_rate=1.0, rng_seed=seed,
     )
     t = p_blk * 3
     pop = init_population(cfg, t, rng)
     c, d = crossover(pop[0], pop[1], p_blk, rng)
     m = mutate(d, cfg, rng)
-    for genes in (c, d, m):
+    cap = np.floor(p_blk * cap_l)  # 7 x 1.5 -> 10: the cap floors once per block
+    for genes in (*pop, c, d, m, ga._roll_tail(np.concatenate(pop), t, cfg)):
+        assert genes.max() <= cap
         validate_plan(ReleasePlan(genes=genes, block_p=p_blk), cfg.cap_l)

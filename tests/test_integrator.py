@@ -135,13 +135,15 @@ def test_nonfinite_field_fails_fast(wmel, wmel_scenario):
     # nan, and nan is never below the minimum step.
     s0 = State(wmel_scenario.initial_wild, 0.0)
     with pytest.raises(IntegrationError, match="non-finite"):
-        integrate(wmel, s0, lambda t: math.nan, (0.0, 50.0))
+        integrate(wmel, s0, (np.array([0.0, 50.0]), np.array([np.nan, np.nan])), (0.0, 50.0))
     with pytest.raises(IntegrationError, match="non-finite"):
-        integrate(wmel, s0, lambda t: math.nan if t > 10.0 else 500.0, (0.0, 50.0))
+        integrate(wmel, s0, (np.array([0.0, 10.0, 50.0]), np.array([500.0, 500.0, np.nan])),
+                  (0.0, 50.0))
     # At rest at the origin the first derivative is 0, so a nan at the
     # first-step probe would otherwise divide by that 0.
-    with pytest.raises(IntegrationError, match="non-finite"):
-        integrate(wmel, State(0.0, 0.0), lambda t: math.nan if t > 0.0 else 0.0, (0.0, 5.0))
+    with pytest.raises(IntegrationError, match="non-finite derivative .* at t=1e-06"):
+        integrate(wmel, State(0.0, 0.0), (np.array([0.0, 5.0]), np.array([0.0, np.nan])),
+                  (0.0, 5.0))
 
 
 def test_step_control_matches_scipy():

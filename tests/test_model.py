@@ -12,7 +12,6 @@ from wolbopt.model import (
     in_secure_region,
     jacobian,
     make_rhs,
-    rhs,
     rhs_arrays,
     secure_region,
 )
@@ -22,9 +21,10 @@ from wolbopt.params import StrainParams, offspring_numbers
 def fd_jacobian(params, x, y, h=1e-3):
     """Central finite differences of the uncontrolled field."""
     out = np.empty((2, 2))
+    f = make_rhs(params)
     for j, (dx, dy) in enumerate(((h, 0.0), (0.0, h))):
-        fp = rhs(params, State(x + dx, y + dy))
-        fm = rhs(params, State(max(x - dx, 0.0), max(y - dy, 0.0)))
+        fp = f(x + dx, y + dy, 0.0)
+        fm = f(max(x - dx, 0.0), max(y - dy, 0.0), 0.0)
         span = (x + dx) - max(x - dx, 0.0) if j == 0 else (y + dy) - max(y - dy, 0.0)
         out[0, j] = (fp[0] - fm[0]) / span
         out[1, j] = (fp[1] - fm[1]) / span
@@ -32,19 +32,19 @@ def fd_jacobian(params, x, y, h=1e-3):
 
 
 def test_rhs_extinction_is_equilibrium(wmel):
-    assert rhs(wmel, State(0.0, 0.0)) == (0.0, 0.0)
+    assert make_rhs(wmel)(0.0, 0.0, 0.0) == (0.0, 0.0)
 
 
 def test_rhs_wild_only_equilibrium(wmel):
     eq = equilibria(wmel)
-    dx, dy = rhs(wmel, eq.ex.state)
+    dx, dy = make_rhs(wmel)(eq.ex.state.x, eq.ex.state.y, 0.0)
     assert abs(dx) < 1e-9 * eq.ex.state.x
     assert abs(dy) == 0.0
 
 
 def test_rhs_on_infected_axis_matches_substitution(wmel):
     y0 = 1234.5
-    dx, dy = rhs(wmel, State(0.0, y0))
+    dx, dy = make_rhs(wmel)(0.0, y0, 0.0)
     e = math.exp(-wmel.sigma * y0)
     assert dx == pytest.approx((1 - wmel.nu) * wmel.rho_w * y0 * e + wmel.omega * y0, rel=1e-12)
     assert dy == pytest.approx(
@@ -65,7 +65,7 @@ def test_rhs_arrays_equal_scalar_field(wmel, wmelpop):
         assert got[0] == (0.0, 0.0)
         # ... and to exp rounding against the math.exp fast path.
         for (gx, gy), x, y in zip(got, xs, ys):
-            fx, fy = rhs(params, State(x, y))
+            fx, fy = make_rhs(params)(x, y, 0.0)
             assert gx == pytest.approx(fx, rel=1e-12, abs=1e-9)
             assert gy == pytest.approx(fy, rel=1e-12, abs=1e-9)
 
@@ -83,13 +83,6 @@ def test_rhs_arrays_cached_per_params(wmel):
     expect = make_rhs(other, np.exp)(xs, ys, 0.0)
     assert [a.tobytes() for a in got] == [a.tobytes() for a in expect]
     assert got[0].tobytes() != first[0].tobytes()
-
-
-def test_rhs_rejects_negative_inputs(wmel):
-    with pytest.raises(ValueError):
-        rhs(wmel, State(10.0, 0.0), u=-1.0)
-    with pytest.raises(ValueError):
-        State(-1.0, 0.0)
 
 
 def test_jacobian_matches_finite_differences(wmel, wmelpop):
@@ -157,7 +150,7 @@ def test_equilibria_are_roots_of_the_field(wmel, wmelpop):
     for params in (wmel, wmelpop):
         eq = equilibria(params)
         for e in (eq.eu.state, eq.es.state):
-            dx, dy = rhs(params, e)
+            dx, dy = make_rhs(params)(e.x, e.y, 0.0)
             scale = e.x + e.y
             assert abs(dx) <= 1e-9 * scale
             assert abs(dy) <= 1e-9 * scale
@@ -250,7 +243,7 @@ def test_coexistence_properties_random_params(params):
     total = math.log(q.q_y) / params.sigma
     for e in (eq.eu.state, eq.es.state):
         assert e.x + e.y == pytest.approx(total, rel=1e-9)
-        dx, dy = rhs(params, e)
+        dx, dy = make_rhs(params)(e.x, e.y, 0.0)
         assert abs(dx) <= 1e-9 * total
         assert abs(dy) <= 1e-9 * total
     assert eq.eu.state.x > eq.es.state.x

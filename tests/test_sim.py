@@ -254,7 +254,8 @@ def test_sampled_control_dropping_inside_span(wmel, wmel_scenario):
 
 def test_bounded_control_keeps_states_nonnegative(wmel, wmel_scenario):
     cap = 750.0
-    control = lambda t: cap * (0.5 + 0.5 * math.sin(0.7 * t))  # noqa: E731
+    times = np.linspace(0.0, 120.0, 2401)  # 180 samples per period of the sine
+    control = (times, cap * (0.5 + 0.5 * np.sin(0.7 * times)))
     traj = integrate(
         wmel, State(wmel_scenario.initial_wild, 0.0), control, (0.0, 120.0),
         SimOptions(t_end=120.0),
@@ -316,10 +317,8 @@ def test_phase_field_values(wmel):
     assert by_node[(0.0, 0.0)] == (0.0, 0.0)
     dx, dy = by_node[(round(eq.es.state.x, 6), round(eq.es.state.y, 6))]
     assert abs(dx) < 1e-6 and abs(dy) < 1e-6
-    from wolbopt.model import rhs
-
     dx, dy = by_node[(1234.0, 567.0)]
-    expected = rhs(wmel, State(1234.0, 567.0))
+    expected = make_rhs(wmel)(1234.0, 567.0, 0.0)
     assert (dx, dy) == pytest.approx(expected, rel=1e-12)
 
 
