@@ -14,7 +14,6 @@ from .ga import (
     ReleasePlan,
     epsilon_loop,
     run_ga,
-    verify_plan,
 )
 from .impulsive import (
     DailyImpulseSequence,

@@ -25,8 +25,8 @@ from typing import Optional, get_type_hints
 import numpy as np
 
 from . import fileio
-from .ga import EpsilonLoopConfig, GAConfig, epsilon_loop, run_ga, verify_plan
-from .impulsive import daily_impulses
+from .ga import EpsilonLoopConfig, GAConfig, epsilon_loop, run_ga
+from .impulsive import daily_impulses, evaluate_schedule
 from .model import State, absorbing_bound, equilibria, secure_region
 from .ocp import CapInfeasibleError, NonConvergenceError, OCPConfig, solve
 from .params import PRESET_NAMES, StrainParams, UnknownStrainError, parse_number, preset
@@ -306,6 +306,8 @@ def cmd_ga(args, settings, scenario):
         summary = {}
         files.append((f"ga_{name}_history.csv", fileio.write_history_csv, result.history))
     files.append((f"ga_{name}_plan.csv", fileio.write_schedule_csv, plan.schedule()))
+    adaptive = evaluate_schedule(scenario.params, plan.schedule(), target,
+                                 scenario.initial_wild, SimOptions(t_end=float(horizon)))
     summary.update(
         {
             "stats": stats,
@@ -313,8 +315,9 @@ def cmd_ga(args, settings, scenario):
             "j_value": report.j_value,
             "num_releases": plan.num_releases,
             "feasible": report.feasible,
-            "entry_time": report.entry_time,
-            "verified_feasible": verify_plan(plan, scenario.params, target, scenario.initial_wild),
+            "entry_time": adaptive.basin_entry_time,
+            "end_margin": adaptive.end_margin,
+            "verified_feasible": adaptive.end_margin > 0,
             "ga_config": asdict(gcfg),
         }
     )

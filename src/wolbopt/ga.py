@@ -28,9 +28,9 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .model import State, in_secure_region, make_rhs, rhs_arrays
+from .model import in_secure_region, make_rhs, rhs_arrays
 from .params import StrainParams
-from .sim import ImpulseSchedule, SimOptions, rk4, simulate_impulsive
+from .sim import ImpulseSchedule, rk4
 
 
 @dataclass(frozen=True)
@@ -110,7 +110,6 @@ class FitnessReport:
     j_value: int
     feasible: bool
     fitness_f: float
-    entry_time: Optional[float]
 
 
 EPSILON_MAX_ROUNDS = 50  # horizon reductions before ``epsilon_loop`` stops
@@ -173,9 +172,11 @@ def simulate_batch(
     these tolerances); day t's release is applied after flowing through
     [t-1, t], and the state after the final jump is what feasibility is
     judged on.  When ``target`` is given, also returns first entry times
-    at substep resolution (NaN where never).  A batch of more than
-    ``ROW_BATCH`` rows runs as one array lane, a smaller one as a float
-    lane per row; both do the same IEEE operations on a row.
+    at substep resolution (NaN where never); no library code asks for
+    them, and the benchmark reads them to compare the kernel's verdicts
+    with the adaptive integrator's until it compares end states.  A batch
+    of more than ``ROW_BATCH`` rows runs as one array lane, a smaller one
+    as a float lane per row; both do the same IEEE operations on a row.
     """
     b = genes.shape[0]
     x_end, y_end = np.empty(b), np.empty(b)
@@ -247,21 +248,6 @@ def evaluate_population(
     if stats is not None:
         stats.update(rows_screened=genes.shape[0], rows_rerun=int(near.sum()))
     return fitness, j, feas, margin
-
-
-def verify_plan(
-    plan: ReleasePlan,
-    params: StrainParams,
-    target: tuple[float, float],
-    initial_wild: float,
-) -> bool:
-    """The GA's feasibility rule on the adaptive integrator: the state at
-    the horizon is strictly inside the secure region."""
-    traj = simulate_impulsive(
-        params, State(initial_wild, 0.0), plan.schedule(),
-        SimOptions(t_end=float(plan.horizon_t)),
-    )
-    return bool(in_secure_region(*traj.final_state, target))
 
 
 def init_population(
@@ -362,11 +348,10 @@ def run_ga(
     The population is five columns: genes, fitness, J, feasibility and
     margin.  Each generation proposes pop_n offspring, evaluates them
     in one batch and keeps the best pop_n of parents and offspring by a
-    stable sort, so parents win ties and best fitness never drops.  The
-    elite's entry time comes from one 4-substep ``simulate_batch`` call
-    after the last generation.  ``seed_plans`` inject known-good gene
-    vectors (already valid for this horizon) into the initial population;
-    used by the epsilon loop for warm starts.
+    stable sort, so parents win ties and best fitness never drops.
+    ``seed_plans`` inject known-good gene vectors (already valid for this
+    horizon) into the initial population; used by the epsilon loop for
+    warm starts.
     """
     rng = np.random.default_rng(cfg.rng_seed)
     stats = Counter(rows_screened=0, rows_rerun=0)
@@ -387,13 +372,7 @@ def run_ga(
         history.append(GenerationRecord(gen, float(fit[best]), int(j[best]), int(feas.sum())))
     genes, fit, j, feas, _ = pop
     best = int(np.argmax(fit))
-    entry = simulate_batch(params, genes[best:best + 1], initial_wild, 4, target)[2][0]
-    report = FitnessReport(
-        j_value=int(j[best]),
-        feasible=bool(feas[best]),
-        fitness_f=float(fit[best]),
-        entry_time=None if np.isnan(entry) else float(entry),
-    )
+    report = FitnessReport(int(j[best]), bool(feas[best]), float(fit[best]))
     return GAResult(ReleasePlan(genes[best].copy(), cfg.block_p), report, history, dict(stats))
 
 

@@ -71,12 +71,16 @@ class PeriodicImpulseSequence:
 
 @dataclass(frozen=True)
 class IndicatorReport:
-    """Key indicators of one schedule: counts, total, entry, feasibility."""
+    """Indicators of one schedule on the adaptive integrator: counts, total,
+    the first entry by ``t_end`` (``feasible`` when there is one), and
+    ``end_margin`` = min(x_u - x, y - y_u) at ``t_end``, positive when that
+    state is strictly inside (the GA's rule)."""
 
     num_releases: int
     overall_size: int
     basin_entry_time: Optional[float]
     feasible: bool
+    end_margin: float
 
 
 def horizon_days(ctrl: ContinuousControl) -> int:
@@ -170,14 +174,16 @@ def evaluate_schedule(
     initial_wild: float,
     opts: SimOptions = SimOptions(),
 ) -> IndicatorReport:
-    """Simulate a schedule from (initial_wild, 0) and report indicators."""
+    """Simulate a schedule from (initial_wild, 0) to ``opts.t_end``; report indicators."""
     traj = simulate_impulsive(params, State(initial_wild, 0.0), sched, opts)
     entry = first_basin_entry(traj, target)
+    x, y = traj.final_state
     return IndicatorReport(
         num_releases=sched.num_releases,
         overall_size=sched.total,
         basin_entry_time=entry,
         feasible=entry is not None,
+        end_margin=float(min(target[0] - x, y - target[1])),
     )
 
 

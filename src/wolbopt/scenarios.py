@@ -44,6 +44,8 @@ class Scenario:
             raise ValueError(f"cap_l must be positive, not {self.cap_l:g}")
         if self.frequency < 1:
             raise ValueError(f"frequency must be at least 1, not {self.frequency}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, not {self.seed}")
 
     @property
     def target(self) -> tuple[float, float]:

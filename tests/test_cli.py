@@ -7,7 +7,7 @@ from wolbopt import cli, fileio
 from wolbopt.cli import main
 from wolbopt.model import State
 from wolbopt.ocp import STATS_KEYS
-from wolbopt.sim import ImpulseSchedule, SimOptions, simulate_impulsive
+from wolbopt.sim import ImpulseSchedule, SimOptions, first_basin_entry, simulate_impulsive
 
 
 def run(args, tmp_path):
@@ -165,8 +165,9 @@ def test_out_of_range_scenario_exits_2(tmp_path, capsys, monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("a bad scenario reached a solver")
 
-    # A negative initial_wild ran the whole search before verify_plan
-    # rejected it, and a negative cap_l exited with numpy's "high <= 0".
+    # A negative initial_wild ran the whole search before the adaptive
+    # check rejected it, a negative cap_l exited with numpy's "high <= 0",
+    # and a negative seed with numpy's "expected non-negative integer".
     for name in ("solve", "run_ga", "epsilon_loop", "integrate"):
         monkeypatch.setattr(cli, name, never)
     wmel = ["--strain", "wmel"]
@@ -177,6 +178,7 @@ def test_out_of_range_scenario_exits_2(tmp_path, capsys, monkeypatch):
         (["ga", *wmel, "--cap-l", "0.5", "--pop-n", "10", "--generations", "2"], "cap_l"),
         (["ocp", *wmel, "--cap-l", "0"], "cap_l"),
         (["ga", *wmel, "--frequency", "0"], "frequency"),
+        (["ga", *wmel, "--seed", "-1"], "seed"),
         (["simulate", *wmel, "--initial-wild", "-1"], "initial_wild"),
     ):
         assert run(argv, tmp_path) == 2, argv
@@ -224,7 +226,7 @@ def test_phase_command(tmp_path, capsys):
         assert not (tmp_path / grid).exists()
 
 
-def test_ga_command_small(tmp_path, capsys):
+def test_ga_command_small(tmp_path, capsys, wmel_scenario):
     code = run(
         [
             "ga", "--strain", "wmel", "--frequency", "14", "--horizon", "14",
@@ -236,6 +238,14 @@ def test_ga_command_small(tmp_path, capsys):
     summary = json.loads((tmp_path / "ga_wmel_summary.json").read_text())
     assert summary["feasible"] is True
     assert summary["verified_feasible"] is True
+    # Entry and end margin are the adaptive integrator's, on the plan CSV.
+    sched = fileio.read_schedule_csv(tmp_path / "ga_wmel_plan.csv")
+    s0 = State(wmel_scenario.initial_wild, 0.0)
+    traj = simulate_impulsive(wmel_scenario.params, s0, sched, SimOptions(t_end=14.0))
+    (xu, yu), (x, y) = wmel_scenario.target, traj.final_state
+    assert summary["entry_time"] == first_basin_entry(traj, wmel_scenario.target)
+    assert summary["end_margin"] == min(xu - x, y - yu)
+    assert summary["verified_feasible"] is (summary["end_margin"] > 0)
     assert summary["stats"]["rows_screened"] == 30 * 11  # initial population + 10 generations
     assert 0 <= summary["stats"]["rows_rerun"] <= summary["stats"]["rows_screened"]
     plan_rows = (tmp_path / "ga_wmel_plan.csv").read_text().splitlines()
@@ -378,7 +388,7 @@ def test_schedule_rejects_negative_and_fractional(tmp_path):
         fileio.read_schedule_csv(path)
 
 
-def test_config_file_scenario(tmp_path):
+def test_config_file_scenario(tmp_path, capsys):
     cfg = tmp_path / "scenario.ini"
     cfg.write_text("[scenario]\nstrain = wmel\nseed = 11\n\n[strain]\nomega = 0.002\n")
     code = main(["equilibria", "--config", str(cfg), "--out", str(tmp_path)])
@@ -386,6 +396,12 @@ def test_config_file_scenario(tmp_path):
     summary = json.loads((tmp_path / "equilibria_wmel.json").read_text())
     assert summary["scenario"]["strain"]["omega"] == 0.002
     assert summary["seed"] == 11
+    # A negative seed was accepted and written into the summary.
+    cfg.write_text("[scenario]\nstrain = wmel\nseed = -1\n")
+    out = tmp_path / "negative"
+    assert main(["equilibria", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "seed" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_config_file_stage_sections_with_flag_precedence(tmp_path):
@@ -497,6 +513,8 @@ def test_ga_reproduce_table4_settings(tmp_path, capsys):
     for flag in (["--horizon", "14"], ["--epsilon0", "28"], ["--frequency", "7"]):
         assert run(repro + flag, tmp_path) == 2
         assert flag[0] in capsys.readouterr().err
+    assert run(repro + ["--seed", "-1"], tmp_path) == 2
+    assert "seed must be nonnegative" in capsys.readouterr().err
 
 
 def test_outdir_env_var(tmp_path, monkeypatch):

@@ -14,7 +14,8 @@ from wolbopt.impulsive import (
     select_rule,
 )
 from wolbopt.model import equilibria
-from wolbopt.ocp import ContinuousControl
+from wolbopt.ocp import ContinuousControl, solve
+from wolbopt.scenarios import ocp_config
 from wolbopt.sim import ImpulseSchedule, SimOptions
 
 
@@ -202,6 +203,7 @@ def test_evaluate_empty_schedule_infeasible(wmel, wmel_scenario):
     assert not rep.feasible
     assert rep.basin_entry_time is None
     assert rep.overall_size == 0
+    assert rep.end_margin < 0  # no release: y stays at 0, below y_u
 
 
 def test_wmel_daily_schedule_feasible(wmel, wmel_scenario, wmel_solution):
@@ -212,6 +214,22 @@ def test_wmel_daily_schedule_feasible(wmel, wmel_scenario, wmel_solution):
     )
     assert rep.feasible
     assert rep.basin_entry_time <= daily.t_hat + 1.5
+
+
+def test_wmel_daily_schedule_two_rules(wmel, wmel_scenario):
+    """The two feasibility rules disagree on the wmel daily schedule: the
+    state at t_hat = 14 is outside the secure region (the GA's rule), yet
+    the state enters it shortly after (Table 2's rule)."""
+    sol = solve(wmel, ocp_config(wmel_scenario, grid_n=100))
+    daily = daily_impulses(sol.control)
+    assert (daily.total, daily.t_hat) == (6132, 14)
+    args = (wmel, daily.schedule(), wmel_scenario.target, wmel_scenario.initial_wild)
+    at_t_hat = evaluate_schedule(*args, SimOptions(t_end=14.0))
+    assert at_t_hat.end_margin == pytest.approx(-34.1, abs=0.05)
+    assert at_t_hat.basin_entry_time is None and not at_t_hat.feasible
+    by_day_400 = evaluate_schedule(*args)
+    assert by_day_400.basin_entry_time == pytest.approx(14.238, abs=5e-4)
+    assert by_day_400.feasible and by_day_400.end_margin > 0
 
 
 def test_select_rule_aggregate_first(wmel, wmel_scenario, wmel_solution):
