@@ -9,11 +9,13 @@ every infeasible one.  Evaluation screens each plan at one RK4 substep
 per day and re-runs at four those within ``SCREEN_MARGIN`` of the region's
 edge, so every verdict is that of four substeps.  The kernel runs a batch
 of more than ``ROW_BATCH`` plans as arrays and a smaller one row by row
-on Python floats, with the same bits per row.  Each generation is one
+on Python floats, with the same bits per row; an array RK4 step is about
+108 numpy calls at any row count, each on 0-d array constants, which numpy
+dispatches faster than Python floats.  Each generation is one
 propose-evaluate-keep step: tournament selection, block-aligned two-point
-crossover and segment mutation propose offspring, one batch call
-evaluates them, and truncation survival keeps the best of parents and
-offspring, so the best plan is never lost.
+crossover (all pairs' cuts from one draw call) and segment mutation
+propose offspring, one batch call evaluates them, and truncation survival
+keeps the best of parents and offspring, so the best plan is never lost.
 
 The outer epsilon loop shrinks the horizon while feasible plans keep
 appearing, warm-starting each round with truncations of the previous
@@ -270,20 +272,22 @@ def init_population(
 def crossover(
     a: np.ndarray, b: np.ndarray, block_p: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Two-point crossover with cut points on block boundaries.
+    """Two-point crossover of each row pair (a[k], b[k]) on block boundaries.
 
     Cuts are multiples of p so the one-release-per-block structure is
     preserved; the gene segment strictly after the first cut through the
-    second cut is exchanged.
+    second cut is exchanged.  One ``integers`` call makes, for every pair,
+    the draws of ``rng.choice(T/p + 1, 2, replace=False)``: Floyd's in
+    [0, cuts - 2] and [0, cuts - 1] (a repeat becomes cuts - 1), then the
+    shuffle's in [0, 1], dropped as the cuts' order does not matter.
     """
-    cuts = a.shape[0] // block_p + 1
-    if cuts < 2:
-        return a.copy(), b.copy()
-    i, j = rng.choice(cuts, size=2, replace=False).tolist()
-    r1, r2 = block_p * min(i, j), block_p * max(i, j)
-    c, d = a.copy(), b.copy()
-    c[r1:r2], d[r1:r2] = b[r1:r2], a[r1:r2]
-    return c, d
+    cuts = a.shape[-1] // block_p + 1
+    draws = rng.integers(0, np.tile([cuts - 1, cuts, 2], a.shape[:-1] + (1,)))
+    first, second = draws[..., :1], draws[..., 1:2]
+    second = np.where(second == first, cuts - 1, second)
+    block = np.arange(a.shape[-1]) // block_p
+    swap = (block < first) != (block < second)
+    return np.where(swap, b, a), np.where(swap, a, b)
 
 
 def mutate(
@@ -322,14 +326,10 @@ def _propose(
     crossover (an odd last pick is copied), then each one mutated."""
     n = cfg.pop_n
     r, s = rng.integers(0, n, size=(n, 2)).T
-    selected = np.where(fit[r] >= fit[s], r, s)
-    offspring = np.empty_like(genes)
-    for k in range(0, n - 1, 2):
-        offspring[k], offspring[k + 1] = crossover(
-            genes[selected[k]], genes[selected[k + 1]], cfg.block_p, rng
-        )
-    if n % 2:
-        offspring[n - 1] = genes[selected[n - 1]]
+    offspring = genes[np.where(fit[r] >= fit[s], r, s)]
+    offspring[:-1:2], offspring[1::2] = crossover(
+        offspring[:-1:2], offspring[1::2], cfg.block_p, rng
+    )
     for k in range(n):
         offspring[k] = mutate(offspring[k], cfg, rng)
     return offspring

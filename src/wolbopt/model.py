@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -69,25 +68,26 @@ def make_rhs(
 
     This is the only statement of the vector field: ``rhs_arrays`` calls
     it, and ``make_jacobian`` is its derivative.  With the default
-    ``math.exp`` it is the fast scalar path; with ``exp=np.exp`` the same
-    arithmetic runs elementwise on arrays.
+    ``math.exp`` it is the scalar path on floats; with ``exp=np.exp`` it
+    runs elementwise on arrays, on 0-d coefficients, which numpy takes faster.
     """
-    rho_n = params.rho_n
-    one_eta = 1.0 - params.eta
-    leak = (1.0 - params.nu) * params.rho_w
-    nu_rw = params.nu * params.rho_w
-    omega = params.omega
-    delta_n = params.delta_n
-    decay_w = params.omega + params.delta_w
-    sigma = params.sigma
+    coef = np.array if exp is np.exp else float
+    rho_n = coef(params.rho_n)
+    one_eta = coef(1.0 - params.eta)
+    leak = coef((1.0 - params.nu) * params.rho_w)
+    nu_rw = coef(params.nu * params.rho_w)
+    omega = coef(params.omega)
+    delta_n = coef(params.delta_n)
+    decay_w = coef(params.omega + params.delta_w)
+    neg_sigma = coef(-params.sigma)
+    # Below one ulp of any reachable positive population; at the origin
+    # 0 / tiny gives the continuous limit 0, branch-free for arrays too.
+    tiny = coef(1e-300)
 
     def rhs(x, y, u):
         s = x + y
-        e = exp(-sigma * s)
-        # Branch-free so the same line serves floats and arrays: 1e-300 is
-        # below one ulp of any reachable positive population, and at the
-        # origin 0 / 1e-300 gives the continuous limit 0.
-        frac = x * (x + one_eta * y) / (s + 1e-300)
+        e = exp(neg_sigma * s)
+        frac = x * (x + one_eta * y) / (s + tiny)
         dx = (rho_n * frac + leak * y) * e + omega * y - delta_n * x
         dy = nu_rw * y * e - decay_w * y + u
         return dx, dy
@@ -130,15 +130,20 @@ def make_jacobian(params: StrainParams) -> Callable:
     return jac
 
 
-@lru_cache(maxsize=16)
-def _array_field(params: StrainParams) -> Callable:
-    return make_rhs(params, np.exp)
+_latest_field: tuple = (None, None)  # (params, closure) of the latest call
+_NO_RELEASE = np.array(0.0)  # u, a 0-d array like the field's coefficients
 
 
 def rhs_arrays(params: StrainParams, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Uncontrolled vector field on arrays, for batch simulation.  The
-    closure is built once per parameter set (keyed on every field)."""
-    return _array_field(params)(x, y, 0.0)
+    closure is held for the latest parameter object (matched by identity,
+    so no hash of the frozen dataclass per call) and rebuilt for another."""
+    global _latest_field
+    held, field = _latest_field
+    if held is not params:
+        field = make_rhs(params, np.exp)
+        _latest_field = (params, field)
+    return field(x, y, _NO_RELEASE)
 
 
 def jacobian(params: StrainParams, state: State) -> np.ndarray:

@@ -543,6 +543,7 @@ def solve(params: StrainParams, cfg: OCPConfig) -> OCPSolution:
         "hamiltonian": abs(out["h_terminal"]),
         "sweep": out["sweep_delta"],
         "clamp": clamp_gap,
+        "hamiltonian_spread": float(np.ptp(h_grid)),  # reported, not judged
     }
     converged = (
         residuals["boundary"] <= TOL_BC

@@ -122,12 +122,14 @@ def rk4(rhs, x, y, u: Sequence, h: float) -> tuple[list, list]:
     the OCP adjoint pass backward (h < 0) with the state as a complex drive
     x + iy, the GA kernel on arrays (one row per plan) or on one plan's
     floats.  k2 and k3 get one midpoint object, and a step's last node is
-    the next step's first.
+    the next step's first.  On arrays its constants are 0-d arrays.
     """
     n = len(u) - 1
     xs = [x] * (n + 1)
     ys = [y] * (n + 1)
-    h2, h6 = 0.5 * h, h / 6.0
+    h2, h6, two = 0.5 * h, h / 6.0, 2.0
+    if isinstance(x, np.ndarray):
+        h, h2, h6, two = np.array(h), np.array(h2), np.array(h6), np.array(2.0)
     for i in range(n):
         u0, u1 = u[i], u[i + 1]
         um = 0.5 * (u0 + u1)
@@ -137,8 +139,8 @@ def rk4(rhs, x, y, u: Sequence, h: float) -> tuple[list, list]:
         k4x, k4y = rhs(x + h * k3x, y + h * k3y, u1)
         # Rebind, never ``+=``: on arrays that would write in place and
         # every stored node would alias one array.
-        x = x + h6 * (k1x + 2.0 * (k2x + k3x) + k4x)
-        y = y + h6 * (k1y + 2.0 * (k2y + k3y) + k4y)
+        x = x + h6 * (k1x + two * (k2x + k3x) + k4x)
+        y = y + h6 * (k1y + two * (k2y + k3y) + k4y)
         xs[i + 1], ys[i + 1] = x, y
     return xs, ys
 

@@ -49,3 +49,18 @@ def classify_endpoint(
         return "ex"
     d_es = math.hypot(fx - eq.es.state.x, fy - eq.es.state.y)
     return "es" if d_es < d_ex else "ex"
+
+
+def initial_release_adjoint(weight_p: float, cap_l: float) -> float:
+    """lambda2(0) of the free-time optimum started at the wild equilibrium.
+
+    The problem is autonomous with a free horizon, so H = 0 along the
+    optimum.  At t = 0 the state is the wild equilibrium, where the field
+    vanishes, so H(0) = -P + max over u in [0, L] of (lambda2 u - u^2/2)
+    = 0: with L < sqrt(2P) the control sits at the cap and lambda2(0) =
+    P/L + L/2, otherwise u = lambda2(0) = sqrt(2P).  It holds only from
+    x0 = x# and y0 = 0, the preset scenarios' start.
+    """
+    if cap_l < math.sqrt(2.0 * weight_p):
+        return weight_p / cap_l + cap_l / 2.0
+    return math.sqrt(2.0 * weight_p)

@@ -270,13 +270,14 @@ def test_crossover_identical_parents():
 
 
 class _FixedCuts:
-    """Stub generator returning preset crossover cut points."""
+    """Stub generator returning preset crossover cut points: ``crossover``
+    draws (first, second, order) for each pair in one ``integers`` call."""
 
     def __init__(self, r1, r2):
         self.r1, self.r2 = r1, r2
 
-    def choice(self, cuts, size, replace):
-        return np.array([self.r1, self.r2])
+    def integers(self, low, high):
+        return np.broadcast_to([self.r1, self.r2, 0], np.shape(high))
 
 
 def test_crossover_two_point_layout():
@@ -286,6 +287,24 @@ def test_crossover_two_point_layout():
     # Genes strictly after position 2 through position 5 swap.
     assert c.tolist() == [10, 11, 22, 23, 24, 15, 16]
     assert d.tolist() == [20, 21, 12, 13, 14, 25, 26]
+
+
+def test_crossover_cuts_are_generator_choice_draws():
+    # Each pair's cuts, and the generator's position after them, must be
+    # those of ``rng.choice(cuts, 2, replace=False)``: a numpy release that
+    # changes either would change every seeded GA result.
+    ours, theirs = np.random.default_rng(7), np.random.default_rng(7)
+    for cuts in range(2, 72):
+        t = cuts - 1  # p = 1: the cuts are the block boundaries 0..T
+        a = np.zeros((50, t), dtype=np.int64)
+        for _ in range(4):
+            c, _ = crossover(a, a + 1, 1, ours)
+            swapped = c == 1
+            got = [(int(row.argmax()), t - int(row[::-1].argmax())) for row in swapped]
+            expect = [tuple(sorted(theirs.choice(cuts, 2, replace=False).tolist()))
+                      for _ in range(50)]
+            assert got == expect
+            assert ours.bit_generator.state == theirs.bit_generator.state
 
 
 def test_crossover_preserves_positionwise_multiset():

@@ -70,7 +70,7 @@ def test_rhs_arrays_equal_scalar_field(wmel, wmelpop):
             assert gy == pytest.approx(fy, rel=1e-12, abs=1e-9)
 
 
-def test_rhs_arrays_cached_per_params(wmel):
+def test_rhs_arrays_cached_per_params(wmel, wmelpop):
     xs = np.array([6786.0, 4592.0, 0.5])
     ys = np.array([0.0, 1793.0, 7000.0])
     first = rhs_arrays(wmel, xs, ys)
@@ -83,6 +83,19 @@ def test_rhs_arrays_cached_per_params(wmel):
     expect = make_rhs(other, np.exp)(xs, ys, 0.0)
     assert [a.tobytes() for a in got] == [a.tobytes() for a in expect]
     assert got[0].tobytes() != first[0].tobytes()
+    # It holds the latest parameter object's closure: alternating objects,
+    # equal or not, must give each its own field's bits every time.
+    for params in (wmel, wmelpop, replace(wmel), other, wmel, replace(wmel), wmelpop, other):
+        got = rhs_arrays(params, xs, ys)
+        expect = make_rhs(params, np.exp)(xs, ys, 0.0)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in expect]
+
+
+def test_rhs_scalar_path_stays_on_floats(wmel):
+    # Only the array path takes 0-d coefficients: the OCP's forward passes
+    # and the adaptive integrator must not run on numpy scalars.
+    dx, dy = make_rhs(wmel)(4592.0, 1793.0, 10.0)
+    assert type(dx) is float and type(dy) is float
 
 
 def test_jacobian_matches_finite_differences(wmel, wmelpop):

@@ -8,6 +8,7 @@ from wolbopt.model import State, equilibria, make_jacobian, make_rhs
 from wolbopt.ocp import (
     STATS_KEYS,
     TOL_BC,
+    TOL_H,
     CapInfeasibleError,
     ContinuousControl,
     NonConvergenceError,
@@ -20,6 +21,8 @@ from wolbopt.ocp import (
 )
 from wolbopt.scenarios import build_scenario, ocp_config
 from wolbopt.sim import rk4
+
+from oracles import initial_release_adjoint
 
 P_DEFAULT = 1e6
 
@@ -390,6 +393,21 @@ def test_solver_work_at_paper_grid(wmel_solution, wmelpop_solution):
         assert sol.stats["backward_passes"] <= 90
         assert sol.stats["outer_evaluations"] <= 12
         assert sol.stats["mu_searches_capped"] == 0
+
+
+def test_pontryagin_invariants_at_paper_grid(
+    wmel_scenario, wmelpop_scenario, wmel_solution, wmelpop_solution
+):
+    # lambda2(0) has a closed form from the wild equilibrium, and H is
+    # constant along the optimum; grid 2000 meets both (measured: 1.8e-5
+    # and 3.3e-5 relative, spreads 4.2 and 10.0).
+    for scenario, sol in ((wmel_scenario, wmel_solution), (wmelpop_scenario, wmelpop_solution)):
+        cfg = ocp_config(scenario)
+        expect = initial_release_adjoint(cfg.weight_p, cfg.cap_l)
+        assert sol.adjoints[0, 1] == pytest.approx(expect, rel=1e-4)
+        spread = sol.residuals["hamiltonian_spread"]
+        assert spread == np.ptp(sol.hamiltonian_grid)
+        assert spread <= TOL_H
 
 
 def test_large_cap_not_reported_as_too_small(wmelpop):
