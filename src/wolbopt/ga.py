@@ -194,7 +194,9 @@ def simulate_batch(
         # Looked up in the module at each call, so a wrapped ``rhs_arrays``
         # sees every evaluation of the array layout.
         flow = lambda x, y, u: rhs_arrays(params, x, y)  # noqa: E731
-        lanes = [(slice(None), np.full(b, float(initial_wild)), np.zeros(b), genes.T)]
+        # Contiguous float columns: adding a strided int64 column costs more.
+        columns = np.ascontiguousarray(genes.T, dtype=float)
+        lanes = [(slice(None), np.full(b, float(initial_wild)), np.zeros(b), columns)]
     else:
         # numpy's exp, not math.exp: a float row then gets the bits of its
         # array element (math.exp differs in the last bit on some inputs).

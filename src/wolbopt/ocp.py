@@ -11,15 +11,17 @@ terminal multiplier mu = lambda1(T) enforces the terminal state.  Both
 passes run ``sim.rk4``, the forward one on floats.  The adjoint system is
 linear in its terminal value, so each sweep needs one unit backward pass:
 one ``rk4`` step on arrays over every grid step gives the steps' 2x2
-transition matrices, and a scan of those from T the unit adjoint.  The
-multiplier is then located by forward passes only: the first at the root
-of a first-order model of x(T) in mu (no pass needed), then a Newton step
-whose slope the unit adjoint gives, then secant steps, kept inside a
-bracket by Illinois false position.  Sweeps are relaxed and
-Anderson(1)-accelerated.  Illinois false position on T drives H(T) to
-zero; a horizon whose sweep does not settle has no value, and one far from
-the root is settled only to the sign of its H(T).  The bracket's short end
-comes from one full-capacity pass, its long end from 1.2x steps.
+transition matrices, and a scan of those from T the unit adjoint.  A sweep
+is one forward and one backward pass: mu is the root of a first-order
+model of x(T) in mu about the sweep's forward pass, found with no pass,
+and the next sweep's forward pass checks it.  A verified search by
+forward passes (Newton with the adjoint slope, then secants, inside an
+Illinois bracket whose positive end is the mu = 0 pass) is only the
+fallback, counted in ``stats``.  Sweeps are relaxed and Anderson(2)-
+accelerated.  Illinois false position on T drives H(T) to zero; a horizon
+whose sweep does not settle has no value, and one far from the root is
+settled only to the sign of its H(T).  The bracket's short end comes from
+one full-capacity pass, its long end from 1.2x steps.
 """
 
 from __future__ import annotations
@@ -99,11 +101,12 @@ class ContinuousControl:
     cap_l: float
 
 
-# Work counts of one solve: H(T) evaluations, sweeps, RK4 passes, and the
-# multiplier searches with their longest run and how many hit their cap.
+# Work counts of one solve: H(T) evaluations, sweeps, RK4 passes, the
+# mu = 0 passes, and the fallback multiplier searches with their passes,
+# their longest run and how many hit their cap.
 STATS_KEYS = (
-    "outer_evaluations", "sweeps", "forward_passes", "backward_passes",
-    "mu_searches", "mu_passes_max", "mu_searches_capped",
+    "outer_evaluations", "sweeps", "forward_passes", "backward_passes", "zero_passes",
+    "mu_fallbacks", "mu_fallback_passes", "mu_passes_max", "mu_searches_capped",
 )
 
 
@@ -204,34 +207,50 @@ def _mu_slope(phi2: np.ndarray, u: np.ndarray, h: float, cap: float) -> float:
 
 
 def _predict_mu(
-    phi2: np.ndarray, u: np.ndarray, r_base: float, h: float, cap: float, mu: float, xtol: float
-) -> float:
-    """The root of the first-order model of x(T) - x_target in mu, made about
-    the forward pass under ``u`` (residual ``r_base``): r(mu) = r_base +
-    h sum' phi2 (clamp(mu phi2) - u), with ``_mu_slope``'s trapezoid weights.
+    phi2: np.ndarray, u: np.ndarray, r_base: float, h: float, cap: float, mu: float
+) -> Optional[float]:
+    """The negative root of the first-order model of x(T) - x_target in mu,
+    made about the forward pass under ``u`` (residual ``r_base``): r(mu) =
+    r_base + h sum' phi2 (clamp(mu phi2) - u), with ``_mu_slope``'s
+    trapezoid weights; None when the model has no negative root.
 
     For mu < 0 the model is increasing and convex (more nodes reach the cap
-    as mu falls), so Newton's steps from ``mu`` settle on its root without a
-    pass; the previous ``mu`` is kept when they cannot.
+    as mu falls), and r(0-) = r_const.  Newton's steps from ``mu`` reach the
+    root without a pass: from its right they fall onto it, and a step from
+    its left, which would overshoot, goes at most halfway to 0.
     """
     w = h * phi2
     w[0] *= 0.5
     w[-1] *= 0.5
     r_const = r_base - float(w @ u)
-    m = mu
+    if r_const <= 0.0:
+        return None
+    m = mu if mu < -1.0 else -1000.0
     for _ in range(_PREDICT_STEPS):
         v = np.clip(m * phi2, 0.0, cap)
         r = r_const + float(w @ v)
+        if abs(r) < _PREDICT_TOL:
+            return m
         slope = _mu_slope(phi2, v, h, cap)
-        if abs(r) < xtol or slope <= 0.0:
-            break
-        m -= r / slope
-    return m if m < 0.0 else mu
+        if slope > 0.0:
+            m = min(m - r / slope, 0.5 * m)
+        elif r < 0.0:
+            m *= 0.5
+        else:
+            return None
+    return None
 
 
-# Passes a mu search may spend, and Newton steps on its first-order model.
+# Passes a mu search may spend; Newton steps on the first-order model (7
+# at most were taken, caps 300-1,500, both strains) and the model residual,
+# in individuals, that counts as its root.
 _MU_ITERATIONS = 60
-_PREDICT_STEPS = 8
+_PREDICT_STEPS = 12
+_PREDICT_TOL = 1e-6
+# Sweeps whose differences the Anderson step combines: at grid 100 depth 2
+# took 44 -> 40 (wmel) and 45 -> 41 (wmelpop) sweeps against depth 1;
+# depth 3 took wmel to 39 and left wmelpop at 41.
+_ANDERSON_DEPTH = 2
 # A sweep whose control change sets no new low for this many sweeps in a
 # row has locked into a cycle or is diverging; at grid 100 a settling one
 # never went more than 2, at either strain and x0 from x# - 50 to x# + 600.
@@ -275,24 +294,20 @@ class _Sweeper:
             p1[i], p2[i] = a, b
         return np.array(p1), np.array(p2)
 
-    def _mu_search(
-        self, phi2: np.ndarray, u: np.ndarray, r_base: float, h: float,
-        mu_guess: float, r_zero: float, xtol: float,
-    ):
-        """Locate mu < 0 with x(T) = x_target; forward passes only.
+    def _mu_search(self, phi2: np.ndarray, h: float, mu: float, r_zero: float, xtol: float):
+        """Locate mu < 0 with x(T) = x_target by forward passes: the sweep's
+        fallback when the first-order model cannot be trusted.
 
         ``r_zero`` > 0 is the residual at mu = 0, the positive end of every
-        bracket.  The first pass is at the root of the first-order model
-        made about the last forward pass, under ``u`` with residual
-        ``r_base`` (``_predict_mu``); the first step is Newton's with the
-        adjoint slope (``_mu_slope``), later ones are secants through the
-        last two points.  A step that leaves the known bracket takes the
-        bracket's Illinois point instead, and while no negative end is known
-        mu doubles.
+        bracket.  The first pass is at ``mu`` (the model's root when it has
+        one); the first step is Newton's with the adjoint slope
+        (``_mu_slope``), later ones are secants through the last two points.
+        A step that leaves the known bracket takes the bracket's Illinois
+        point instead, and while no negative end is known mu doubles.
         """
         cap = self.cfg.cap_l
         stats = self.stats
-        stats["mu_searches"] += 1
+        stats["mu_fallbacks"] += 1
         passes_before = stats["forward_passes"]
 
         def resid(mu: float):
@@ -301,8 +316,7 @@ class _Sweeper:
             return xs[-1] - self.x_target, (mu, u, xs, ys)
 
         try:
-            mu = mu_guess if mu_guess < -1.0 else -1000.0
-            mu = _predict_mu(phi2, u, r_base, h, cap, mu, xtol)
+            mu = mu if mu < -1.0 else -1000.0
             pos = (0.0, r_zero)  # the residual rises with mu
             bracket = prev = None
             for _ in range(_MU_ITERATIONS):
@@ -337,18 +351,30 @@ class _Sweeper:
             )
         finally:
             passes = stats["forward_passes"] - passes_before
+            stats["mu_fallback_passes"] += passes
             stats["mu_passes_max"] = max(stats["mu_passes_max"], passes)
 
     def converge(self, T: float, u: list[float], mu: float, tight: bool = False):
         """The settled sweep at horizon T: its control, states, multiplier
         and H(T), without the adjoints (``solve`` needs them at one horizon).
 
+        A sweep is one forward pass under the current control, one backward
+        pass, and mu at the root of ``_predict_mu``'s model about that
+        forward pass; the next sweep's forward pass checks it.  The verified
+        ``_mu_search`` is the fallback: for a sweep whose model has no
+        negative root, for one whose control has settled while its state
+        misses the target (|r| at least the multiplier tolerance, or |r f1| /
+        slope, the error r leaves in H(T) = -P + mu f1(T), above TOL_H), and
+        for every sweep after a stall.  Its mu = 0 pass runs at most once.
+
         A ``tight`` sweep (near the root) settles its control change to
         2e-5 of the cap within 300 sweeps.  Any other settles it to 1e-4 of
         the cap within 120, or stops once the change is below
-        ``SIGN_DU_REL`` of the cap while |H(T)| exceeds ``SIGN_H``: only the
-        sign of such an H(T) enters the outer bracket.  ``settled`` in the
-        result says which test stopped it ("tight", "normal" or "sign").
+        ``SIGN_DU_REL`` of the cap while |H(T)| exceeds ``SIGN_H`` by more
+        than the error r leaves in it, and that error is below a tenth of
+        ``SIGN_H`` (a first-order estimate holds only near the target): only
+        the sign of such an H(T) enters the outer bracket.  ``settled`` in
+        the result says which test stopped it ("tight", "normal" or "sign").
 
         Raises CapInfeasibleError when no multiplier reaches the target and
         NonConvergenceError when the sweep does not settle: either way the
@@ -358,62 +384,84 @@ class _Sweeper:
         cap = self.cfg.cap_l
         h = T / n
         max_sweeps, du_tol_rel = (300, 2e-5) if tight else (120, 1e-4)
+        du_tol = du_tol_rel * cap
         alpha = SWEEP_RELAXATION
         # A copy: an unusable horizon must not poison the caller's warm start.
         u = np.array(u, dtype=float)
-        # At mu = 0 the control is zero whatever phi2 is, so this residual
-        # depends on T alone.
-        xs, _ = self._forward([0.0] * (n + 1), h)
-        r_zero = xs[-1] - self.x_target
-        if r_zero <= 0.0:
-            raise CapInfeasibleError(
-                "terminal target is crossed with zero control; nothing to optimize"
-            )
         # The multiplier tolerance sets the sweep noise floor; keep it a
         # fraction of the control tolerance being asked for.
-        xtol = max(0.2 * du_tol_rel * cap, 1e-6)
-        xs, ys = self._forward(u.tolist(), h)
+        xtol = max(0.2 * du_tol, 1e-6)
+        r_zero = None
         settled = None
-        best_du, stalled = math.inf, 0
-        last = None  # (u, f, du) of the previous sweep
+        after_stall, best_du, stalled = False, math.inf, 0
+        history = []  # (u, f, du) of the last _ANDERSON_DEPTH sweeps
         for sweep in range(max_sweeps):
             self.stats["sweeps"] += 1
+            xs, ys = self._forward(u.tolist(), h)
             _, phi2 = self._backward(xs, ys, h)
-            mu, u_star, xs, ys = self._mu_search(
-                phi2, u, xs[-1] - self.x_target, h, mu, r_zero, xtol
-            )
+            r = xs[-1] - self.x_target
+            m = _predict_mu(phi2, u, r, h, cap, mu)
+            if m is not None:
+                mu, u_star = m, np.clip(m * phi2, 0.0, cap)
+                du = float(np.max(np.abs(u_star - u)))
+                f1 = self.rhs(xs[-1], ys[-1], 0.0)[0]
+                slope = _mu_slope(phi2, u_star, h, cap)
+                h_err = abs(r * f1) / slope if slope > 0.0 else math.inf
+                off_target = abs(r) >= xtol or h_err > TOL_H
+            verified = m is None or after_stall or (du < du_tol and off_target)
+            if verified:
+                if r_zero is None:
+                    # At mu = 0 the control is zero whatever phi2 is, so this
+                    # residual depends on T alone.
+                    self.stats["zero_passes"] += 1
+                    r_zero = self._forward([0.0] * (n + 1), h)[0][-1] - self.x_target
+                    if r_zero <= 0.0:
+                        raise CapInfeasibleError(
+                            "terminal target is crossed with zero control; nothing to optimize"
+                        )
+                mu, u_star, xs, ys = self._mu_search(phi2, h, mu, r_zero, xtol)
+                du = float(np.max(np.abs(u_star - u)))
+                f1 = self.rhs(xs[-1], ys[-1], 0.0)[0]
+                h_err = 0.0  # within TOL_H, by the search's own test
             f = u_star - u
-            du = float(np.max(np.abs(f)))
             # H(T) at lambda(T) = (mu, 0), where the control is clamp(0) = 0.
-            h_T = _hamiltonian(self.rhs(xs[-1], ys[-1], 0.0), mu, 0.0, 0.0, self.cfg.weight_p)
-            if du < du_tol_rel * cap:
+            h_T = _hamiltonian((f1, 0.0), mu, 0.0, 0.0, self.cfg.weight_p)
+            if du < du_tol:
                 settled = "tight" if tight else "normal"
-            elif not tight and du < SIGN_DU_REL * cap and abs(h_T) > SIGN_H:
+            elif (not tight and du < SIGN_DU_REL * cap and h_err < 0.1 * SIGN_H
+                  and abs(h_T) - h_err > SIGN_H):
                 settled = "sign"
             if settled:
-                u = u_star
+                # The states in hand are those of the verified control, or
+                # of the model sweep's own forward pass.
+                u_final = u_star if verified else u
                 break
             best_du, stalled = (du, 0) if du < best_du else (best_du, stalled + 1)
             if stalled == _STALL_SWEEPS:
-                break
+                if after_stall:
+                    break
+                after_stall, best_du, stalled = True, math.inf, 0
             step = alpha * f
-            if last is not None and du < last[2]:
-                # Anderson(1) on the relaxed map u -> u + alpha f: the
-                # secant through the last two sweeps removes the component
-                # of the step that they share (Walker & Ni 2011).
-                df = f - last[1]
-                theta = float(df @ f) / float(df @ df)
-                step -= theta * ((u - last[0]) + alpha * df)
-            last = u, f, du
+            if history and du < history[-1][2]:
+                # Anderson on the relaxed map u -> u + alpha f: the least-
+                # squares combination of the last sweeps' differences
+                # removes the part of the step that they share (Walker &
+                # Ni 2011).
+                d_f = np.array([f - g for _, g, _ in history])
+                d_u = np.array([u - v for v, _, _ in history])
+                gamma = np.linalg.lstsq(d_f.T, f, rcond=None)[0]
+                step -= gamma @ (d_u + alpha * d_f)
+            history = (history + [(u, f, du)])[-_ANDERSON_DEPTH:]
             u = np.clip(u + step, 0.0, cap)
-            xs, ys = self._forward(u.tolist(), h)
         if not settled:
             raise NonConvergenceError(
                 f"sweep did not settle at T={T:.6g} after {sweep + 1} sweeps (du={du:.3g})"
             )
-        # xs, ys are the states under u = u_star from the multiplier search.
+        # The next horizon starts from u*, not the relaxed u: from u, wmel
+        # took one more sweep at grid 100, and wmelpop's grid-2,000 daily
+        # total moved 29,438 -> 29,439 (day 41's ceiling).
         return dict(
-            u=u, xs=xs, ys=ys, mu=mu, h=h,
+            u=u_final, xs=xs, ys=ys, mu=mu, h=h, warm=u_star,
             h_terminal=h_T, x_terminal=xs[-1], sweep_delta=du, settled=settled,
         )
 
@@ -454,7 +502,7 @@ def solve(params: StrainParams, cfg: OCPConfig) -> OCPSolution:
                 T, h_T, sweeper.stats["sweeps"] - before[0],
                 sweeper.stats["forward_passes"] - before[1], settled,
             ))
-        u, mu = out["u"], out["mu"]
+        u, mu = out["warm"], out["mu"]
         return out
 
     # Bracket H(T) = 0: H > 0 means the horizon is too short, and so does a
