@@ -16,12 +16,13 @@ is one forward and one backward pass: mu is the root of a first-order
 model of x(T) in mu about the sweep's forward pass, found with no pass,
 and the next sweep's forward pass checks it.  A verified search by
 forward passes (Newton with the adjoint slope, then secants, inside an
-Illinois bracket whose positive end is the mu = 0 pass) is only the
+Illinois bracket (-inf, 0] whose 0 end is the mu = 0 pass) is only the
 fallback, counted in ``stats``.  Sweeps are relaxed and Anderson(2)-
 accelerated.  Illinois false position on T drives H(T) to zero; a horizon
 whose sweep does not settle has no value, and one far from the root is
 settled only to the sign of its H(T).  The bracket's short end comes from
-one full-capacity pass, its long end from 1.2x steps.
+one full-capacity pass; its long end stays open, stepping 1.2x, until a
+horizon has H(T) <= 0.
 """
 
 from __future__ import annotations
@@ -175,6 +176,10 @@ class _Bracket:
     ``fa`` may be None, an end with no value: the next point is then the
     midpoint.  When the same end is kept twice in a row, the other end's
     stored residual is halved, so a convex residual cannot pin one end.
+    One end may be open (-inf or +inf, its residual an infinity of the sign
+    the residual takes there); ``point`` needs both ends, so the caller
+    steps outward until an update closes the open end, which starts the
+    count of kept ends afresh.
     """
 
     def __init__(self, a: float, fa: Optional[float], b: float, fb: float):
@@ -191,11 +196,11 @@ class _Bracket:
         if fm is not None and (fm > 0.0) == (self.fb > 0.0):
             if self.moved == "b" and self.fa is not None:
                 self.fa *= 0.5
-            self.b, self.fb, self.moved = m, fm, "b"
+            self.b, self.fb, self.moved = m, fm, ("b" if math.isfinite(self.b) else None)
         else:
             if self.moved == "a":
                 self.fb *= 0.5
-            self.a, self.fa, self.moved = m, fm, "a"
+            self.a, self.fa, self.moved = m, fm, ("a" if math.isfinite(self.a) else None)
 
 
 def _mu_slope(phi2: np.ndarray, u: np.ndarray, h: float, cap: float) -> float:
@@ -298,12 +303,12 @@ class _Sweeper:
         """Locate mu < 0 with x(T) = x_target by forward passes: the sweep's
         fallback when the first-order model cannot be trusted.
 
-        ``r_zero`` > 0 is the residual at mu = 0, the positive end of every
-        bracket.  The first pass is at ``mu`` (the model's root when it has
-        one); the first step is Newton's with the adjoint slope
-        (``_mu_slope``), later ones are secants through the last two points.
-        A step that leaves the known bracket takes the bracket's Illinois
-        point instead, and while no negative end is known mu doubles.
+        ``r_zero`` > 0 is the residual at mu = 0, the end of a bracket
+        whose negative end stays open until a pass falls below the target.
+        The first pass is at ``mu`` (the model's root when it has one); the
+        first step is Newton's with the adjoint slope (``_mu_slope``), later
+        ones secants through the last two points.  A step that leaves the
+        bracket takes its Illinois point, or doubles mu while it is open.
         """
         cap = self.cfg.cap_l
         stats = self.stats
@@ -317,8 +322,8 @@ class _Sweeper:
 
         try:
             mu = mu if mu < -1.0 else -1000.0
-            pos = (0.0, r_zero)  # the residual rises with mu
-            bracket = prev = None
+            bracket = _Bracket(-math.inf, -math.inf, 0.0, r_zero)  # r rises with mu
+            prev = None
             for _ in range(_MU_ITERATIONS):
                 r, found = resid(mu)
                 slope = _mu_slope(phi2, found[1], h, cap)
@@ -332,18 +337,10 @@ class _Sweeper:
                     raise CapInfeasibleError("terminal target unreachable under cap_l")
                 if prev is not None:
                     slope = (r - prev[1]) / (mu - prev[0])
-                if bracket is not None:
-                    bracket.update(mu, r)
-                elif r < 0.0:
-                    bracket = _Bracket(mu, r, *pos)
-                else:
-                    pos = (mu, r)
+                bracket.update(mu, r)
                 m = mu - r / slope if slope > 0.0 else math.nan
-                if bracket is not None:
-                    if not bracket.a < m < bracket.b:
-                        m = bracket.point()
-                elif not m < mu:  # r > 0: the root lies below mu
-                    m = 2.0 * mu
+                if not bracket.a < m < bracket.b:
+                    m = bracket.point() if math.isfinite(bracket.a) else 2.0 * mu
                 prev, mu = (mu, r), m
             stats["mu_searches_capped"] += 1
             raise NonConvergenceError(
@@ -355,8 +352,9 @@ class _Sweeper:
             stats["mu_passes_max"] = max(stats["mu_passes_max"], passes)
 
     def converge(self, T: float, u: list[float], mu: float, tight: bool = False):
-        """The settled sweep at horizon T: its control, states, multiplier
-        and H(T), without the adjoints (``solve`` needs them at one horizon).
+        """The settled sweep at horizon T: its control, states, multiplier,
+        H(T), and the unit adjoints of those states when its own backward
+        pass ran over them (None when the fallback settled it).
 
         A sweep is one forward pass under the current control, one backward
         pass, and mu at the root of ``_predict_mu``'s model about that
@@ -398,7 +396,8 @@ class _Sweeper:
         for sweep in range(max_sweeps):
             self.stats["sweeps"] += 1
             xs, ys = self._forward(u.tolist(), h)
-            _, phi2 = self._backward(xs, ys, h)
+            unit = self._backward(xs, ys, h)
+            phi2 = unit[1]
             r = xs[-1] - self.x_target
             m = _predict_mu(phi2, u, r, h, cap, mu)
             if m is not None:
@@ -433,7 +432,7 @@ class _Sweeper:
                 settled = "sign"
             if settled:
                 # The states in hand are those of the verified control, or
-                # of the model sweep's own forward pass.
+                # of the model sweep's own passes, adjoints included.
                 u_final = u_star if verified else u
                 break
             best_du, stalled = (du, 0) if du < best_du else (best_du, stalled + 1)
@@ -461,7 +460,7 @@ class _Sweeper:
         # took one more sweep at grid 100, and wmelpop's grid-2,000 daily
         # total moved 29,438 -> 29,439 (day 41's ceiling).
         return dict(
-            u=u_final, xs=xs, ys=ys, mu=mu, h=h, warm=u_star,
+            u=u_final, xs=xs, ys=ys, unit=None if verified else unit, mu=mu, h=h, warm=u_star,
             h_terminal=h_T, x_terminal=xs[-1], sweep_delta=du, settled=settled,
         )
 
@@ -474,7 +473,7 @@ def solve(params: StrainParams, cfg: OCPConfig) -> OCPSolution:
         CapInfeasibleError: a full-capacity pass does not reach the target
             within MAX_HORIZON days (cap_l too small).
         NonConvergenceError: no horizon up to MAX_HORIZON has H(T) <= 0, or
-            the outer budget is exhausted with residuals above tolerances.
+            the outer budget is spent before the residuals meet tolerances.
     """
     eq = equilibria(params)
     if eq.eu is None:
@@ -509,6 +508,10 @@ def solve(params: StrainParams, cfg: OCPConfig) -> OCPSolution:
     # horizon with no value (infeasible, or a sweep that does not settle).
     # No control reaches the target sooner than full capacity does, so the
     # node before that pass crosses it is a short end that needs no value.
+    # The long end stays open until a horizon shows H(T) <= 0, stepping
+    # 1.2x; Illinois false position then works inside the bracket,
+    # finishing with tight inner tolerances once close (the Hamiltonian
+    # noise floor tracks the sweep tolerance).
     h_max = MAX_HORIZON / n
     try:
         xs, ys = sweeper._forward([cfg.cap_l] * (n + 1), h_max)
@@ -525,58 +528,43 @@ def solve(params: StrainParams, cfg: OCPConfig) -> OCPSolution:
             f"target not reached in {MAX_HORIZON:g} days at full capacity; cap_l too small"
         )
     no_value = (CapInfeasibleError, NonConvergenceError)
-    lo_T, lo_out, last = (crossing - 1) * h_max, None, "none tried"
-    hi_T = max(1.2 * lo_T, h_max)
-    while True:
-        if hi_T > MAX_HORIZON or len(history) >= MAX_OUTER_ITERATIONS:
-            raise NonConvergenceError(
-                f"no horizon from {lo_T:.6g} to {MAX_HORIZON:g} days has H(T) <= 0; "
-                f"last: {last}"
-            )
-        try:
-            hi_out = H_at(hi_T)
-        except no_value as err:
-            lo_T, lo_out, last = hi_T, None, err
-        else:
-            if hi_out["h_terminal"] <= 0.0:
-                break
-            lo_T, lo_out, last = hi_T, hi_out, f"H = {hi_out['h_terminal']:.6g}"
-        hi_T *= 1.2
-
-    # Illinois false position on H(T) within [lo_T, hi_T], finishing with
-    # tight inner tolerances once close (the Hamiltonian noise floor
-    # tracks the sweep tolerance).
-    best = None
-    r_lo = None if lo_out is None else lo_out["h_terminal"]
-    bracket = _Bracket(lo_T, r_lo, hi_T, hi_out["h_terminal"])
-    tight = False
+    bracket = _Bracket((crossing - 1) * h_max, None, math.inf, -math.inf)
+    best, tight, last = None, False, "none tried"
     while len(history) < MAX_OUTER_ITERATIONS:
-        m = bracket.point()
+        a, b = bracket.a, bracket.b
+        m = bracket.point() if b < math.inf else max(1.2 * a, h_max)
+        if m > MAX_HORIZON:
+            break
         try:
             out = H_at(m, tight=tight)
-        except no_value:
-            bracket.update(m, None)
+        except no_value as err:
+            bracket.update(m, None)  # no value: too short
+            last = err
             continue
         r_m = out["h_terminal"]
+        last = f"H = {r_m:.6g}"
         if tight:
             best, T = out, m
             if abs(r_m) <= 0.5 * TOL_H:
                 break
-        a, b = bracket.a, bracket.b
-        if not tight and (abs(r_m) <= 2.0 * TOL_H or b - a < 1e-4 * b):
+        if not tight and b < math.inf and (abs(r_m) <= 2.0 * TOL_H or b - a < 1e-4 * b):
             tight = True  # re-evaluate near the root at tight tolerance
         bracket.update(m, r_m)
         if bracket.b - bracket.a < 1e-9 * max(bracket.b, 1.0) and best is not None:
             break
     if best is None:
-        T = 0.5 * (bracket.a + bracket.b)
-        best = H_at(T, tight=True)
+        what = (
+            f"no horizon from {bracket.a:.6g} to {MAX_HORIZON:g} days has H(T) <= 0"
+            if bracket.b == math.inf else "outer iteration budget spent before a tight horizon"
+        )
+        raise NonConvergenceError(f"{what}; last: {last}")
 
     out = best
     times = np.linspace(0.0, T, n + 1)
     values = np.array(out["u"])
     states = np.column_stack([out["xs"], out["ys"]])
-    adjoints = out["mu"] * np.column_stack(sweeper._backward(out["xs"], out["ys"], out["h"]))
+    unit = out["unit"] or sweeper._backward(out["xs"], out["ys"], out["h"])
+    adjoints = out["mu"] * np.column_stack(unit)
     control = ContinuousControl(times=times, values=values, t_star=T, cap_l=cfg.cap_l)
 
     p = cfg.weight_p

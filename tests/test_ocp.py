@@ -286,6 +286,42 @@ def test_bracket_without_a_value_bisects():
     assert br.point() == 17.5
 
 
+def test_bracket_open_long_end():
+    """The horizon bracket as ``solve`` opens it: until a residual <= 0 is
+    seen the long end stays open and every update moves the short end; the
+    update that closes it starts the Illinois count afresh, so the next
+    update on the same end does not halve the kept end's residual."""
+    br = _Bracket(10.0, None, math.inf, -math.inf)
+    br.update(12.0, None)
+    br.update(14.4, 3.0)
+    br.update(17.28, 2.0)
+    assert (br.a, br.fa, br.b) == (17.28, 2.0, math.inf)
+    br.update(20.7, 0.0)  # the first residual <= 0 closes the bracket
+    assert (br.a, br.fa, br.b, br.fb) == (17.28, 2.0, 20.7, 0.0)
+    assert br.point() == pytest.approx(0.5 * (17.28 + 20.7))
+    br.update(19.0, -1.0)
+    assert (br.a, br.fa, br.b, br.fb) == (17.28, 2.0, 19.0, -1.0)
+    br.update(18.0, -0.5)  # kept twice in a row: now the a end is halved
+    assert (br.fa, br.b) == (1.0, 18.0)
+
+
+def test_bracket_open_negative_end():
+    """The multiplier bracket as ``_mu_search`` opens it, (-inf, 0] with
+    the mu = 0 residual: positive residuals move the 0 end down, the first
+    negative one closes the bracket, and the update after it does not
+    halve the kept end's residual."""
+    br = _Bracket(-math.inf, -math.inf, 0.0, 5.0)
+    br.update(-1000.0, 4.0)
+    br.update(-2000.0, 2.0)
+    assert (br.a, br.b, br.fb) == (-math.inf, -2000.0, 2.0)
+    br.update(-4000.0, -6.0)
+    assert (br.a, br.fa, br.b, br.fb) == (-4000.0, -6.0, -2000.0, 2.0)
+    br.update(-3000.0, -1.0)
+    assert (br.a, br.fa, br.b, br.fb) == (-3000.0, -1.0, -2000.0, 2.0)
+    br.update(-2500.0, -0.5)  # kept twice in a row: now the b end is halved
+    assert (br.a, br.fb) == (-2500.0, 1.0)
+
+
 def test_unsettled_sweep_has_no_value(wmelpop, monkeypatch):
     """Just above wmelpop's shortest feasible horizon the accelerated sweep
     from a cold start settles, and its result meets the multiplier and the
@@ -383,23 +419,24 @@ def test_solver_work_at_bench_grid(name, wmel, wmelpop):
     assert sol.converged
     assert set(stats) == set(STATS_KEYS)
     assert stats["forward_passes"] <= 52  # 47 / 42 measured
-    assert stats["backward_passes"] <= 46  # 41 / 42 measured
+    assert stats["backward_passes"] <= 45  # 40 / 41 measured
     assert stats["outer_evaluations"] <= 12
     assert stats["mu_fallbacks"] == {"wmel": 1, "wmelpop": 0}[name]
     assert stats["mu_searches_capped"] == 0
     # Every sweep runs one forward and one backward pass; the full-capacity
-    # pass, the mu = 0 passes and the fallback searches add forward passes,
-    # and the chosen horizon's adjoints one backward pass.
+    # pass, the mu = 0 passes and the fallback searches add forward passes.
+    # The chosen horizon's final sweep is a model sweep, so its adjoints
+    # are the solution's and cost no further backward pass.
     assert stats["forward_passes"] == (
         1 + stats["sweeps"] + stats["zero_passes"] + stats["mu_fallback_passes"]
     )
-    assert stats["backward_passes"] == stats["sweeps"] + 1
+    assert stats["backward_passes"] == stats["sweeps"]
 
 
 def test_solver_work_at_paper_grid(wmel_solution, wmelpop_solution):
     for sol in (wmel_solution, wmelpop_solution):
         assert sol.stats["forward_passes"] <= 63  # 44 / 57 measured
-        assert sol.stats["backward_passes"] <= 63  # 44 / 57 measured
+        assert sol.stats["backward_passes"] <= 63  # 43 / 56 measured
         assert sol.stats["outer_evaluations"] <= 12
         assert sol.stats["mu_fallbacks"] == 0
         assert sol.stats["mu_searches_capped"] == 0
@@ -447,6 +484,20 @@ def test_pontryagin_invariants_at_paper_grid(
         spread = sol.residuals["hamiltonian_spread"]
         assert spread == np.ptp(sol.hamiltonian_grid)
         assert spread <= TOL_H
+
+
+def test_outer_budget_spent_with_the_long_end_open(wmel, monkeypatch):
+    """wmel from x# + 600: the first horizon, 14.4 days, has no value (H(T)
+    <= 0 first shows at 17.28), so a one-evaluation budget ends with the
+    long end still open, and the solve says so."""
+    sc = build_scenario(wmel)
+    sc = build_scenario(wmel, initial_wild=sc.initial_wild + 600.0)
+    steps = solve(wmel, ocp_config(sc, grid_n=100)).history
+    assert steps[0].T == pytest.approx(14.4) and steps[0].h_terminal is None
+    assert steps[1].T == pytest.approx(17.28) and steps[1].h_terminal <= 0.0
+    monkeypatch.setattr(ocp, "MAX_OUTER_ITERATIONS", 1)
+    with pytest.raises(NonConvergenceError, match=r"from 14\.4 .*has H\(T\) <= 0"):
+        solve(wmel, ocp_config(sc, grid_n=100))
 
 
 def test_large_cap_not_reported_as_too_small(wmelpop):
