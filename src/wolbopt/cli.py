@@ -252,7 +252,8 @@ def cmd_impulsive(args, settings, scenario):
     name = scenario.params.name
     cells, files = {}, []
     status = EXIT_OK
-    for m, cell in impulsive_cells(scenario, ctrl, sorted({1, scenario.frequency})).items():
+    periods, opts = sorted({1, scenario.frequency}), SimOptions(**settings["sim"])
+    for m, cell in impulsive_cells(scenario, ctrl, periods, opts).items():
         key = "daily" if m == 1 else f"m{m}"
         if cell is None:
             print(f"{key}: no release rule enters the secure region", file=sys.stderr)
@@ -306,8 +307,8 @@ def cmd_ga(args, settings, scenario):
         summary = {}
         files.append((f"ga_{name}_history.csv", fileio.write_history_csv, result.history))
     files.append((f"ga_{name}_plan.csv", fileio.write_schedule_csv, plan.schedule()))
-    adaptive = evaluate_schedule(scenario.params, plan.schedule(), target,
-                                 scenario.initial_wild, SimOptions(t_end=float(horizon)))
+    adaptive = evaluate_schedule(scenario.params, plan.schedule(), target, scenario.initial_wild,
+                                 replace(SimOptions(**settings["sim"]), t_end=float(horizon)))
     summary.update(
         {
             "stats": stats,
@@ -349,7 +350,7 @@ def cmd_phase(args, settings, scenario):
 
 def _check_reproducible(args, settings: dict[str, dict]) -> None:
     """``--reproduce`` runs the preset scenarios: any scenario setting but
-    the seed exits 2."""
+    the seed, and any ``[sim]`` key, exits 2."""
     rejected = [
         f"--{k.replace('_', '-')}/[scenario] {k}" for k in settings["scenario"] if k != "seed"
     ]
@@ -360,6 +361,8 @@ def _check_reproducible(args, settings: dict[str, dict]) -> None:
     ]
     if settings["strain"] and not args.params:
         rejected.append("[strain]")
+    if settings["sim"]:
+        rejected.append("[sim]")
     if rejected:
         raise UsageError(f"--reproduce runs the preset scenarios; it takes no {', '.join(rejected)}")
 

@@ -114,9 +114,6 @@ class FitnessReport:
     fitness_f: float
 
 
-EPSILON_MAX_ROUNDS = 50  # horizon reductions before ``epsilon_loop`` stops
-
-
 @dataclass(frozen=True)
 class EpsilonLoopConfig:
     epsilon_0: int
@@ -418,8 +415,10 @@ def epsilon_loop(
     seeded with truncations of the best plans found at the previous
     epsilon; truncation drops trailing days (whole blocks for p > 1), and
     a repaired variant rolls the dropped releases into the remaining tail
-    up to the gene cap.  Returns the smallest feasible horizon with its
-    best plan.
+    up to the gene cap.  The loop ends at the first horizon where no run
+    finds a feasible plan, or below one block, so it runs at most
+    epsilon_0 / step rounds; it returns the smallest feasible horizon with
+    its best plan.
     """
     p = ga_cfg.block_p
     if loop_cfg.epsilon_0 % p or loop_cfg.step % p:
@@ -428,10 +427,7 @@ def epsilon_loop(
     carry: list[np.ndarray] = []
     per_epsilon: list[tuple[int, Optional[int]]] = []
     stats = Counter(rows_screened=0, rows_rerun=0)
-    eps = loop_cfg.epsilon_0
-    for round_idx in range(EPSILON_MAX_ROUNDS):
-        if eps < p:
-            break
+    for round_idx, eps in enumerate(range(loop_cfg.epsilon_0, p - 1, -loop_cfg.step)):
         # Carried plans come from longer horizons (eps only shrinks).
         seeds = [s for arr in carry for s in (arr[:eps], _roll_tail(arr, eps, ga_cfg))]
         runs = [
@@ -450,7 +446,6 @@ def epsilon_loop(
         per_epsilon.append((eps, round_best.report.j_value))
         best = round_best
         carry = [best.best.genes] + carry[:2]
-        eps -= loop_cfg.step
     if best is None:
         return EpsilonLoopResult(None, None, None, per_epsilon, dict(stats))
     return EpsilonLoopResult(

@@ -12,17 +12,17 @@ passes run ``sim.rk4``, the forward one on floats.  The adjoint system is
 linear in its terminal value, so each sweep needs one unit backward pass:
 one ``rk4`` step on arrays over every grid step gives the steps' 2x2
 transition matrices, and a scan of those from T the unit adjoint.  A sweep
-is one forward and one backward pass: mu is the root of a first-order
-model of x(T) in mu about the sweep's forward pass, found with no pass,
-and the next sweep's forward pass checks it.  A verified search by
-forward passes (Newton with the adjoint slope, then secants, inside an
-Illinois bracket (-inf, 0] whose 0 end is the mu = 0 pass) is only the
-fallback, counted in ``stats``.  Sweeps are relaxed and Anderson(2)-
-accelerated.  Illinois false position on T drives H(T) to zero; a horizon
-whose sweep does not settle has no value, and one far from the root is
-settled only to the sign of its H(T).  The bracket's short end comes from
-one full-capacity pass; its long end stays open, stepping 1.2x, until a
-horizon has H(T) <= 0.
+is one forward and one backward pass: mu is the closed-form root of a
+first-order model of x(T) in mu about that forward pass, linear between the
+nodes' cap knots, and the next sweep's forward pass checks it.  A verified
+search by forward passes (Newton with the adjoint slope, then secants,
+inside an Illinois bracket (-inf, 0] whose 0 end is the mu = 0 pass) is
+only the fallback, counted in ``stats``.  Sweeps are relaxed and
+Anderson(2)-accelerated.  Illinois false position on T drives H(T) to
+zero; a horizon whose sweep does not settle has no value, and one far from
+the root is settled only to the sign of its H(T).  The bracket's short end
+comes from one full-capacity pass; its long end stays open, stepping 1.2x,
+until a horizon has H(T) <= 0.
 """
 
 from __future__ import annotations
@@ -212,46 +212,38 @@ def _mu_slope(phi2: np.ndarray, u: np.ndarray, h: float, cap: float) -> float:
 
 
 def _predict_mu(
-    phi2: np.ndarray, u: np.ndarray, r_base: float, h: float, cap: float, mu: float
+    phi2: np.ndarray, u: np.ndarray, r_base: float, h: float, cap: float
 ) -> Optional[float]:
     """The negative root of the first-order model of x(T) - x_target in mu,
     made about the forward pass under ``u`` (residual ``r_base``): r(mu) =
     r_base + h sum' phi2 (clamp(mu phi2) - u), with ``_mu_slope``'s
     trapezoid weights; None when the model has no negative root.
 
-    For mu < 0 the model is increasing and convex (more nodes reach the cap
-    as mu falls), and r(0-) = r_const.  Newton's steps from ``mu`` reach the
-    root without a pass: from its right they fall onto it, and a step from
-    its left, which would overshoot, goes at most halfway to 0.
+    For mu < 0 only the nodes with phi2 < 0 release: node i adds
+    s_i max(mu, k_i) to r(0-) = r_const, with s_i = w_i phi2_i > 0 and the
+    knot k_i = cap / phi2_i where it reaches the cap.  At knot j (nearest 0
+    first) the model is fixed_j + k_j sloped_j, and the first knot where
+    that is <= 0 ends the linear segment that holds the root.
     """
     w = h * phi2
-    w[0] *= 0.5
-    w[-1] *= 0.5
+    w[[0, -1]] *= 0.5
     r_const = r_base - float(w @ u)
-    if r_const <= 0.0:
+    releasing = phi2 < 0.0
+    if r_const <= 0.0 or not releasing.any():
         return None
-    m = mu if mu < -1.0 else -1000.0
-    for _ in range(_PREDICT_STEPS):
-        v = np.clip(m * phi2, 0.0, cap)
-        r = r_const + float(w @ v)
-        if abs(r) < _PREDICT_TOL:
-            return m
-        slope = _mu_slope(phi2, v, h, cap)
-        if slope > 0.0:
-            m = min(m - r / slope, 0.5 * m)
-        elif r < 0.0:
-            m *= 0.5
-        else:
-            return None
-    return None
+    k = cap / phi2[releasing]
+    order = np.argsort(-k, kind="stable")
+    k, s = k[order], (w * phi2)[releasing][order]
+    fixed = r_const + np.concatenate(([0.0], np.cumsum(s * k)[:-1]))  # caps before j
+    sloped = np.cumsum(s[::-1])[::-1]
+    at_knot = fixed + k * sloped
+    j = int(np.argmax(at_knot <= 0.0))
+    if at_knot[j] > 0.0:
+        return None
+    return float(-fixed[j] / sloped[j])
 
 
-# Passes a mu search may spend; Newton steps on the first-order model (7
-# at most were taken, caps 300-1,500, both strains) and the model residual,
-# in individuals, that counts as its root.
-_MU_ITERATIONS = 60
-_PREDICT_STEPS = 12
-_PREDICT_TOL = 1e-6
+_MU_ITERATIONS = 60  # passes a mu search may spend
 # Sweeps whose differences the Anderson step combines: at grid 100 depth 2
 # took 44 -> 40 (wmel) and 45 -> 41 (wmelpop) sweeps against depth 1;
 # depth 3 took wmel to 39 and left wmelpop at 41.
@@ -399,7 +391,7 @@ class _Sweeper:
             unit = self._backward(xs, ys, h)
             phi2 = unit[1]
             r = xs[-1] - self.x_target
-            m = _predict_mu(phi2, u, r, h, cap, mu)
+            m = _predict_mu(phi2, u, r, h, cap)
             if m is not None:
                 mu, u_star = m, np.clip(m * phi2, 0.0, cap)
                 du = float(np.max(np.abs(u_star - u)))

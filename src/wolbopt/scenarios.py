@@ -26,6 +26,7 @@ from .model import equilibria, secure_region
 from .ocp import ContinuousControl, OCPConfig, OCPSolution
 from .params import PRESET_CAP_L, StrainParams
 from .reference import CONTINUOUS, GA, IMPULSIVE
+from .sim import SimOptions
 
 @dataclass(frozen=True)
 class Scenario:
@@ -159,9 +160,11 @@ def best_ga_plan(
 
 
 def impulsive_cells(
-    scenario: Scenario, control: ContinuousControl, periods: Iterable[int]
+    scenario: Scenario, control: ContinuousControl, periods: Iterable[int],
+    opts: SimOptions = SimOptions(),
 ) -> dict[int, Optional[tuple]]:
-    """Table-2 cells of a continuous control: (sequence, report) per period.
+    """Table-2 cells of a continuous control: (sequence, report) per period,
+    each schedule simulated under ``opts``.
 
     Period 1 is the daily sequence, reported whether or not it enters the
     secure region; any other period is ``select_rule``'s pick, or None
@@ -173,11 +176,11 @@ def impulsive_cells(
         if m == 1:
             daily = daily_impulses(control)
             cells[m] = daily, evaluate_schedule(
-                params, daily.schedule(), target, initial_wild
+                params, daily.schedule(), target, initial_wild, opts
             )
         else:
             try:
-                cells[m] = select_rule(params, control, m, target, initial_wild)
+                cells[m] = select_rule(params, control, m, target, initial_wild, opts)
             except NoFeasibleRuleError:
                 cells[m] = None
     return cells

@@ -339,6 +339,24 @@ def test_impulsive_command_from_control(tmp_path):
     assert [t for t, _ in sched.entries] == [1.0, 8.0]
 
 
+def test_impulsive_reads_sim_settings(tmp_path):
+    # The wmel grid-100 daily schedule enters the secure region at 14.238,
+    # the m=7 one at 13.137: a simulation that ends at day 14 sees only the
+    # second enter.
+    assert run(["ocp", "--strain", "wmel", "--grid-n", "100"], tmp_path) == 0
+    cfg = tmp_path / "sim.ini"
+    cfg.write_text("[sim]\nt_end = 14\n")
+    imp = ["impulsive", "--strain", "wmel", "--frequency", "7",
+           "--control", str(tmp_path / "ocp_wmel_control.csv")]
+    assert run(imp, tmp_path) == 0
+    summary = json.loads((tmp_path / "impulsive_wmel_summary.json").read_text())
+    assert summary["schedules"]["daily"]["basin_entry_time"] == pytest.approx(14.238, abs=1e-3)
+    assert run(imp + ["--config", str(cfg)], tmp_path) == 1
+    summary = json.loads((tmp_path / "impulsive_wmel_summary.json").read_text())
+    assert summary["schedules"]["daily"]["basin_entry_time"] is None
+    assert summary["schedules"]["m7"]["basin_entry_time"] < 14.0
+
+
 def test_impulsive_rejects_control_above_cap(tmp_path, capsys):
     # The release sizes come from the control, so a control that peaks
     # above the scenario's cap would give schedules that break it.
@@ -491,6 +509,9 @@ def test_ocp_reproduce_table2_settings(tmp_path, capsys):
         assert flag[0] in capsys.readouterr().err
     assert run(repro + ["--config", str(cfg)], tmp_path) == 2
     assert "[strain]" in capsys.readouterr().err
+    cfg.write_text("[sim]\nrel_tol = 1e-3\n")
+    assert run(repro + ["--config", str(cfg)], tmp_path) == 2
+    assert "[sim]" in capsys.readouterr().err
     # wmelpop's saddle lies below x = 5000: no schedule enters, the daily one included.
     assert run(repro + ["--grid-n", "40", "--terminal-x", "5000"], tmp_path) == 1
     err = capsys.readouterr().err

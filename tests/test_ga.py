@@ -25,7 +25,7 @@ from wolbopt.ga import (
 from wolbopt.impulsive import evaluate_schedule
 from wolbopt.model import State, equilibria, in_secure_region
 from wolbopt.params import preset
-from wolbopt.scenarios import GA_CELLS, build_scenario
+from wolbopt.scenarios import GA_CELLS, build_scenario, ga_config
 from wolbopt.sim import SimOptions, simulate_impulsive
 
 
@@ -477,6 +477,18 @@ def test_epsilon_loop_shrinks_horizon(wmel, wmel_target, wmel_scenario):
     # The loop's counts sum its three runs of 26 screens of 40 rows.
     assert res.stats["rows_screened"] == 3 * 26 * 40
     assert 0 <= res.stats["rows_rerun"] <= res.stats["rows_screened"]
+
+
+def test_epsilon_loop_runs_to_its_floor(wmel, wmel_target, wmel_scenario):
+    """The loop has no round cap: it shrinks the horizon one day a round
+    until a round finds no feasible plan, here after 55 rounds."""
+    cfg = ga_config(wmel_scenario, pop_n=8, generations_g=1)
+    loop = EpsilonLoopConfig(epsilon_0=70, step=1, restarts_per_epsilon=1)
+    res = epsilon_loop(loop, cfg, wmel, wmel_target, wmel_scenario.initial_wild)
+    assert [e for e, _ in res.per_epsilon] == list(range(70, 15, -1))
+    assert res.per_epsilon[-2:] == [(17, 5772), (16, None)]
+    assert res.horizon == 17
+    assert res.report.j_value == 5772
 
 
 def test_config_validation():

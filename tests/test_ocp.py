@@ -18,6 +18,7 @@ from wolbopt.ocp import (
     _Bracket,
     _Sweeper,
     _mu_slope,
+    _predict_mu,
 )
 from wolbopt.scenarios import build_scenario, ocp_config
 from wolbopt.sim import rk4
@@ -372,6 +373,34 @@ def test_mu_slope_matches_finite_difference(name, wmel, wmelpop):
     assert slope == pytest.approx(fd, rel=1e-3)
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_predict_mu_is_the_model_root(seed):
+    """The closed-form root against the first-order model evaluated node by
+    node, r(mu) = r_base + sum' w (clamp(mu phi2) - u): zero at the root and
+    changing sign across it; None when the model has no negative root."""
+    rng = np.random.default_rng(seed)
+    n, h, cap = 60, 0.2, 750.0
+    phi2 = rng.normal(0.0, 3.0, n + 1) * (rng.random(n + 1) < 0.85)  # some zeros
+    w = h * phi2
+    w[[0, -1]] *= 0.5
+    reach = -cap * float(w[phi2 < 0.0].sum())  # the r_const that every node at the cap cancels
+    r_base = -1.0
+    while r_base <= 0.0:  # r_const in (0, reach), so the model has a negative root
+        u = rng.uniform(0.0, cap, n + 1)
+        r_base = float(w @ u) + rng.uniform(0.05, 0.95) * reach
+
+    def model(mu, r_base):
+        return r_base + float(w @ (np.clip(mu * phi2, 0.0, cap) - u))
+
+    root = _predict_mu(phi2, u, r_base, h, cap)
+    assert root < 0.0
+    assert abs(model(root, r_base)) <= 1e-9 * (1.0 + r_base)
+    assert model(root * (1.0 + 1e-6), r_base) < 0.0 < model(root * (1.0 - 1e-6), r_base)
+    assert _predict_mu(phi2, u, float(w @ u) - 1.0, h, cap) is None  # r_const <= 0
+    assert _predict_mu(np.abs(phi2), u, r_base, h, cap) is None  # no node releases
+    assert _predict_mu(phi2, u, float(w @ u) + 1.01 * reach, h, cap) is None  # cap too small
+
+
 @pytest.mark.parametrize(
     "name,T", [("wmel", 14.4), ("wmel", 13.8), ("wmel", 13.5),
                ("wmelpop", 62.4), ("wmelpop", 57.2), ("wmelpop", 57.97)],
@@ -443,14 +472,14 @@ def test_solver_work_at_paper_grid(wmel_solution, wmelpop_solution):
 
 
 def test_solver_with_a_useless_model_falls_back(wmel, wmelpop, monkeypatch):
-    """A first-order model that never moves mu off its start leaves every
-    sweep to the verified search: the solve still converges to the same
-    horizon, at the cost of fallback searches."""
+    """A first-order model that always answers mu = -1,000 leaves the
+    sweeps to the verified search, after-stall rescues included: the solve
+    still converges to the same horizon, at the cost of fallback searches."""
     for params in (wmel, wmelpop):
         cfg = ocp_config(build_scenario(params), grid_n=100)
         expect = solve(params, cfg).control.t_star
         with monkeypatch.context() as m:
-            m.setattr(ocp, "_predict_mu", lambda phi2, u, r_base, h, cap, mu: mu)
+            m.setattr(ocp, "_predict_mu", lambda phi2, u, r_base, h, cap: -1000.0)
             sol = solve(params, cfg)
         assert sol.converged
         assert sol.control.t_star == pytest.approx(expect, rel=1e-3)
