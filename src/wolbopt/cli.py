@@ -319,6 +319,8 @@ def cmd_ga(args, settings, scenario):
             "entry_time": adaptive.basin_entry_time,
             "end_margin": adaptive.end_margin,
             "verified_feasible": adaptive.end_margin > 0,
+            "nfev": adaptive.nfev,
+            "accepted_steps": adaptive.accepted_steps,
             "ga_config": asdict(gcfg),
         }
     )

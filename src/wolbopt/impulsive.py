@@ -72,15 +72,18 @@ class PeriodicImpulseSequence:
 @dataclass(frozen=True)
 class IndicatorReport:
     """Indicators of one schedule on the adaptive integrator: counts, total,
-    the first entry by ``t_end`` (``feasible`` when there is one), and
+    the first entry by ``t_end`` (``feasible`` when there is one),
     ``end_margin`` = min(x_u - x, y - y_u) at ``t_end``, positive when that
-    state is strictly inside (the GA's rule)."""
+    state is strictly inside (the GA's rule), and the simulation's work
+    (``Trajectory.nfev`` and ``accepted_steps``)."""
 
     num_releases: int
     overall_size: int
     basin_entry_time: Optional[float]
     feasible: bool
     end_margin: float
+    nfev: int
+    accepted_steps: int
 
 
 def horizon_days(ctrl: ContinuousControl) -> int:
@@ -184,6 +187,8 @@ def evaluate_schedule(
         basin_entry_time=entry,
         feasible=entry is not None,
         end_margin=float(min(target[0] - x, y - target[1])),
+        nfev=traj.nfev,
+        accepted_steps=traj.accepted_steps,
     )
 
 

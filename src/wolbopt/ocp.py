@@ -17,12 +17,15 @@ first-order model of x(T) in mu about that forward pass, linear between the
 nodes' cap knots, and the next sweep's forward pass checks it.  A verified
 search by forward passes (Newton with the adjoint slope, then secants,
 inside an Illinois bracket (-inf, 0] whose 0 end is the mu = 0 pass) is
-only the fallback, counted in ``stats``.  Sweeps are relaxed and
-Anderson(2)-accelerated.  Illinois false position on T drives H(T) to
-zero; a horizon whose sweep does not settle has no value, and one far from
-the root is settled only to the sign of its H(T).  The bracket's short end
-comes from one full-capacity pass; its long end stays open, stepping 1.2x,
-until a horizon has H(T) <= 0.
+only the fallback, counted in ``stats``; a sweep whose model root runs
+away (mu more than doubles while the control change grows) goes to it at
+once.  Sweeps are relaxed and Anderson(2)-accelerated.  Illinois false
+position on T drives H(T) to zero; a horizon whose sweep does not settle
+has no value, and one far from the root is settled only to the sign of its
+H(T).  Each horizon starts from a secant predictor: the settled controls
+and mu of the two valued horizons nearest it, extrapolated linearly in T.
+The bracket's short end comes from one full-capacity pass; its long end
+stays open, stepping 1.2x, until a horizon has H(T) <= 0.
 """
 
 from __future__ import annotations
@@ -352,7 +355,9 @@ class _Sweeper:
         pass, and mu at the root of ``_predict_mu``'s model about that
         forward pass; the next sweep's forward pass checks it.  The verified
         ``_mu_search`` is the fallback: for a sweep whose model has no
-        negative root, for one whose control has settled while its state
+        negative root or whose root more than doubles mu while the control
+        change grows (a target the cap cannot reach sends mu off toward
+        -inf), for one whose control has settled while its state
         misses the target (|r| at least the multiplier tolerance, or |r f1| /
         slope, the error r leaves in H(T) = -P + mu f1(T), above TOL_H), and
         for every sweep after a stall.  Its mu = 0 pass runs at most once.
@@ -393,13 +398,17 @@ class _Sweeper:
             r = xs[-1] - self.x_target
             m = _predict_mu(phi2, u, r, h, cap)
             if m is not None:
-                mu, u_star = m, np.clip(m * phi2, 0.0, cap)
+                u_star = np.clip(m * phi2, 0.0, cap)
                 du = float(np.max(np.abs(u_star - u)))
+                # Both strains, caps 300-1,500, x0 from x# - 50 to x# + 600,
+                # grids 100-2,000: this fired on 9 horizons, none with a value.
+                runaway = history and du > history[-1][2] and m < 2.0 * mu
+                mu = m
                 f1 = self.rhs(xs[-1], ys[-1], 0.0)[0]
                 slope = _mu_slope(phi2, u_star, h, cap)
                 h_err = abs(r * f1) / slope if slope > 0.0 else math.inf
                 off_target = abs(r) >= xtol or h_err > TOL_H
-            verified = m is None or after_stall or (du < du_tol and off_target)
+            verified = m is None or after_stall or runaway or (du < du_tol and off_target)
             if verified:
                 if r_zero is None:
                     # At mu = 0 the control is zero whatever phi2 is, so this
@@ -477,23 +486,31 @@ def solve(params: StrainParams, cfg: OCPConfig) -> OCPSolution:
 
     sweeper = _Sweeper(params, cfg, x0, x_target)
     n = cfg.grid_n
-    u = [cfg.cap_l / 2.0] * (n + 1)
-    mu = -1000.0
     history = []
+    valued = {}  # T -> (u*, mu) of each horizon with a value
+
+    def warm_start(T: float):
+        """A secant predictor (Allgower & Georg 2003, ch. 2): the settled u*
+        and mu of the two valued horizons nearest T, linear in T; with
+        fewer, the last one's, or the cold start (cap / 2, mu = -1000)."""
+        if len(valued) < 2:
+            return next(iter(valued.values()), (np.full(n + 1, cfg.cap_l / 2.0), -1000.0))
+        (ta, (ua, ma)), (tb, (ub, mb)) = sorted(valued.items(), key=lambda v: abs(v[0] - T))[:2]
+        w = (T - ta) / (tb - ta)
+        return np.clip(ua + w * (ub - ua), 0.0, cfg.cap_l), ma + w * (mb - ma)
 
     def H_at(T: float, tight: bool = False):
-        nonlocal u, mu
         before = sweeper.stats["sweeps"], sweeper.stats["forward_passes"]
         h_T = settled = None
         try:
-            out = sweeper.converge(T, u, mu, tight)  # no value: u, mu stay as they were
+            out = sweeper.converge(T, *warm_start(T), tight)  # no value: no warm start changes
             h_T, settled = out["h_terminal"], out["settled"]
         finally:
             history.append(HorizonStep(
                 T, h_T, sweeper.stats["sweeps"] - before[0],
                 sweeper.stats["forward_passes"] - before[1], settled,
             ))
-        u, mu = out["warm"], out["mu"]
+        valued[T] = out["warm"], out["mu"]
         return out
 
     # Bracket H(T) = 0: H > 0 means the horizon is too short, and so does a

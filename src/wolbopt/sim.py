@@ -5,9 +5,10 @@ for floats (the OCP forward and adjoint passes) or arrays (the GA batch
 kernel).  Everything else here runs ``solve_ivp``, the adaptive
 Dormand-Prince 5(4) pair with its quartic dense output; ``integrate`` and
 ``simulate_impulsive`` share one driver, ``_flow``, that runs it from stop
-to stop.  Impulsive releases are pure jumps of the infected population at
-stops: the flow between release instants is the uncontrolled model.  A
-``Trajectory`` is its rows, a release instant twice (pre, then post).
+to stop and samples every stretch in one evaluation of the joined steps.
+Impulsive releases are pure jumps of the infected population at stops: the
+flow between release instants is the uncontrolled model.  A ``Trajectory``
+is its rows, a release instant twice (pre, then post), and its cost.
 """
 
 from __future__ import annotations
@@ -63,6 +64,8 @@ class Trajectory:
     times: np.ndarray
     states: np.ndarray  # shape (n, 2)
     u_applied: np.ndarray
+    nfev: int  # the adaptive runs' field evaluations
+    accepted_steps: int  # and their accepted steps
 
     @property
     def final_state(self) -> tuple[float, float]:
@@ -182,34 +185,42 @@ def _rms(a: float, b: float) -> float:
 
 @dataclass(frozen=True)
 class DenseSolution:
-    """One ``solve_ivp`` run: its accepted steps and its cost.
+    """One ``solve_ivp`` run: its accepted steps, its end and its cost.
 
     A row of ``steps`` is (t_old, h, x_old, y_old, the seven stages' dx,
     the seven stages' dy).  Calling the solution evaluates the steps'
-    quartic interpolants; a time on a step boundary reads the earlier
-    step at its end.
+    quartic interpolants (``_interpolate``).
     """
 
-    y0: tuple[float, float]
     steps: np.ndarray
     t_stop: float  # the span's end, or where the stop function hit 0
     nfev: int
+    y_end: tuple[float, float]  # the state at the last step's end (at t0 if none)
 
     def __call__(self, ts: np.ndarray) -> np.ndarray:
         """The states at ``ts`` (times inside the run), as rows (x, y)."""
         ts = np.asarray(ts, dtype=float)
         if not self.steps.size:
-            return np.tile(self.y0, (ts.size, 1))
-        st = self.steps
-        nodes = np.append(st[:, 0], self.t_stop)
-        seg = np.clip(np.searchsorted(nodes, ts, side="left") - 1, 0, len(st) - 1)
-        t_old, h = st[seg, 0], st[seg, 1]
-        p = np.cumprod(np.tile((ts - t_old) / h, (4, 1)), axis=0)  # s, s^2, s^3, s^4
-        out = np.empty((ts.size, 2))
-        for i in range(2):
-            q = (st[:, 4 + 7 * i:11 + 7 * i] @ _P)[seg]  # each sample's step polynomial
-            out[:, i] = h * np.einsum("mj,jm->m", q, p) + st[seg, 2 + i]
-        return out
+            return np.tile(self.y_end, (ts.size, 1))
+        return _interpolate(self.steps, ts)
+
+
+def _interpolate(steps: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """The states at ``ts`` on the interpolants of ``DenseSolution`` rows in
+    time order, as rows (x, y).  A time on a step boundary reads the earlier
+    step at its end, so runs that follow one another join into one."""
+    seg = np.clip(np.searchsorted(steps[:, 0], ts, side="left") - 1, 0, len(steps) - 1)
+    t_old, h = steps[seg, 0], steps[seg, 1]
+    s = (ts - t_old) / h
+    out = np.empty((ts.size, 2))
+    for i in range(2):
+        q = (steps[:, 4 + 7 * i:11 + 7 * i] @ _P)[seg]  # each sample's step polynomial
+        poly = q[:, 3] * s  # in s, s^2, s^3, s^4, by Horner's rule
+        for j in (2, 1, 0):
+            poly += q[:, j]
+            poly *= s
+        out[:, i] = h * poly + steps[seg, 2 + i]
+    return out
 
 
 def _finite(f: tuple[float, float], t: float) -> tuple[float, float]:
@@ -254,13 +265,18 @@ def solve_ivp(
             step falls below 10 ulp of t.
         ValueError: ``span`` runs backward.
     """
+    # The tableau as names for straight-line stages; its 0 entries drop out.
+    c2, c3, c4, c5, c6, c7 = _C
+    (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), a6, (b1, _, b3, b4, b5, b6) = _A
+    a61, a62, a63, a64, a65 = a6
+    e1, _, e3, e4, e5, e6, e7 = _E
     t, t1 = float(span[0]), float(span[1])
     if t1 < t:
         raise ValueError(f"span ({t:g}, {t1:g}) runs backward")
-    x0, y0 = x, y = float(y0[0]), float(y0[1])
+    x, y = float(y0[0]), float(y0[1])
     fx, fy = _finite(fun(t, x, y), t)
     if t1 == t:
-        return DenseSolution((x0, y0), np.empty((0, 18)), t1, 1)
+        return DenseSolution(np.empty((0, 18)), t1, 1, (x, y))
     h_abs = _initial_step(fun, t, x, y, fx, fy, t1, max_step, rtol, atol)
     nfev = 2
     g = stop(t, x, y) if stop else 0.0
@@ -274,21 +290,24 @@ def solve_ivp(
                 raise IntegrationError(f"step {h_abs:.3e} below 10 ulp at t={t:g}")
             t_new = min(t + h_abs, t1)
             h = h_abs = t_new - t  # as taken: rounded, or cut at the span's end
-            kx, ky = [fx], [fy]
-            for c, a in zip(_C, _A):
-                dx = dy = 0.0
-                for ai, kxi, kyi in zip(a, kx, ky):
-                    dx += ai * kxi
-                    dy += ai * kyi
-                x_new, y_new = x + dx * h, y + dy * h
-                gx, gy = fun(t + c * h, x_new, y_new)
-                kx.append(gx)
-                ky.append(gy)
+            k2x, k2y = fun(t + c2 * h, x + a21 * fx * h, y + a21 * fy * h)
+            k3x, k3y = fun(t + c3 * h, x + (a31 * fx + a32 * k2x) * h,
+                           y + (a31 * fy + a32 * k2y) * h)
+            k4x, k4y = fun(t + c4 * h, x + (a41 * fx + a42 * k2x + a43 * k3x) * h,
+                           y + (a41 * fy + a42 * k2y + a43 * k3y) * h)
+            k5x, k5y = fun(t + c5 * h, x + (a51 * fx + a52 * k2x + a53 * k3x + a54 * k4x) * h,
+                           y + (a51 * fy + a52 * k2y + a53 * k3y + a54 * k4y) * h)
+            k6x, k6y = fun(
+                t + c6 * h,
+                x + (a61 * fx + a62 * k2x + a63 * k3x + a64 * k4x + a65 * k5x) * h,
+                y + (a61 * fy + a62 * k2y + a63 * k3y + a64 * k4y + a65 * k5y) * h,
+            )
+            x_new = x + (b1 * fx + b3 * k3x + b4 * k4x + b5 * k5x + b6 * k6x) * h
+            y_new = y + (b1 * fy + b3 * k3y + b4 * k4y + b5 * k5y + b6 * k6y) * h
+            k7x, k7y = fun(t + c7 * h, x_new, y_new)
             nfev += 6
-            ex = ey = 0.0
-            for ei, kxi, kyi in zip(_E, kx, ky):
-                ex += ei * kxi
-                ey += ei * kyi
+            ex = e1 * fx + e3 * k3x + e4 * k4x + e5 * k5x + e6 * k6x + e7 * k7x
+            ey = e1 * fy + e3 * k3y + e4 * k4y + e5 * k5y + e6 * k6y + e7 * k7y
             err = _rms(
                 ex * h / (atol + max(abs(x), abs(x_new)) * rtol),
                 ey * h / (atol + max(abs(y), abs(y_new)) * rtol),
@@ -301,15 +320,16 @@ def solve_ivp(
                 break
             h_abs *= max(_MIN_FACTOR, _SAFETY * err**_ERR_EXP)
             rejected = True
-        steps.append((t, h, x, y, *kx, *ky))
-        t, x, y, fx, fy = t_new, x_new, y_new, kx[-1], ky[-1]
+        steps.append((t, h, x, y, fx, k2x, k3x, k4x, k5x, k6x, k7x,
+                      fy, k2y, k3y, k4y, k5y, k6y, k7y))
+        t, x, y, fx, fy = t_new, x_new, y_new, k7x, k7y
         if stop:
             g_new = stop(t, x, y)
             if g >= 0.0 >= g_new:
-                sol = DenseSolution((x0, y0), np.array(steps), t, nfev)
+                sol = DenseSolution(np.array(steps), t, nfev, (x, y))
                 return replace(sol, t_stop=_falling_root(stop, sol))
             g = g_new
-    return DenseSolution((x0, y0), np.array(steps), t1, nfev)
+    return DenseSolution(np.array(steps), t1, nfev, (x, y))
 
 
 def _falling_root(stop, sol: DenseSolution) -> float:
@@ -339,33 +359,47 @@ def _flow(
     """The trajectory from s0 at t0 through each stop (t, size) in turn.
 
     Up to each stop ``solve_ivp`` runs under the rate ``u_fn`` (uncontrolled
-    on a stretch that lies outside ``grid``), sampled every ``SAMPLE_STRIDE``
-    days and clamped at zero; the stretch adds its rows after its start.  A
-    stop whose size is not None (0 included) is a release: its size is
-    added to the infected population exactly, as a post-release row whose
-    ``u_applied`` is the size.  Every other row's ``u_applied`` is 0.
+    on a stretch that lies outside ``grid``) from where the last run ended,
+    clamped at zero.  A stretch adds rows every ``SAMPLE_STRIDE`` days after
+    its start, all of them read in one pass over the joined runs, checked
+    for negative excursions and clamped at zero.  A stop whose size is not
+    None (0 included) is a release: the pre-release row plus the size in
+    the infected population is its post-release row, whose ``u_applied`` is
+    the size, and the next run starts with the size added.  Every other
+    row's ``u_applied`` is 0.
     """
     rhs = make_rhs(params)
     x, y = s0.x, s0.y
-    rows = [(np.array([t0]), np.array([[x, y]]), np.zeros(1))]
+    runs, rows = [], [([t0], [0.0])]  # (times, u_applied), u nan on a sampled row
     for t1, size in stops:
         if t1 > t0:
             fn = u_fn if t0 < grid[1] and t1 > grid[0] else _no_control
-            sol = solve_ivp(lambda t, x, y: rhs(x, y, float(fn(t))), (t0, t1), (x, y),
-                            rtol=opts.rel_tol, atol=opts.abs_tol)
-            ts = _sample_times(t0, t1, SAMPLE_STRIDE)
-            seg = sol(ts)
-            if seg.min() < -opts.abs_tol * 100.0:
-                raise IntegrationError(f"negative excursion {seg.min():.3e} exceeds "
-                                       "tolerance; integrator misconfigured")
-            seg = np.clip(seg[1:], 0.0, None)
-            rows.append((ts[1:], seg, np.zeros(ts.size - 1)))
-            x, y, t0 = float(seg[-1, 0]), float(seg[-1, 1]), t1
+            runs.append(solve_ivp(lambda t, x, y: rhs(x, y, float(fn(t))), (t0, t1), (x, y),
+                                  rtol=opts.rel_tol, atol=opts.abs_tol))
+            ts = _sample_times(t0, t1, SAMPLE_STRIDE)[1:]
+            rows.append((ts, np.full(ts.size, np.nan)))
+            x, y, t0 = max(runs[-1].y_end[0], 0.0), max(runs[-1].y_end[1], 0.0), t1
         if size is not None:
             y += size
-            rows.append((np.array([t1]), np.array([[x, y]]), np.array([float(size)])))
-    times, states, u = (np.concatenate(column) for column in zip(*rows))
-    return Trajectory(times=times, states=states, u_applied=u)
+            rows.append(([t1], [float(size)]))
+    times, u = (np.concatenate(column) for column in zip(*rows))
+    sampled = np.isnan(u)
+    u[sampled] = 0.0
+    states = np.empty((times.size, 2))
+    states[0] = s0.x, s0.y
+    if runs:
+        seg = _interpolate(np.concatenate([run.steps for run in runs]), times[sampled])
+        if seg.min() < -opts.abs_tol * 100.0:
+            raise IntegrationError(f"negative excursion {seg.min():.3e} exceeds "
+                                   "tolerance; integrator misconfigured")
+        states[sampled] = np.clip(seg, 0.0, None, out=seg)
+    # Release times increase strictly, so the row before a post-release row
+    # is its pre-release row, or the first row.
+    post = np.flatnonzero(~sampled)[1:]
+    states[post] = states[post - 1]
+    states[post, 1] += u[post]
+    return Trajectory(times=times, states=states, u_applied=u, nfev=sum(r.nfev for r in runs),
+                      accepted_steps=sum(len(r.steps) for r in runs))
 
 
 def integrate(

@@ -1,5 +1,6 @@
-"""Test oracles for basin membership: the separatrix height at a given x,
-and which attractor the uncontrolled flow from a state reaches."""
+"""Test oracles: for basin membership, the separatrix height at a given x
+and which attractor the uncontrolled flow from a state reaches; and an
+impulsive simulation run stretch by stretch."""
 
 from __future__ import annotations
 
@@ -7,9 +8,9 @@ import math
 
 import numpy as np
 
-from wolbopt.model import State, equilibria
+from wolbopt.model import State, equilibria, make_rhs
 from wolbopt.params import StrainParams
-from wolbopt.sim import SimOptions, integrate
+from wolbopt.sim import SAMPLE_STRIDE, ImpulseSchedule, SimOptions, integrate, solve_ivp
 
 
 def separatrix_height(curve: np.ndarray, x: float) -> float:
@@ -64,3 +65,31 @@ def initial_release_adjoint(weight_p: float, cap_l: float) -> float:
     if cap_l < math.sqrt(2.0 * weight_p):
         return weight_p / cap_l + cap_l / 2.0
     return math.sqrt(2.0 * weight_p)
+
+
+def per_stretch_impulsive(
+    params: StrainParams, s0: State, sched: ImpulseSchedule, opts: SimOptions = SimOptions()
+) -> tuple[np.ndarray, np.ndarray, int, int]:
+    """``simulate_impulsive`` one stretch at a time: each stretch's rows
+    from its own run's interpolant, every ``SAMPLE_STRIDE`` days after its
+    start and clamped at zero, and the next stretch from its last row plus
+    the release.  Returns the times, the states, and the runs' nfev and
+    accepted steps."""
+    rhs = make_rhs(params)
+    x, y, t0 = s0.x, s0.y, 0.0
+    times, states, nfev, steps = [t0], [(x, y)], 0, 0
+    for t1, size in (*sched.entries, (opts.t_end, None)):
+        if t1 > t0:
+            sol = solve_ivp(lambda t, x, y: rhs(x, y, 0.0), (t0, t1), (x, y),
+                            opts.rel_tol, opts.abs_tol)
+            ts = np.linspace(t0, t1, max(1, math.ceil((t1 - t0) / SAMPLE_STRIDE)) + 1)[1:]
+            rows = np.clip(sol(ts), 0.0, None)
+            times.extend(ts.tolist())
+            states.extend(rows.tolist())
+            (x, y), t0 = rows[-1].tolist(), t1
+            nfev, steps = nfev + sol.nfev, steps + len(sol.steps)
+        if size is not None:
+            y += size
+            times.append(t1)
+            states.append((x, y))
+    return np.array(times), np.array(states), nfev, steps

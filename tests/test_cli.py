@@ -246,6 +246,7 @@ def test_ga_command_small(tmp_path, capsys, wmel_scenario):
     assert summary["entry_time"] == first_basin_entry(traj, wmel_scenario.target)
     assert summary["end_margin"] == min(xu - x, y - yu)
     assert summary["verified_feasible"] is (summary["end_margin"] > 0)
+    assert (summary["nfev"], summary["accepted_steps"]) == (traj.nfev, traj.accepted_steps)
     assert summary["stats"]["rows_screened"] == 30 * 11  # initial population + 10 generations
     assert 0 <= summary["stats"]["rows_rerun"] <= summary["stats"]["rows_screened"]
     plan_rows = (tmp_path / "ga_wmel_plan.csv").read_text().splitlines()
@@ -321,7 +322,7 @@ def test_ocp_command_small_grid(tmp_path):
     assert ctrl.t_star == pytest.approx(summary["t_star"], rel=1e-9)
 
 
-def test_impulsive_command_from_control(tmp_path):
+def test_impulsive_command_from_control(tmp_path, wmel_scenario):
     assert run(["ocp", "--strain", "wmel", "--grid-n", "600"], tmp_path) == 0
     code = run(
         [
@@ -337,6 +338,12 @@ def test_impulsive_command_from_control(tmp_path):
     sched = fileio.read_schedule_csv(tmp_path / "impulsive_wmel_m7.csv")
     assert sched.rule_tag == "aggregate"
     assert [t for t, _ in sched.entries] == [1.0, 8.0]
+    # Each cell reports its simulation's work: one run per stretch, each
+    # 2 evaluations to start and 6 per attempted step.
+    traj = simulate_impulsive(wmel_scenario.params, State(wmel_scenario.initial_wild, 0.0), sched)
+    cell = summary["schedules"]["m7"]
+    assert (cell["nfev"], cell["accepted_steps"]) == (traj.nfev, traj.accepted_steps)
+    assert cell["nfev"] >= 2 * 3 + 6 * cell["accepted_steps"]
 
 
 def test_impulsive_reads_sim_settings(tmp_path):

@@ -26,11 +26,15 @@ from wolbopt.sim import (
 
 
 class _ScipyRun:
-    """scipy's RK45 result behind the ``sim.solve_ivp`` interface."""
+    """scipy's RK45 result behind the ``sim.solve_ivp`` interface: its
+    dense output, its cost, its end state, and its accepted steps in
+    ``sim.DenseSolution.steps``' layout, which ``sim._flow`` joins."""
 
-    def __init__(self, sol):
+    def __init__(self, sol, steps):
         assert sol.success, sol.message
         self.sol, self.nfev, self.t_stop = sol, sol.nfev, float(sol.t[-1])
+        self.y_end = tuple(sol.y[:, -1].tolist())
+        self.steps = np.array(steps).reshape(-1, 18)
 
     def __call__(self, ts):
         return self.sol.sol(ts).T
@@ -38,6 +42,16 @@ class _ScipyRun:
 
 def scipy_ivp(fun, span, y0, rtol, atol, max_step=math.inf, stop=None):
     scipy_integrate = pytest.importorskip("scipy.integrate")  # a test extra
+    steps = []
+
+    class RecordedRK45(scipy_integrate.RK45):
+        """RK45 that keeps each accepted step's start, size and stages
+        (``K``, one row per stage) as it builds the step's interpolant."""
+
+        def _dense_output_impl(self):
+            steps.append((self.t_old, self.t - self.t_old, *self.y_old, *self.K.T.ravel()))
+            return super()._dense_output_impl()
+
     events = None
     if stop is not None:
         def events(t, z):
@@ -45,10 +59,10 @@ def scipy_ivp(fun, span, y0, rtol, atol, max_step=math.inf, stop=None):
 
         events.terminal, events.direction = True, -1.0
     sol = scipy_integrate.solve_ivp(
-        lambda t, z: fun(t, z[0], z[1]), span, y0, method="RK45", rtol=rtol, atol=atol,
+        lambda t, z: fun(t, z[0], z[1]), span, y0, method=RecordedRK45, rtol=rtol, atol=atol,
         max_step=max_step, dense_output=True, events=events,
     )
-    return _ScipyRun(sol)
+    return _ScipyRun(sol, steps)
 
 
 def both(monkeypatch, run):

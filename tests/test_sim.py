@@ -17,7 +17,7 @@ from wolbopt.sim import (
     simulate_impulsive,
 )
 
-from oracles import classify_endpoint, separatrix_height
+from oracles import classify_endpoint, per_stretch_impulsive, separatrix_height
 
 LONG = SimOptions(t_end=600.0)
 
@@ -104,6 +104,27 @@ def test_release_rows_conserve_total(wmel, wmel_scenario):
     jumped = np.rint(traj.states[post, 1] - traj.states[post - 1, 1]).astype(int)
     assert jumped.tolist() == [size for _, size in entries]
     assert np.all(traj.states[post, 0] == traj.states[post - 1, 0])
+
+
+@pytest.mark.parametrize("strain, horizon", [("wmel", 20), ("wmelpop", 70)])
+def test_flow_samples_in_one_pass(strain, horizon, request):
+    # Seeded daily and 7-day schedules: the rows of all stretches from one
+    # evaluation of the joined steps, against each stretch's own
+    # interpolant.  The runs take the same steps (nfev and accepted steps),
+    # so the rows differ only by rounding.
+    scenario = request.getfixturevalue(f"{strain}_scenario")
+    s0, cap = State(scenario.initial_wild, 0.0), scenario.cap_l
+    opts = SimOptions(t_end=horizon + 30.0)
+    rng = np.random.default_rng(30)
+    for period in (1, 7) * 3:
+        days = np.arange(1.0, rng.integers(2, horizon + 1), period)
+        sizes = rng.integers(int(0.2 * cap * period), int(cap * period) + 1, days.size)
+        sched = ImpulseSchedule(entries=tuple(zip(days.tolist(), sizes.tolist())))
+        traj = simulate_impulsive(scenario.params, s0, sched, opts)
+        times, states, nfev, steps = per_stretch_impulsive(scenario.params, s0, sched, opts)
+        assert np.array_equal(traj.times, times)
+        np.testing.assert_allclose(traj.states, states, rtol=1e-12, atol=0.0)
+        assert (traj.nfev, traj.accepted_steps) == (nfev, steps)
 
 
 def test_release_after_t_end_rejected(wmel, wmel_scenario):
