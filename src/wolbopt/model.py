@@ -99,32 +99,36 @@ def make_jacobian(params: StrainParams) -> Callable:
     """Return the closure (x, y) -> row-major entries of d(rhs)/d(x,y).
 
     It runs on floats or elementwise on arrays (``np.exp``): the OCP's
-    adjoint pass calls it on every grid step at once.  Valid for x + y > 0;
-    the origin uses the along-axes limit (see ``jacobian``).
+    extremal field calls it on every shooting row at once.  Its
+    coefficients are 0-d arrays, as ``make_rhs``'s on arrays are.  Valid
+    for x + y > 0; the origin uses the along-axes limit (see ``jacobian``).
     """
-    rho_n = params.rho_n
-    eta = params.eta
-    one_eta = 1.0 - eta
-    leak = (1.0 - params.nu) * params.rho_w
-    nu_rw = params.nu * params.rho_w
-    omega = params.omega
-    delta_n = params.delta_n
-    decay_w = params.omega + params.delta_w
-    sigma = params.sigma
+    coef = np.array
+    rho_n = coef(params.rho_n)
+    one_eta = coef(1.0 - params.eta)
+    neg_eta_rho_n = coef(-params.eta * params.rho_n)
+    leak = coef((1.0 - params.nu) * params.rho_w)
+    nu_rw = coef(params.nu * params.rho_w)
+    neg_sigma_nu_rw = coef(-params.sigma * (params.nu * params.rho_w))
+    omega = coef(params.omega)
+    delta_n = coef(params.delta_n)
+    decay_w = coef(params.omega + params.delta_w)
+    sigma, neg_sigma = coef(params.sigma), coef(-params.sigma)
+    one, two = coef(1.0), coef(2.0)
 
     def jac(x, y):
         s = x + y
-        e = np.exp(-sigma * s)
+        e = np.exp(neg_sigma * s)
         a = x * (x + one_eta * y)
-        inv_s = 1.0 / s
+        inv_s = one / s
         g = rho_n * a * inv_s
-        dg_dx = rho_n * ((2.0 * x + one_eta * y) - a * inv_s) * inv_s
-        dg_dy = -eta * rho_n * x * x * inv_s * inv_s
+        dg_dx = rho_n * ((two * x + one_eta * y) - a * inv_s) * inv_s
+        dg_dy = neg_eta_rho_n * x * x * inv_s * inv_s
         births_x = g + leak * y
         j11 = e * (dg_dx - sigma * births_x) - delta_n
         j12 = e * (dg_dy + leak - sigma * births_x) + omega
-        j21 = -sigma * nu_rw * y * e
-        j22 = nu_rw * e * (1.0 - sigma * y) - decay_w
+        j21 = neg_sigma_nu_rw * y * e
+        j22 = nu_rw * e * (one - sigma * y) - decay_w
         return j11, j12, j21, j22
 
     return jac

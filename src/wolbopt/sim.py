@@ -109,10 +109,6 @@ def sampled_rate(times: np.ndarray, values: np.ndarray) -> Callable:
     return lambda t: np.interp(t, times, values, left=0.0, right=0.0)
 
 
-def _no_control(t: float) -> float:
-    return 0.0
-
-
 class IntegrationError(RuntimeError):
     """Integrator failure or tolerance-violating negativity."""
 
@@ -335,10 +331,11 @@ def solve_ivp(
 def _falling_root(stop, sol: DenseSolution) -> float:
     """Bisect ``stop`` along the last step's interpolant, from its start
     (>= 0) to its end (<= 0), to 4 ulp of the root."""
-    lo, hi = float(sol.steps[-1, 0]), sol.t_stop
+    last = sol.steps[-1:]
+    lo, hi = float(last[0, 0]), sol.t_stop
     while hi - lo > 4.0 * _EPS * (1.0 + abs(hi)):
         mid = 0.5 * (lo + hi)
-        x, y = sol(np.array([mid]))[0]
+        x, y = _interpolate(last, np.array([mid]))[0]
         if stop(mid, x, y) > 0.0:
             lo = mid
         else:
@@ -353,16 +350,18 @@ def _sample_times(t0: float, t1: float, stride: float) -> np.ndarray:
 
 def _flow(
     params: StrainParams, s0: State, t0: float, stops: Sequence[tuple[float, Optional[int]]],
-    u_fn: Callable[[float], float], opts: SimOptions,
+    u_fn: Optional[Callable[[float], float]], opts: SimOptions,
     grid: tuple[float, float] = (-math.inf, math.inf),
 ) -> Trajectory:
     """The trajectory from s0 at t0 through each stop (t, size) in turn.
 
-    Up to each stop ``solve_ivp`` runs under the rate ``u_fn`` (uncontrolled
-    on a stretch that lies outside ``grid``) from where the last run ended,
-    clamped at zero.  A stretch adds rows every ``SAMPLE_STRIDE`` days after
-    its start, all of them read in one pass over the joined runs, checked
-    for negative excursions and clamped at zero.  A stop whose size is not
+    Up to each stop ``solve_ivp`` runs under the rate ``u_fn`` from where
+    the last run ended, clamped at zero; a stretch runs uncontrolled, on
+    the field at u = 0 with no rate call, when ``u_fn`` is None or the
+    stretch lies outside ``grid``.  A stretch adds rows every
+    ``SAMPLE_STRIDE`` days after its start, all of them read in one pass
+    over the joined runs, checked for negative excursions and clamped at
+    zero.  A stop whose size is not
     None (0 included) is a release: the pre-release row plus the size in
     the infected population is its post-release row, whose ``u_applied`` is
     the size, and the next run starts with the size added.  Every other
@@ -373,9 +372,11 @@ def _flow(
     runs, rows = [], [([t0], [0.0])]  # (times, u_applied), u nan on a sampled row
     for t1, size in stops:
         if t1 > t0:
-            fn = u_fn if t0 < grid[1] and t1 > grid[0] else _no_control
-            runs.append(solve_ivp(lambda t, x, y: rhs(x, y, float(fn(t))), (t0, t1), (x, y),
-                                  rtol=opts.rel_tol, atol=opts.abs_tol))
+            if u_fn is not None and t0 < grid[1] and t1 > grid[0]:
+                fun = lambda t, x, y: rhs(x, y, float(u_fn(t)))  # noqa: E731
+            else:
+                fun = lambda t, x, y: rhs(x, y, 0.0)  # noqa: E731
+            runs.append(solve_ivp(fun, (t0, t1), (x, y), rtol=opts.rel_tol, atol=opts.abs_tol))
             ts = _sample_times(t0, t1, SAMPLE_STRIDE)[1:]
             rows.append((ts, np.full(ts.size, np.nan)))
             x, y, t0 = max(runs[-1].y_end[0], 0.0), max(runs[-1].y_end[1], 0.0), t1
@@ -418,7 +419,7 @@ def integrate(
     runs uncontrolled.  ``u_applied`` is the rate at each row.
     """
     if control is None:
-        return _flow(params, s0, span[0], ((span[1], None),), _no_control, opts)
+        return _flow(params, s0, span[0], ((span[1], None),), None, opts)
     times, values = (np.asarray(column, dtype=float) for column in control)
     u_fn, grid = sampled_rate(times, values), (times[0], times[-1])
     ends = [(t, None) for t, u in zip(grid, (values[0], values[-1]))
@@ -449,7 +450,7 @@ def simulate_impulsive(
         raise ValueError(f"release of {size} at t={t:g} is {bound}")
     # The last stop's None, not 0, marks the end of the span: a size-0
     # release still adds its post-release row.
-    return _flow(params, s0, 0.0, (*sched.entries, (opts.t_end, None)), _no_control, opts)
+    return _flow(params, s0, 0.0, (*sched.entries, (opts.t_end, None)), None, opts)
 
 
 def first_basin_entry(traj: Trajectory, target: tuple[float, float]) -> Optional[float]:

@@ -21,10 +21,9 @@ from wolbopt.model import (
     absorbing_bound,
     equilibria,
     jacobian,
-    make_jacobian,
     make_rhs,
 )
-from wolbopt.ocp import _adjoint_field, _hamiltonian
+from wolbopt.ocp import _extremal_field, _hamiltonian
 from wolbopt.params import preset
 from wolbopt.scenarios import (
     build_scenario,
@@ -214,13 +213,13 @@ def test_criterion6_adjoint_matches_hamiltonian_gradient():
     rng = np.random.default_rng(11)
     for strain in ("wmel", "wmelpop"):
         params = preset(strain)
-        f, adj = make_rhs(params), _adjoint_field(make_jacobian(params))
+        f, field = make_rhs(params), _extremal_field(params, 1000.0)
         for _ in range(100):
             x, y = rng.uniform(20.0, 7000.0, size=2)
             l1, l2 = rng.uniform(-500.0, 500.0, size=2)
             u = rng.uniform(0.0, 1000.0)
-            # The field the solver's backward pass integrates.
-            got = adj(l1, l2, complex(x, y))
+            # The adjoint half of the field the solver's shooting pass integrates.
+            got = field(np.array([[x], [y]]), np.array([[l1], [l2]]), 0.0)[1][:, 0]
 
             def H(xx, yy):
                 return _hamiltonian(f(xx, yy, 0.0), l1, l2, u, 1e6)
