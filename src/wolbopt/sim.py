@@ -117,10 +117,10 @@ def rk4(rhs, x, y, u: Sequence, h: float) -> tuple[list, list]:
     """Fixed-step RK4 from (x, y), the drive ``u`` linearly interpolated
     inside steps; returns the node lists (len(u) nodes).
 
-    The one fixed-step integrator: the OCP forward pass runs it on floats,
-    the OCP adjoint pass backward (h < 0) with the state as a complex drive
-    x + iy, the GA kernel on arrays (one row per plan) or on one plan's
-    floats.  k2 and k3 get one midpoint object, and a step's last node is
+    The one fixed-step integrator: the OCP's start pass runs it on floats,
+    its shooting pass on (2, R) arrays with one step per row (negative on
+    the rows that run backward), the GA kernel on arrays (one row per plan)
+    or on one plan's floats.  k2 and k3 get one midpoint object, and a step's last node is
     the next step's first.  On arrays its constants are 0-d arrays.
     """
     n = len(u) - 1
