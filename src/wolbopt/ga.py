@@ -140,7 +140,7 @@ class GAResult:
     best: ReleasePlan
     report: FitnessReport
     history: list[GenerationRecord]
-    stats: dict[str, int] = field(default_factory=dict)  # rows_screened, _rerun, _reused
+    stats: dict[str, int] = field(default_factory=dict)  # rows_screened, rows_rerun
 
 
 @dataclass
@@ -345,16 +345,15 @@ def run_ga(
     """Run the fixed number of generations and return the elite plan.
 
     The population is five columns: genes, fitness, J, feasibility and
-    margin.  Each generation proposes pop_n offspring, evaluates those
-    that equal no parent in one batch (``rows_reused`` counts the others)
-    and keeps the best pop_n of parents and offspring by a
+    margin.  Each generation proposes pop_n offspring, evaluates them
+    in one batch and keeps the best pop_n of parents and offspring by a
     stable sort, so parents win ties and best fitness never drops.
     ``seed_plans`` inject known-good gene vectors (already valid for this
     horizon) into the initial population; used by the epsilon loop for
     warm starts.
     """
     rng = np.random.default_rng(cfg.rng_seed)
-    stats = Counter(rows_screened=0, rows_rerun=0, rows_reused=0)
+    stats = Counter(rows_screened=0, rows_rerun=0)
     genes = init_population(cfg, horizon_t, rng)
     for row, plan in zip(genes, seed_plans):
         row[:] = plan
@@ -362,18 +361,8 @@ def run_ga(
     history: list[GenerationRecord] = []
     for gen in range(1, cfg.generations_g + 1):
         offspring = _propose(pop[0], pop[1], cfg, rng)
-        # A row's scores do not depend on its batch, so an offspring equal
-        # to a parent takes that parent's scores, with no kernel call.
-        parent = {row.tobytes(): i for i, row in enumerate(pop[0])}
-        src = np.array([parent.get(row.tobytes(), -1) for row in offspring])
-        fresh = src < 0
-        scored = [offspring, *(column[src] for column in pop[1:])]
-        if fresh.any():
-            scores = evaluate_population(params, offspring[fresh], target, initial_wild, cfg,
-                                         stats=stats)
-            for column, values in zip(scored[1:], scores):
-                column[fresh] = values
-        stats["rows_reused"] += int((~fresh).sum())
+        scored = (offspring, *evaluate_population(
+            params, offspring, target, initial_wild, cfg, stats=stats))
         pool = [np.concatenate(pair) for pair in zip(pop, scored)]
         keep = np.argsort(-pool[1], kind="stable")[: cfg.pop_n]
         pop = tuple(column[keep] for column in pool)
@@ -437,7 +426,7 @@ def epsilon_loop(
     best: Optional[GAResult] = None
     carry: list[np.ndarray] = []
     per_epsilon: list[tuple[int, Optional[int]]] = []
-    stats = Counter(rows_screened=0, rows_rerun=0, rows_reused=0)
+    stats = Counter(rows_screened=0, rows_rerun=0)
     for round_idx, eps in enumerate(range(loop_cfg.epsilon_0, p - 1, -loop_cfg.step)):
         # Carried plans come from longer horizons (eps only shrinks).
         seeds = [s for arr in carry for s in (arr[:eps], _roll_tail(arr, eps, ga_cfg))]

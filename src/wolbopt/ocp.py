@@ -21,7 +21,8 @@ each node and of T perturbed for forward differences: one pass gives the
 residual and its Jacobian.  Damped Newton (Deuflhard 2011, ch. 3) solves the
 system, backtracking on the residual norm (Armijo); every trial is a full
 pass, so an accepted trial's Jacobian serves the next iteration.  The start
-is one constant-rate pass until x crosses the target (``_start``).
+is one constant-rate pass until x crosses the target, with the adjoints run
+backward along it (``_start``).
 """
 
 from __future__ import annotations
@@ -158,62 +159,92 @@ def _extremal_field(params: StrainParams, cap: float):
 
     def field(z, lam, _):
         (x, y), (l1, l2) = z, lam
-        j11, j12, j21, j22 = jac(x, y)
         u = np.minimum(np.maximum(l2, zero), cap)
-        return np.array(rhs(x, y, u)), np.array((-(j11 * l1 + j21 * l2), -(j12 * l1 + j22 * l2)))
+        return np.array(rhs(x, y, u)), np.array(_adjoint(jac(x, y), l1, l2))
 
     return field
 
 
+def _adjoint(j, l1, l2):
+    """-J^T lambda from J's row-major entries j."""
+    j11, j12, j21, j22 = j
+    return -(j11 * l1 + j21 * l2), -(j12 * l1 + j22 * l2)
+
+
 def _segments(n: int) -> tuple[int, int]:
     """Steps per segment and segment count K for an n-step grid: at most
-    25 segments of at least 5 steps (K = 20 at grid 100, 25 at grid 2,000),
-    the last one shorter when they do not divide n.
+    25 segments, as short as that allows (K = 25 at grids 100 and 2,000, 10
+    at grid 10), the last one shorter when they do not divide n.
 
-    At most 25 segments keep the Newton system within 99 unknowns, which
+    Short segments keep the shooting well conditioned where the horizon is
+    long and the grid coarse: wmelpop at cap 130 (271 days) did not converge
+    at grid 20 on segments of 5 steps, and took 15 passes at grid 40
+    against 5.  At most 25 keep the Newton system within 99 unknowns, which
     OpenBLAS factors on one thread.  From 100 it wakes its thread pool: at
     grid 2,000 with K = 100 a fresh process's first solve took 0.4-0.7 s
     against 40-75 ms after (2-core shared host), and the last bits of t*
-    changed with the thread count.  K = 25 took 100-170 ms a solve there,
-    with no such first call.
+    changed with the thread count.
     """
-    m = max(5, -(-n // 25))
+    m = -(-n // 25)
     return m, -(-n // m)
 
 
 def _start(params: StrainParams, cfg: OCPConfig, x0: float, x_target: float, k: int, m: int):
     """The Newton start: the shooting nodes (k, 4) and the horizon.
 
-    One pass at the constant rate min(L, sqrt(2P)), in START_STEP-day
-    steps until x crosses the target, gives T0 and each node's state.
-    lambda2 falls linearly from its closed form at the wild equilibrium
-    (H(0) = 0 with f = 0 there) to 0 at T0, and each node's lambda1
-    solves H = 0; the first copies the second's, as f1(x#, 0) = 0.
+    One pass at a constant rate, in START_STEP-day steps until x crosses
+    the target, gives T0 and each node's state.  The rate is the optimum's
+    u(0), min(L, sqrt(2P)), or L when that pass does not reach the target
+    within MAX_HORIZON days.  A grid whose steps are longer than START_STEP
+    must carry the pass too, or it is too coarse for RK4.
+
+    The adjoints run backward along the pass from lambda = (mu, 0) at T0,
+    mu from H(T0) = 0, with the pass's Jacobians as the drive.  lambda2 is
+    raised to at least a linear fall from its closed form at the wild
+    equilibrium (H(0) = 0 with f = 0 there) to 0 at T0: where the pass
+    overshoots, the backward lambda2 sits at or below 0, where the clamp
+    hides every control from the Newton system.
     """
     cap, p = cfg.cap_l, cfg.weight_p
-    rate = min(cap, math.sqrt(2.0 * p))
     rhs = model.make_rhs(params)
-    xs, ys = [x0], [0.0]
-    while xs[-1] > x_target:
-        if len(xs) > MAX_HORIZON / START_STEP:
-            raise CapInfeasibleError(
-                f"target not reached in {MAX_HORIZON:g} days at {rate:g} a day; cap_l too small"
-            )
-        more_x, more_y = rk4(rhs, xs[-1], ys[-1], [rate] * 41, START_STEP)
-        xs += more_x[1:]
-        ys += more_y[1:]
+    for rate in dict.fromkeys((min(cap, math.sqrt(2.0 * p)), cap)):
+        xs, ys = [x0], [0.0]
+        while xs[-1] > x_target and len(xs) <= MAX_HORIZON / START_STEP:
+            more_x, more_y = rk4(rhs, xs[-1], ys[-1], [rate] * 41, START_STEP)
+            xs += more_x[1:]
+            ys += more_y[1:]
+        if xs[-1] <= x_target:
+            break
+    else:
+        raise CapInfeasibleError(
+            f"target not reached in {MAX_HORIZON:g} days at {cap:g} a day; cap_l too small"
+        )
     i = next(i for i, x in enumerate(xs) if x <= x_target)
     t0 = (i - 1 + (xs[i - 1] - x_target) / (xs[i - 1] - xs[i])) * START_STEP
+    if t0 / cfg.grid_n > START_STEP:  # RK4 followed this pass at START_STEP, not beyond
+        try:
+            xs_grid, ys_grid = rk4(rhs, x0, 0.0, [rate] * (cfg.grid_n + 1), t0 / cfg.grid_n)
+        except OverflowError:
+            xs_grid = ys_grid = [math.inf]
+        if not math.isfinite(sum(xs_grid) + sum(ys_grid)):
+            raise CoarseGridError(
+                f"grid_n={cfg.grid_n} is too coarse: the start's pass in RK4 steps of "
+                f"{t0 / cfg.grid_n:.3g} days overflows"
+            )
     t = np.append(np.arange(k - 1) * m, cfg.grid_n) * (t0 / cfg.grid_n)
     days = np.arange(len(xs)) * START_STEP
     x, y = np.interp(t, days, xs), np.interp(t, days, ys)
     x[-1] = x_target
-    l2_0 = p / cap + cap / 2.0 if rate < math.sqrt(2.0 * p) else math.sqrt(2.0 * p)
-    l2 = l2_0 * (1.0 - t / t0)
-    u = np.clip(l2[1:], 0.0, cap)
-    f1, f2 = rhs_arrays(params, x[1:], y[1:])
-    l1 = (p + 0.5 * u * u - l2[1:] * (f2 + u)) / f1
-    return np.column_stack((x, y, np.concatenate((l1[:1], l1)), l2)), t0
+    back = np.linspace(t0, 0.0, int(t0) + 2)  # at most a day a step
+    jac = make_jacobian(params)(np.interp(back, days, xs), np.interp(back, days, ys))
+    mu = p / rhs(x_target, y[-1], 0.0)[0]
+    l1, l2 = rk4(lambda l1, l2, j: _adjoint(j, l1, l2), mu, 0.0, list(np.column_stack(jac)),
+                 back[1] - back[0])
+    l2_0 = p / cap + cap / 2.0 if cap < math.sqrt(2.0 * p) else math.sqrt(2.0 * p)
+    l1 = np.interp(t, back[::-1], l1[::-1])
+    l2 = np.maximum(np.interp(t, back[::-1], l2[::-1]), l2_0 * (1.0 - t / t0))
+    l2[-1] = 0.0
+    return np.column_stack((x, y, l1, l2)), t0
 
 
 def solve(params: StrainParams, cfg: OCPConfig) -> OCPSolution:
@@ -221,8 +252,9 @@ def solve(params: StrainParams, cfg: OCPConfig) -> OCPSolution:
 
     Raises:
         CapInfeasibleError: the start pass does not reach the target
-            within MAX_HORIZON days (cap_l too small).
-        CoarseGridError: RK4 overflows on the start's grid at this grid_n.
+            within MAX_HORIZON days at the full cap (cap_l too small).
+        CoarseGridError: RK4 overflows on the start's pass at this grid_n's
+            step, or on the first shooting pass.
         NonConvergenceError: Newton's line search or iteration budget is
             spent before the residual norm is below NEWTON_TOL.
     """
@@ -252,9 +284,9 @@ def solve(params: StrainParams, cfg: OCPConfig) -> OCPSolution:
     stats = dict.fromkeys(STATS_KEYS, 0)
 
     def shoot(nodes: np.ndarray, T: float):
-        """One pass from the shooting nodes: the residual (the gaps where
-        each forward segment ends, then H(0) / P), its Jacobian in the
-        unknowns and the base rows' steps."""
+        """One pass from the shooting nodes: the residual's norm, the
+        residual (the gaps where each forward segment ends, then H(0) / P),
+        its Jacobian in the unknowns and the base rows' steps."""
         stats["passes"] += 1
         d_node = FD_STEP * np.maximum(np.abs(nodes), 1.0)
         d_t = FD_STEP * max(T, 1.0)
@@ -268,7 +300,7 @@ def solve(params: StrainParams, cfg: OCPConfig) -> OCPSolution:
                            np.where(backward, -1.0, 1.0) * h.ravel())
         steps = np.concatenate((zs, lams), axis=1)  # (m + 1, 4, 6k)
         if not np.isfinite(steps).all():
-            return np.full(size, np.inf), None, None
+            return math.inf, None, None, None
         end = steps[ends, :, np.arange(6 * k)].reshape(6, k, 4)
         base = end[0]
         u_0 = min(max(nodes[0, 3], 0.0), cap)
@@ -287,11 +319,12 @@ def solve(params: StrainParams, cfg: OCPConfig) -> OCPSolution:
         jac[:-1, :-1] = blocks.reshape(4 * k - 4, 4 * k)
         jac[:-1, -1] = (d_end[:-1] - np.outer(seg == k - 2, d_end[-1])).ravel()
         jac[-1, 2:4] = f1_0 / p, (f2_0 + u_0) / p  # dH/dlambda: u(0) maximizes H
-        return residual, jac[:, free], steps[..., :k]
+        with np.errstate(over="ignore"):
+            norm = float(np.linalg.norm(residual))
+        return norm, residual, jac[:, free], steps[..., :k]
 
     nodes, T = _start(params, cfg, x0, x_target, k, m)
-    residual, jac, steps = shoot(nodes, T)
-    norm = float(np.linalg.norm(residual))
+    norm, residual, jac, steps = shoot(nodes, T)
     if not math.isfinite(norm):
         raise CoarseGridError(
             f"grid_n={n} is too coarse: RK4 steps of {T / n:.3g} days overflow from the start"
@@ -313,8 +346,7 @@ def solve(params: StrainParams, cfg: OCPConfig) -> OCPSolution:
         for halvings in range(MAX_HALVINGS + 1):
             if T + step * d[-1] > 0.0:
                 trial = shoot(nodes + step * d_nodes, T + step * d[-1])
-                trial_norm = float(np.linalg.norm(trial[0]))
-                if trial_norm <= (1.0 - ARMIJO * step) * norm:  # False when nan
+                if trial[0] <= (1.0 - ARMIJO * step) * norm:  # False when nan
                     break
             step *= 0.5
         else:
@@ -323,7 +355,7 @@ def solve(params: StrainParams, cfg: OCPConfig) -> OCPSolution:
                 f"(residual norm {norm:.3g})"
             )
         nodes, T = nodes + step * d_nodes, T + step * d[-1]
-        (residual, jac, steps), norm = trial, trial_norm
+        norm, residual, jac, steps = trial
         stats["halvings"] += halvings
         history.append(NewtonStep(T, norm, halvings))
     stats["iterations"], stats["residual_norm"] = len(history), norm
