@@ -196,12 +196,10 @@ def cmd_simulate(args, settings, scenario):
         total = sched.total
     elif args.control:
         ctrl = fileio.read_control_csv(Path(args.control))
-        traj = integrate(
-            scenario.params, s0, (ctrl.times, ctrl.values), (0.0, opts.t_end), opts
-        )
+        traj = integrate(scenario.params, s0, (ctrl.times, ctrl.values), (0.0, opts.t_end))
         total = float(np.trapezoid(ctrl.values, ctrl.times))
     else:
-        traj = integrate(scenario.params, s0, None, (0.0, opts.t_end), opts)
+        traj = integrate(scenario.params, s0, None, (0.0, opts.t_end))
         total = 0.0
     entry = first_basin_entry(traj, scenario.target)
     name = f"trajectory_{scenario.params.name}.csv"
@@ -236,8 +234,7 @@ def cmd_ocp(args, settings, scenario):
         f"t_star={sol.control.t_star:.4f}  total={sol.total_released:.1f}  "
         f"converged={sol.converged}"
     )
-    status = EXIT_OK if sol.converged else EXIT_FAILED
-    return status, summary, [(control_name, fileio.write_control_csv, sol)]
+    return EXIT_OK, summary, [(control_name, fileio.write_control_csv, sol)]
 
 
 def cmd_impulsive(args, settings, scenario):
@@ -308,7 +305,7 @@ def cmd_ga(args, settings, scenario):
         files.append((f"ga_{name}_history.csv", fileio.write_history_csv, result.history))
     files.append((f"ga_{name}_plan.csv", fileio.write_schedule_csv, plan.schedule()))
     adaptive = evaluate_schedule(scenario.params, plan.schedule(), target, scenario.initial_wild,
-                                 replace(SimOptions(**settings["sim"]), t_end=float(horizon)))
+                                 SimOptions(t_end=float(horizon)))
     summary.update(
         {
             "stats": stats,

@@ -34,19 +34,16 @@ STABLE_EIG_TOL = 1e-12
 SEPARATRIX_OFFSET = 1e-4  # saddle displacement, relative to its norm
 SEPARATRIX_ARC_STRIDE = 10.0  # individuals between separatrix points
 SAMPLE_STRIDE = 0.25  # days between the samples of an adaptive segment
+REL_TOL, ABS_TOL = 1e-8, 1e-10  # every adaptive run's tolerances
 
 
 @dataclass(frozen=True)
 class SimOptions:
-    """Integrator tolerances and the end of the simulated span."""
+    """The end of the simulated span."""
 
-    rel_tol: float = 1e-8
-    abs_tol: float = 1e-10
     t_end: float = 400.0
 
     def __post_init__(self) -> None:
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise ValueError("tolerances must be positive")
         if self.t_end <= 0:
             raise ValueError("t_end must be positive")
 
@@ -350,8 +347,7 @@ def _sample_times(t0: float, t1: float, stride: float) -> np.ndarray:
 
 def _flow(
     params: StrainParams, s0: State, t0: float, stops: Sequence[tuple[float, Optional[int]]],
-    u_fn: Optional[Callable[[float], float]], opts: SimOptions,
-    grid: tuple[float, float] = (-math.inf, math.inf),
+    u_fn: Optional[Callable[[float], float]], grid: tuple[float, float] = (-math.inf, math.inf),
 ) -> Trajectory:
     """The trajectory from s0 at t0 through each stop (t, size) in turn.
 
@@ -376,7 +372,7 @@ def _flow(
                 fun = lambda t, x, y: rhs(x, y, float(u_fn(t)))  # noqa: E731
             else:
                 fun = lambda t, x, y: rhs(x, y, 0.0)  # noqa: E731
-            runs.append(solve_ivp(fun, (t0, t1), (x, y), rtol=opts.rel_tol, atol=opts.abs_tol))
+            runs.append(solve_ivp(fun, (t0, t1), (x, y), rtol=REL_TOL, atol=ABS_TOL))
             ts = _sample_times(t0, t1, SAMPLE_STRIDE)[1:]
             rows.append((ts, np.full(ts.size, np.nan)))
             x, y, t0 = max(runs[-1].y_end[0], 0.0), max(runs[-1].y_end[1], 0.0), t1
@@ -390,7 +386,7 @@ def _flow(
     states[0] = s0.x, s0.y
     if runs:
         seg = _interpolate(np.concatenate([run.steps for run in runs]), times[sampled])
-        if seg.min() < -opts.abs_tol * 100.0:
+        if seg.min() < -ABS_TOL * 100.0:
             raise IntegrationError(f"negative excursion {seg.min():.3e} exceeds "
                                    "tolerance; integrator misconfigured")
         states[sampled] = np.clip(seg, 0.0, None, out=seg)
@@ -408,7 +404,6 @@ def integrate(
     s0: State,
     control: ControlLike,
     span: tuple[float, float],
-    opts: SimOptions = SimOptions(),
 ) -> Trajectory:
     """Integrate the model under a sampled (or zero) control.
 
@@ -419,12 +414,12 @@ def integrate(
     runs uncontrolled.  ``u_applied`` is the rate at each row.
     """
     if control is None:
-        return _flow(params, s0, span[0], ((span[1], None),), None, opts)
+        return _flow(params, s0, span[0], ((span[1], None),), None)
     times, values = (np.asarray(column, dtype=float) for column in control)
     u_fn, grid = sampled_rate(times, values), (times[0], times[-1])
     ends = [(t, None) for t, u in zip(grid, (values[0], values[-1]))
             if span[0] < t < span[1] and u != 0.0]
-    traj = _flow(params, s0, span[0], (*ends, (span[1], None)), u_fn, opts, grid)
+    traj = _flow(params, s0, span[0], (*ends, (span[1], None)), u_fn, grid)
     return replace(traj, u_applied=u_fn(traj.times))
 
 
@@ -450,7 +445,7 @@ def simulate_impulsive(
         raise ValueError(f"release of {size} at t={t:g} is {bound}")
     # The last stop's None, not 0, marks the end of the span: a size-0
     # release still adds its post-release row.
-    return _flow(params, s0, 0.0, (*sched.entries, (opts.t_end, None)), None, opts)
+    return _flow(params, s0, 0.0, (*sched.entries, (opts.t_end, None)), None)
 
 
 def first_basin_entry(traj: Trajectory, target: tuple[float, float]) -> Optional[float]:
@@ -520,8 +515,8 @@ def separatrix(params: StrainParams) -> np.ndarray:
             backward_unit,
             (0.0, s_max),
             z0,
-            rtol=SimOptions.rel_tol,
-            atol=SimOptions.abs_tol,
+            rtol=REL_TOL,
+            atol=ABS_TOL,
             max_step=5.0 * SEPARATRIX_ARC_STRIDE,
             stop=leave,
         )

@@ -10,7 +10,9 @@ import numpy as np
 
 from wolbopt.model import State, equilibria, make_rhs
 from wolbopt.params import StrainParams
-from wolbopt.sim import SAMPLE_STRIDE, ImpulseSchedule, SimOptions, integrate, solve_ivp
+from wolbopt.sim import (
+    ABS_TOL, REL_TOL, SAMPLE_STRIDE, ImpulseSchedule, SimOptions, integrate, solve_ivp,
+)
 
 
 def separatrix_height(curve: np.ndarray, x: float) -> float:
@@ -43,7 +45,7 @@ def classify_endpoint(
     Returns ``"ex"`` or ``"es"`` by distance at t_end.
     """
     eq = equilibria(params)
-    traj = integrate(params, s0, None, (0.0, opts.t_end), opts)
+    traj = integrate(params, s0, None, (0.0, opts.t_end))
     fx, fy = traj.final_state
     d_ex = math.hypot(fx - eq.ex.state.x, fy - eq.ex.state.y)
     if eq.es is None:
@@ -81,7 +83,7 @@ def per_stretch_impulsive(
     for t1, size in (*sched.entries, (opts.t_end, None)):
         if t1 > t0:
             sol = solve_ivp(lambda t, x, y: rhs(x, y, 0.0), (t0, t1), (x, y),
-                            opts.rel_tol, opts.abs_tol)
+                            REL_TOL, ABS_TOL)
             ts = np.linspace(t0, t1, max(1, math.ceil((t1 - t0) / SAMPLE_STRIDE)) + 1)[1:]
             rows = np.clip(sol(ts), 0.0, None)
             times.extend(ts.tolist())

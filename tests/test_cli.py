@@ -80,7 +80,7 @@ def test_non_finite_settings_exit_2(tmp_path, capsys, monkeypatch):
     for argv, text, named in (
         (["simulate", *wmel, "--t-end", "nan"], None, "[sim] t_end"),
         (["simulate", *wmel, "--t-end", "inf"], None, "[sim] t_end"),
-        (["simulate", *wmel, "--config", settings], "[sim]\nrel_tol = nan\n", "[sim] rel_tol"),
+        (["simulate", *wmel, "--config", settings], "[sim]\nt_end = nan\n", "[sim] t_end"),
         (["ga", *wmel, "--cap-l", "inf"], None, "[scenario] cap_l"),
         (["ocp", *wmel, "--cap-l", "inf"], None, "[scenario] cap_l"),
         (["ocp", *wmel, "--config", settings], "[scenario]\ninitial_wild = inf\n",
@@ -257,6 +257,23 @@ def test_ga_command_small(tmp_path, capsys, wmel_scenario):
     assert "--seeds" in capsys.readouterr().err
 
 
+def test_ga_epsilon_loop_command(tmp_path):
+    """--epsilon0 runs the epsilon loop: each round's best J is reported,
+    down to the first horizon with no feasible plan, and the plan is the
+    last feasible round's (seed 0, 8 plans, 2 generations)."""
+    argv = ["ga", "--strain", "wmel", "--epsilon0", "16", "--pop-n", "8", "--generations", "2"]
+    assert run(argv, tmp_path) == 0
+    summary = json.loads((tmp_path / "ga_wmel_summary.json").read_text())
+    assert summary["per_epsilon"] == [
+        {"epsilon": 16, "best_j": 5680},
+        {"epsilon": 15, "best_j": 5957},
+        {"epsilon": 14, "best_j": None},
+    ]
+    assert summary["horizon"] == 15 and summary["j_value"] == 5957
+    assert (tmp_path / "ga_wmel_plan.csv").exists()
+    assert not (tmp_path / "ga_wmel_history.csv").exists()
+
+
 def test_ga_rejects_flags_it_would_ignore(tmp_path, capsys):
     base = ["ga", "--strain", "wmel", "--frequency", "14", "--horizon", "14"]
     # 0 is a value, not "unset": it must not fall back to the default.
@@ -292,6 +309,21 @@ def test_ocp_grid_too_coarse_exits_2(tmp_path, capsys):
     assert not tmp_path.exists() or not any(tmp_path.iterdir())
 
 
+def test_ocp_solver_failure_exits_1(tmp_path, capsys):
+    """A solve that raises exits 1 with its message and writes nothing: at 5
+    a day the start never reaches wmel's target (CapInfeasibleError), and
+    from wmelpop's start at P = 10 Newton's line search fails
+    (NonConvergenceError)."""
+    out = tmp_path / "out"
+    for argv, message in (
+        (["ocp", "--strain", "wmel", "--cap-l", "5"], "cap_l too small"),
+        (["ocp", "--strain", "wmelpop", "--weight-p", "10"], "line search failed"),
+    ):
+        assert run(argv + ["--grid-n", "100"], out) == 1
+        assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_ocp_command_small_grid(tmp_path):
     code = run(
         ["ocp", "--strain", "wmel", "--grid-n", "600"],
@@ -304,6 +336,7 @@ def test_ocp_command_small_grid(tmp_path):
     stats = summary["stats"]
     assert set(stats) == set(STATS_KEYS)
     assert stats["residual_norm"] < NEWTON_TOL
+    assert set(summary["residuals"]) == {"hamiltonian", "hamiltonian_spread"}
     history = summary["history"]
     assert len(history) == stats["iterations"] > 0
     assert set(history[0]) == {"T", "residual_norm", "halvings"}
@@ -318,6 +351,32 @@ def test_ocp_command_small_grid(tmp_path):
     ).read_bytes()
     ctrl = fileio.read_control_csv(tmp_path / "ocp_wmel_control.csv")
     assert ctrl.t_star == pytest.approx(summary["t_star"], rel=1e-9)
+
+
+def test_simulate_ocp_control(tmp_path):
+    """The OCP's control CSV, run by the adaptive integrator, releases the
+    OCP's total and enters the secure region just before t* (the OCP ends
+    one individual inside the x threshold)."""
+    assert run(["ocp", "--strain", "wmel", "--grid-n", "100"], tmp_path) == 0
+    ocp = json.loads((tmp_path / "ocp_wmel_summary.json").read_text())
+    control = str(tmp_path / "ocp_wmel_control.csv")
+    assert run(["simulate", "--strain", "wmel", "--control", control], tmp_path) == 0
+    summary = json.loads((tmp_path / "simulate_wmel.json").read_text())
+    assert summary["total_released"] == pytest.approx(ocp["total_released"], rel=1e-9)
+    assert summary["feasible"] is True
+    assert summary["basin_entry_time"] == pytest.approx(13.7245, abs=1e-4)
+    assert summary["basin_entry_time"] < ocp["t_star"] == pytest.approx(13.7312, abs=1e-4)
+
+
+def test_simulate_without_releases(tmp_path):
+    # Neither --schedule nor --control: the wild equilibrium stays put over
+    # the default 400 days, sampled every quarter day.
+    assert run(["simulate", "--strain", "wmel"], tmp_path) == 0
+    summary = json.loads((tmp_path / "simulate_wmel.json").read_text())
+    assert summary["total_released"] == 0.0
+    assert summary["feasible"] is False and summary["basin_entry_time"] is None
+    rows = (tmp_path / "trajectory_wmel.csv").read_text().splitlines()
+    assert len(rows) == 1 + 1601
 
 
 def test_impulsive_command_from_control(tmp_path, wmel_scenario):
@@ -453,8 +512,8 @@ def test_config_file_stage_sections_with_flag_precedence(tmp_path):
 def test_config_file_unknown_stage_key(tmp_path, capsys):
     # n_workers is a removed [ga] knob, [ocp] cap_l a removed duplicate of
     # [scenario] cap_l, [ocp] t_init and sweep_relaxation removed solver
-    # settings, and [sim] max_step and dense_output_stride removed
-    # integrator settings: old configs must fail loudly, as must a typo, and
+    # settings, and [sim] max_step, dense_output_stride, rel_tol and abs_tol
+    # removed integrator settings: old configs must fail loudly, as must a typo, and
     # in any section or section name, whether or not the command reads it.
     cfg = tmp_path / "scenario.ini"
     for command, section, key in (
@@ -468,6 +527,8 @@ def test_config_file_unknown_stage_key(tmp_path, capsys):
         ("equilibria", "sim", "t_edn"),
         ("simulate", "sim", "max_step"),
         ("equilibria", "sim", "dense_output_stride"),
+        ("simulate", "sim", "rel_tol"),
+        ("ocp", "sim", "abs_tol"),
         ("phase", "ga", "n_workers"),
     ):
         header = "" if section == "scenario" else f"\n[{section}]\n"
@@ -514,13 +575,24 @@ def test_ocp_reproduce_table2_settings(tmp_path, capsys):
         assert flag[0] in capsys.readouterr().err
     assert run(repro + ["--config", str(cfg)], tmp_path) == 2
     assert "[strain]" in capsys.readouterr().err
-    cfg.write_text("[sim]\nrel_tol = 1e-3\n")
+    cfg.write_text("[sim]\nt_end = 100\n")
     assert run(repro + ["--config", str(cfg)], tmp_path) == 2
     assert "[sim]" in capsys.readouterr().err
     # wmelpop's saddle lies below x = 5000: no schedule enters, the daily one included.
     assert run(repro + ["--grid-n", "40", "--terminal-x", "5000"], tmp_path) == 1
     err = capsys.readouterr().err
     assert all(f"wmelpop {cell}:" in err for cell in ("daily", "m=7", "m=14"))
+
+
+def test_ocp_reproduce_table2_reports_a_failed_solve(tmp_path, capsys):
+    # At P = 10 wmelpop's solve raises NonConvergenceError: the run names
+    # the strain on stderr, goes on with the other and exits 1.
+    argv = ["ocp", "--reproduce", "table2", "--grid-n", "40", "--weight-p", "10"]
+    assert run(argv, tmp_path) == 1
+    out, err = capsys.readouterr()
+    assert "wmelpop: OCP failed" in err
+    assert "=== impulsive indicators: wmel ===" in out and "wmelpop ===" not in out
+    assert [path.name for path in tmp_path.iterdir()] == ["ocp_wmel_control.csv"]
 
 
 def test_ga_reproduce_table4_settings(tmp_path, capsys):

@@ -9,8 +9,6 @@ from wolbopt.model import State, equilibria, make_rhs
 from wolbopt.ocp import (
     NEWTON_TOL,
     STATS_KEYS,
-    TOL_BC,
-    TOL_H,
     CapInfeasibleError,
     ContinuousControl,
     NonConvergenceError,
@@ -174,7 +172,7 @@ class TestSolvedWmel:
         assert sol.converged
         assert sol.states[0, 0] == wmel_scenario.initial_wild
         assert sol.states[0, 1] == 0.0
-        assert abs(sol.states[-1, 0] - (eq.eu.state.x - 1.0)) <= 0.5
+        assert sol.states[-1, 0] == eq.eu.state.x - 1.0  # the terminal node is fixed
         assert sol.adjoints[-1, 1] == 0.0
 
     def test_terminal_state_inside_secure_region(self, wmel, wmel_solution):
@@ -282,7 +280,7 @@ def test_target_crossed_without_control_detected(wmel):
     sol = solve(wmel, ocp_config(sc, terminal_x=6900.0, grid_n=100))
     assert sol.control.t_star == pytest.approx(1.35523, rel=1e-5)
     assert sol.control.values[0] == sol.control.cap_l
-    assert sol.residuals["boundary"] <= TOL_BC
+    assert sol.states[-1, 0] == 6900.0
 
 
 def test_unsettled_sweep_has_no_value(wmelpop, monkeypatch):
@@ -397,13 +395,26 @@ def test_long_horizons_converge(name, cap, grid_n, request):
 def test_small_weight_starts_at_the_cap(wmelpop):
     """With P = 1,000 the start's first rate, sqrt(2P) = 44.7 a day, does not
     bring wmelpop to the target within MAX_HORIZON; the cap does, so the
-    solve starts from that pass and converges, with u(0) = sqrt(2P) (the
-    sweep read 197.2523 days)."""
+    start bisects between the two for the slowest rate that does, and the
+    solve converges from that pass (measured: 10 passes) with u(0) =
+    sqrt(2P) (the sweep read 197.2523 days)."""
     sc = build_scenario(wmelpop)
     sol = solve(wmelpop, ocp_config(sc, weight_p=1000.0, grid_n=100))
     assert sol.converged and sol.stats["residual_norm"] < NEWTON_TOL
     assert sol.control.t_star == pytest.approx(197.2527, rel=1e-5)
     assert sol.control.values[0] == pytest.approx(math.sqrt(2000.0), rel=1e-6)
+
+
+def test_small_weight_starts_from_a_reaching_pass(wmel):
+    """With P = 10 wmel's optimum takes 399.05 days, just inside
+    MAX_HORIZON.  A start from the cap's pass, 13.3 days, left Newton's
+    line search at T = 1e-8 with no value; the slowest constant rate that
+    reaches the target starts it close enough to converge (measured: 8
+    passes)."""
+    sol = solve(wmel, ocp_config(build_scenario(wmel), weight_p=10.0, grid_n=100))
+    assert sol.converged
+    assert sol.control.t_star == pytest.approx(399.052, abs=1e-4)
+    assert sol.control.values[0] == pytest.approx(math.sqrt(20.0), rel=1e-6)
 
 
 def test_uneven_segments_solve(wmel, wmel_solution):
@@ -443,7 +454,9 @@ def test_pontryagin_invariants_at_paper_grid(
         spread = sol.residuals["hamiltonian_spread"]
         assert spread == np.ptp(sol.hamiltonian_grid)
         assert spread <= 0.5
-        assert sol.residuals["hamiltonian"] == abs(sol.hamiltonian_grid[0]) <= TOL_H
+        # H(0) / P is one of Newton's equations.
+        assert sol.residuals["hamiltonian"] == abs(sol.hamiltonian_grid[0])
+        assert sol.residuals["hamiltonian"] <= NEWTON_TOL * cfg.weight_p
 
 
 def test_large_cap_not_reported_as_too_small(wmelpop):

@@ -74,7 +74,7 @@ def test_jump_then_flow_equivalence(wmel, wmel_scenario):
     sched = ImpulseSchedule(entries=((0.0, size),))
     opts = SimOptions(t_end=60.0)
     a = simulate_impulsive(wmel, State(x0, 0.0), sched, opts)
-    b = integrate(wmel, State(x0, float(size)), None, (0.0, 60.0), opts)
+    b = integrate(wmel, State(x0, float(size)), None, (0.0, 60.0))
     assert a.final_state[0] == pytest.approx(b.final_state[0], rel=1e-9)
     assert a.final_state[1] == pytest.approx(b.final_state[1], rel=1e-9)
 
@@ -83,7 +83,7 @@ def test_empty_schedule_equals_uncontrolled(wmel, wmel_scenario):
     x0 = wmel_scenario.initial_wild
     opts = SimOptions(t_end=50.0)
     a = simulate_impulsive(wmel, State(x0, 100.0), ImpulseSchedule(entries=()), opts)
-    b = integrate(wmel, State(x0, 100.0), None, (0.0, 50.0), opts)
+    b = integrate(wmel, State(x0, 100.0), None, (0.0, 50.0))
     assert a.final_state[0] == pytest.approx(b.final_state[0], rel=1e-9)
     assert a.final_state[1] == pytest.approx(b.final_state[1], rel=1e-9)
     # No release rows: every time appears once and no row carries a size.
@@ -148,15 +148,15 @@ def test_release_after_t_end_rejected(wmel, wmel_scenario):
 
 def test_tolerance_halving_consistency(wmel, wmel_scenario):
     x0 = wmel_scenario.initial_wild
-    loose = SimOptions(rel_tol=1e-6, abs_tol=1e-8, t_end=100.0)
-    tight = SimOptions(rel_tol=5e-7, abs_tol=5e-9, t_end=100.0)
-    a = integrate(wmel, State(x0, 2500.0), None, (0.0, 100.0), loose)
-    b = integrate(wmel, State(x0, 2500.0), None, (0.0, 100.0), tight)
-    scale = abs(b.final_state[0]) + abs(b.final_state[1])
-    drift = abs(a.final_state[0] - b.final_state[0]) + abs(
-        a.final_state[1] - b.final_state[1]
+    rhs = make_rhs(wmel)
+    loose, tight = (1e-6, 1e-8), (5e-7, 5e-9)  # (rtol, atol)
+    a, b = (
+        sim.solve_ivp(lambda t, x, y: rhs(x, y, 0.0), (0.0, 100.0), (x0, 2500.0), *tol).y_end
+        for tol in (loose, tight)
     )
-    assert drift <= 10.0 * loose.rel_tol * scale
+    scale = abs(b[0]) + abs(b[1])
+    drift = abs(a[0] - b[0]) + abs(a[1] - b[1])
+    assert drift <= 10.0 * loose[0] * scale
 
 
 def test_first_basin_entry_immediate(wmel):
@@ -277,10 +277,7 @@ def test_bounded_control_keeps_states_nonnegative(wmel, wmel_scenario):
     cap = 750.0
     times = np.linspace(0.0, 120.0, 2401)  # 180 samples per period of the sine
     control = (times, cap * (0.5 + 0.5 * np.sin(0.7 * times)))
-    traj = integrate(
-        wmel, State(wmel_scenario.initial_wild, 0.0), control, (0.0, 120.0),
-        SimOptions(t_end=120.0),
-    )
+    traj = integrate(wmel, State(wmel_scenario.initial_wild, 0.0), control, (0.0, 120.0))
     assert np.all(traj.states >= 0.0)
     assert np.all(traj.u_applied >= 0.0) and np.all(traj.u_applied <= cap)
 
