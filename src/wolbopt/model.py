@@ -1,4 +1,4 @@
-"""Right-hand side, analytic Jacobian, and equilibria of the release model.
+"""Right-hand side, its complex-step Jacobian, and equilibria of the release model.
 
 The model tracks a wild population x and an infected population y.  Births
 are suppressed by an exponential competition factor exp(-sigma (x+y)); the
@@ -21,6 +21,7 @@ import numpy as np
 from .params import StrainParams, offspring_numbers
 
 STABILITY_TOL = 1e-9
+_STEP, _INV_STEP = 1e-20, 1e20  # the complex step and its reciprocal, exact in doubles
 
 
 @dataclass(frozen=True)
@@ -67,9 +68,10 @@ def make_rhs(
     """Return the closure (x, y, u) -> (dx/dt, dy/dt).
 
     This is the only statement of the vector field: ``rhs_arrays`` calls
-    it, and ``make_jacobian`` is its derivative.  With the default
-    ``math.exp`` it is the scalar path on floats; with ``exp=np.exp`` it
-    runs elementwise on arrays, on 0-d coefficients, which numpy takes faster.
+    it, and ``make_jacobian`` is its complex-step derivative, so it must
+    stay complex-analytic.  With the default ``math.exp`` it is the scalar
+    path on floats; with ``exp=np.exp`` it runs elementwise on real or
+    complex arrays, on 0-d coefficients, which numpy takes faster.
     """
     coef = np.array if exp is np.exp else float
     rho_n = coef(params.rho_n)
@@ -96,42 +98,22 @@ def make_rhs(
 
 
 def make_jacobian(params: StrainParams) -> Callable:
-    """Return the closure (x, y) -> row-major entries of d(rhs)/d(x,y).
+    """Return ``linearize(x, y, u=0.0) -> ((dx, dy), (j11, j12, j21, j22))``,
+    the field and d(rhs)/d(x, y) row-major, on floats or arrays: the
+    complex-step derivative (Squire & Trapp 1998) of one ``make_rhs`` call
+    on the rows (x + ih, y) and (x, y + ih), J = Im f / h with no difference
+    taken, the field its real parts, the along-axes limit at the origin.
+    It holds while ``make_rhs`` stays complex-analytic: + - * / and exp
+    only, no abs, maximum or comparison."""
+    rhs = make_rhs(params, np.exp)
+    along_x, along_y = np.array([_STEP * 1j, 0.0]), np.array([0.0, _STEP * 1j])
 
-    It runs on floats or elementwise on arrays (``np.exp``): the OCP's
-    extremal field calls it on every shooting row at once.  Its
-    coefficients are 0-d arrays, as ``make_rhs``'s on arrays are.  Valid
-    for x + y > 0; the origin uses the along-axes limit (see ``jacobian``).
-    """
-    coef = np.array
-    rho_n = coef(params.rho_n)
-    one_eta = coef(1.0 - params.eta)
-    neg_eta_rho_n = coef(-params.eta * params.rho_n)
-    leak = coef((1.0 - params.nu) * params.rho_w)
-    nu_rw = coef(params.nu * params.rho_w)
-    neg_sigma_nu_rw = coef(-params.sigma * (params.nu * params.rho_w))
-    omega = coef(params.omega)
-    delta_n = coef(params.delta_n)
-    decay_w = coef(params.omega + params.delta_w)
-    sigma, neg_sigma = coef(params.sigma), coef(-params.sigma)
-    one, two = coef(1.0), coef(2.0)
+    def linearize(x, y, u=0.0):
+        dx, dy = rhs(np.add.outer(along_x, x), np.add.outer(along_y, y), u)
+        jx, jy = dx.imag * _INV_STEP, dy.imag * _INV_STEP
+        return (dx[0].real, dy[0].real), (jx[0], jx[1], jy[0], jy[1])
 
-    def jac(x, y):
-        s = x + y
-        e = np.exp(neg_sigma * s)
-        a = x * (x + one_eta * y)
-        inv_s = one / s
-        g = rho_n * a * inv_s
-        dg_dx = rho_n * ((two * x + one_eta * y) - a * inv_s) * inv_s
-        dg_dy = neg_eta_rho_n * x * x * inv_s * inv_s
-        births_x = g + leak * y
-        j11 = e * (dg_dx - sigma * births_x) - delta_n
-        j12 = e * (dg_dy + leak - sigma * births_x) + omega
-        j21 = neg_sigma_nu_rw * y * e
-        j22 = nu_rw * e * (one - sigma * y) - decay_w
-        return j11, j12, j21, j22
-
-    return jac
+    return linearize
 
 
 _latest_field: tuple = (None, None)  # (params, closure) of the latest call
@@ -151,19 +133,11 @@ def rhs_arrays(params: StrainParams, x: np.ndarray, y: np.ndarray) -> tuple[np.n
 
 
 def jacobian(params: StrainParams, state: State) -> np.ndarray:
-    """Analytic 2x2 Jacobian of the uncontrolled vector field.
-
-    At the origin the frequency-dependent term is not differentiable; the
-    along-axes limit is used there, which is triangular and carries the
-    eigenvalues that decide stability.
-    """
-    x, y = state.x, state.y
-    if x + y == 0.0:
-        j11 = params.rho_n - params.delta_n
-        j12 = (1.0 - params.nu) * params.rho_w + params.omega
-        j22 = params.nu * params.rho_w - params.omega - params.delta_w
-        return np.array([[j11, j12], [0.0, j22]])
-    j11, j12, j21, j22 = make_jacobian(params)(x, y)
+    """2x2 Jacobian of the uncontrolled vector field; at the origin, where
+    the frequency-dependent term is not differentiable, the along-axes
+    limit, which is triangular and carries the eigenvalues that decide
+    stability."""
+    _, (j11, j12, j21, j22) = make_jacobian(params)(state.x, state.y)
     return np.array([[j11, j12], [j21, j22]])
 
 

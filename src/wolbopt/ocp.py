@@ -150,13 +150,13 @@ def _extremal_field(params: StrainParams, cap: float):
     """The 4-state field of the extremals as an ``rk4`` field on stacked
     (2, R) arrays, z = (x, y) and lam = (lambda1, lambda2): the state moves
     under u = clamp(lambda2, 0, cap) and the adjoint by -J(z)^T lam."""
-    rhs, jac = make_rhs(params), make_jacobian(params)
+    linearize = make_jacobian(params)
     zero, cap = np.array(0.0), np.array(cap)
 
     def field(z, lam, _):
         (x, y), (l1, l2) = z, lam
-        u = np.minimum(np.maximum(l2, zero), cap)
-        return np.array(rhs(x, y, u)), np.array(_adjoint(jac(x, y), l1, l2))
+        f, j = linearize(x, y, np.minimum(np.maximum(l2, zero), cap))
+        return np.array(f), np.array(_adjoint(j, l1, l2))
 
     return field
 
@@ -244,7 +244,7 @@ def _start(params: StrainParams, cfg: OCPConfig, x0: float, x_target: float, k: 
     x, y = np.interp(t, days, xs), np.interp(t, days, ys)
     x[-1] = x_target
     back = np.linspace(t0, 0.0, int(t0) + 2)  # at most a day a step
-    jac = make_jacobian(params)(np.interp(back, days, xs), np.interp(back, days, ys))
+    jac = make_jacobian(params)(np.interp(back, days, xs), np.interp(back, days, ys))[1]
     mu = p / rhs(x_target, y[-1], 0.0)[0]
     l1, l2 = rk4(lambda l1, l2, j: _adjoint(j, l1, l2), mu, 0.0, list(np.column_stack(jac)),
                  back[1] - back[0])

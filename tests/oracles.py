@@ -1,6 +1,7 @@
 """Test oracles: for basin membership, the separatrix height at a given x
-and which attractor the uncontrolled flow from a state reaches; and an
-impulsive simulation run stretch by stretch."""
+and which attractor the uncontrolled flow from a state reaches; the
+field's Jacobian derived by hand; and an impulsive simulation run stretch
+by stretch."""
 
 from __future__ import annotations
 
@@ -52,6 +53,30 @@ def classify_endpoint(
         return "ex"
     d_es = math.hypot(fx - eq.es.state.x, fy - eq.es.state.y)
     return "es" if d_es < d_ex else "ex"
+
+
+def analytic_jacobian(params: StrainParams, x, y):
+    """The uncontrolled field's Jacobian derived by hand, as row-major
+    entries (j11, j12, j21, j22), elementwise on arrays.  It shares no
+    arithmetic with ``model.make_rhs``.  With s = x + y, the
+    frequency-dependent births are g = rho_n x (x + (1-eta) y) / s; at the
+    origin g is not differentiable, and the along-axes limit is taken
+    (dg/dx = rho_n, dg/dy = 0)."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    rho_n, eta, sigma = params.rho_n, params.eta, params.sigma
+    leak, nu_rw = (1.0 - params.nu) * params.rho_w, params.nu * params.rho_w
+    origin = x + y == 0.0
+    s = np.where(origin, 1.0, x + y)  # any positive s: the origin's entries are set below
+    e = np.exp(-sigma * (x + y))
+    a = x * (x + (1.0 - eta) * y)
+    dg_dx = np.where(origin, rho_n, rho_n * ((2.0 * x + (1.0 - eta) * y) - a / s) / s)
+    dg_dy = -eta * rho_n * (x / s) ** 2
+    births = rho_n * a / s + leak * y
+    j11 = e * (dg_dx - sigma * births) - params.delta_n
+    j12 = e * (dg_dy + leak - sigma * births) + params.omega
+    j21 = -sigma * nu_rw * y * e
+    j22 = nu_rw * e * (1.0 - sigma * y) - params.omega - params.delta_w
+    return j11, j12, j21, j22
 
 
 def initial_release_adjoint(weight_p: float, cap_l: float) -> float:

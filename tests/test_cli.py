@@ -1,6 +1,7 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
 from wolbopt import cli, fileio
@@ -155,10 +156,26 @@ def test_simulate_malformed_schedule(tmp_path, capsys, monkeypatch):
         bad.write_text(text)
         assert run(["simulate", "--strain", "wmel", flag, str(bad)], tmp_path) == 2
         assert f"bad.csv:{line}:" in capsys.readouterr().err
+    # Out-of-order times, a short row and too few samples.
+    for flag, text, message in (
+        ("--schedule", "day,size\n2,100\n1,100\n", "release times must be strictly increasing"),
+        ("--schedule", "day,size\n1\n", "bad.csv:2: expected day,size"),
+        ("--control", "t,u_star\n0,100\n", "needs at least two samples"),
+        ("--control", "t,u_star\n0,100\n1,50\n1,0\n", "sample times must increase"),
+    ):
+        bad.write_text(text)
+        assert run(["simulate", "--strain", "wmel", flag, str(bad)], tmp_path) == 2
+        assert message in capsys.readouterr().err
     missing = str(tmp_path / "missing.csv")
     for flag in ("--schedule", "--control"):
         assert run(["simulate", "--strain", "wmel", flag, missing], tmp_path) == 2
         assert "missing.csv" in capsys.readouterr().err
+
+
+def test_ocp_terminal_x_out_of_range_exits_2(tmp_path, capsys):
+    assert run(["ocp", "--strain", "wmel", "--terminal-x", "8000"], tmp_path) == 2
+    assert "must lie strictly between" in capsys.readouterr().err
+    assert not (tmp_path / "ocp_wmel_summary.json").exists()
 
 
 def test_out_of_range_scenario_exits_2(tmp_path, capsys, monkeypatch):
@@ -274,6 +291,23 @@ def test_ga_epsilon_loop_command(tmp_path):
     assert not (tmp_path / "ga_wmel_history.csv").exists()
 
 
+def test_ga_without_a_feasible_plan_exits_1(tmp_path, capsys):
+    # Five days are too few for any wmel plan of 8 rows.
+    argv = ["ga", "--strain", "wmel", "--epsilon0", "5", "--pop-n", "8", "--generations", "1"]
+    assert run(argv, tmp_path) == 1
+    assert "no feasible plan at the initial horizon" in capsys.readouterr().err
+
+
+def test_ga_unpublished_cell(tmp_path):
+    """A period with no published Table-4 cell runs one fixed-horizon
+    search over about four lifespans: 60 days at p = 3."""
+    argv = ["ga", "--strain", "wmel", "--frequency", "3", "--pop-n", "8", "--generations", "2"]
+    assert run(argv, tmp_path) == 0
+    summary = json.loads((tmp_path / "ga_wmel_summary.json").read_text())
+    assert (summary["horizon"], summary["num_releases"], summary["j_value"]) == (60, 20, 13080)
+    assert summary["feasible"] is True
+
+
 def test_ga_rejects_flags_it_would_ignore(tmp_path, capsys):
     base = ["ga", "--strain", "wmel", "--frequency", "14", "--horizon", "14"]
     # 0 is a value, not "unset": it must not fall back to the default.
@@ -366,6 +400,20 @@ def test_simulate_ocp_control(tmp_path):
     assert summary["feasible"] is True
     assert summary["basin_entry_time"] == pytest.approx(13.7245, abs=1e-4)
     assert summary["basin_entry_time"] < ocp["t_star"] == pytest.approx(13.7312, abs=1e-4)
+    # Over the whole control the total is its trapezoid, bit for bit ...
+    ctrl = fileio.read_control_csv(tmp_path / "ocp_wmel_control.csv")
+    times, values = ctrl.times, ctrl.values
+    assert summary["total_released"] == float(np.trapezoid(values, times))
+    # ... and a run cut short at day 5 reports only what it released: the
+    # control's samples up to 5, then its linear value there.
+    assert run(["simulate", "--strain", "wmel", "--control", control, "--t-end", "5"],
+               tmp_path) == 0
+    summary = json.loads((tmp_path / "simulate_wmel.json").read_text())
+    before = times < 5.0
+    cut = np.trapezoid(np.r_[values[before], np.interp(5.0, times, values)],
+                       np.r_[times[before], 5.0])
+    assert summary["total_released"] == pytest.approx(cut, rel=1e-12)
+    assert summary["total_released"] == pytest.approx(3475.215, abs=1e-3)
 
 
 def test_simulate_without_releases(tmp_path):
@@ -419,6 +467,15 @@ def test_impulsive_reads_sim_settings(tmp_path):
     summary = json.loads((tmp_path / "impulsive_wmel_summary.json").read_text())
     assert summary["schedules"]["daily"]["basin_entry_time"] is None
     assert summary["schedules"]["m7"]["basin_entry_time"] < 14.0
+
+
+def test_impulsive_without_an_entering_rule_exits_1(tmp_path, capsys):
+    # An all-zero control gives empty schedules that never enter.
+    control = tmp_path / "c.csv"
+    control.write_text("t,u_star\n0,0\n1,0\n2,0\n")
+    argv = ["impulsive", "--strain", "wmel", "--frequency", "7", "--control", str(control)]
+    assert run(argv, tmp_path) == 1
+    assert "m7: no release rule enters" in capsys.readouterr().err
 
 
 def test_impulsive_rejects_control_above_cap(tmp_path, capsys):

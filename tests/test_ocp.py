@@ -93,7 +93,7 @@ def _sequential_extremal(params, cap, start, h, steps):
 
     def f(s):
         x, y, l1, l2 = s
-        j11, j12, j21, j22 = (float(v) for v in jac(x, y))
+        j11, j12, j21, j22 = (float(v) for v in jac(x, y)[1])
         fx, fy = rhs(x, y, min(max(l2, 0.0), cap))
         return fx, fy, -(j11 * l1 + j21 * l2), -(j12 * l1 + j22 * l2)
 
@@ -115,8 +115,8 @@ def test_array_adjoint_pass_matches_sequential_rk4(name, wmel, wmelpop, monkeypa
     carries every segment as a row.  From each shooting node they agree with
     a sequential scalar RK4 of the extremal (the last segment backward from
     the terminal node; measured: bit for bit), and every pass makes 4
-    Jacobian calls per segment step, whatever the number of rows, beside
-    the start's one call on its whole pass."""
+    ``linearize`` calls (field and Jacobian) per segment step, whatever the
+    number of rows, beside the start's one call on its whole pass."""
     params = {"wmel": wmel, "wmelpop": wmelpop}[name]
     calls = 0
     make = ocp.make_jacobian
@@ -124,10 +124,10 @@ def test_array_adjoint_pass_matches_sequential_rk4(name, wmel, wmelpop, monkeypa
     def counting(params):
         jac = make(params)
 
-        def counted(x, y):
+        def counted(*args):
             nonlocal calls
             calls += 1
-            return jac(x, y)
+            return jac(*args)
 
         return counted
 
