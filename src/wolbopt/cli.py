@@ -26,7 +26,7 @@ import numpy as np
 
 from . import fileio
 from .ga import EpsilonLoopConfig, GAConfig, epsilon_loop, run_ga
-from .impulsive import _windows, daily_impulses, evaluate_schedule
+from .impulsive import control_windows, daily_impulses, evaluate_schedule
 from .model import State, absorbing_bound, equilibria, secure_region
 from .ocp import CapInfeasibleError, NonConvergenceError, OCPConfig, solve
 from .params import PRESET_NAMES, StrainParams, UnknownStrainError, parse_number, preset
@@ -197,8 +197,7 @@ def cmd_simulate(args, settings, scenario):
     elif args.control:
         ctrl = fileio.read_control_csv(Path(args.control))
         traj = integrate(scenario.params, s0, (ctrl.times, ctrl.values), (0.0, opts.t_end))
-        total = float(np.trapezoid(ctrl.values, ctrl.times) if opts.t_end >= ctrl.t_star
-                      else _windows(ctrl, np.array([0.0, opts.t_end]))[0][0])  # what it releases
+        total = float(control_windows(ctrl, np.array([0.0, opts.t_end]))[0][0])  # what it releases
     else:
         traj = integrate(scenario.params, s0, None, (0.0, opts.t_end))
         total = 0.0

@@ -91,7 +91,7 @@ def horizon_days(ctrl: ContinuousControl) -> int:
     return max(1, int(math.ceil(ctrl.t_star - 1e-12)))
 
 
-def _windows(ctrl: ContinuousControl, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def control_windows(ctrl: ContinuousControl, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Integral and maximum of the control (``sampled_rate``) over each
     window [edges[i], edges[i+1]], all in one pass.
 
@@ -111,7 +111,7 @@ def _windows(ctrl: ContinuousControl, edges: np.ndarray) -> tuple[np.ndarray, np
 
 def daily_window_totals(ctrl: ContinuousControl) -> np.ndarray:
     """Integral of the control over each unit window."""
-    return _windows(ctrl, np.arange(horizon_days(ctrl) + 1.0))[0]
+    return control_windows(ctrl, np.arange(horizon_days(ctrl) + 1.0))[0]
 
 
 def daily_impulses(ctrl: ContinuousControl) -> DailyImpulseSequence:
@@ -123,7 +123,7 @@ def daily_impulses(ctrl: ContinuousControl) -> DailyImpulseSequence:
     """
     t_hat = horizon_days(ctrl)
     edges = np.arange(t_hat + 1.0)
-    totals, maxima = _windows(ctrl, edges)
+    totals, maxima = control_windows(ctrl, edges)
     u = sampled_rate(ctrl.times, ctrl.values)(edges)
     tr = 0.5 * (u[1:] + u[:-1])
     q = np.where(totals <= tr + 1e-9 * np.maximum(1.0, tr), tr, maxima)
@@ -165,7 +165,7 @@ def aggregate_periodic(daily: DailyImpulseSequence, m: int) -> PeriodicImpulseSe
 
 def excess_periodic(ctrl: ContinuousControl, m: int) -> PeriodicImpulseSequence:
     """Per-block excess sizes: m times the ceiled block maximum."""
-    maxima = _windows(ctrl, _block_edges(horizon_days(ctrl), m))[1]
+    maxima = control_windows(ctrl, _block_edges(horizon_days(ctrl), m))[1]
     sizes = m * np.ceil(maxima - 1e-12).astype(int)
     return PeriodicImpulseSequence(period_m=m, sizes=tuple(sizes.tolist()), rule="excess")
 

@@ -21,7 +21,7 @@ import numpy as np
 from .params import StrainParams, offspring_numbers
 
 STABILITY_TOL = 1e-9
-_STEP, _INV_STEP = 1e-20, 1e20  # the complex step and its reciprocal, exact in doubles
+_STEP, _INV_STEP = 1e-20, 1e20  # the complex step; Im f is scaled back by the exact 1e20
 
 
 @dataclass(frozen=True)

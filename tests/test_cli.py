@@ -400,10 +400,10 @@ def test_simulate_ocp_control(tmp_path):
     assert summary["feasible"] is True
     assert summary["basin_entry_time"] == pytest.approx(13.7245, abs=1e-4)
     assert summary["basin_entry_time"] < ocp["t_star"] == pytest.approx(13.7312, abs=1e-4)
-    # Over the whole control the total is its trapezoid, bit for bit ...
+    # Over the whole control the total is its trapezoid ...
     ctrl = fileio.read_control_csv(tmp_path / "ocp_wmel_control.csv")
     times, values = ctrl.times, ctrl.values
-    assert summary["total_released"] == float(np.trapezoid(values, times))
+    assert summary["total_released"] == pytest.approx(np.trapezoid(values, times), rel=1e-12)
     # ... and a run cut short at day 5 reports only what it released: the
     # control's samples up to 5, then its linear value there.
     assert run(["simulate", "--strain", "wmel", "--control", control, "--t-end", "5"],
@@ -414,6 +414,18 @@ def test_simulate_ocp_control(tmp_path):
                        np.r_[times[before], 5.0])
     assert summary["total_released"] == pytest.approx(cut, rel=1e-12)
     assert summary["total_released"] == pytest.approx(3475.215, abs=1e-3)
+
+
+@pytest.mark.parametrize("t_end, released", [(400.0, 1000.0), (5.0, 500.0)])
+def test_simulate_control_before_day_0_is_not_released(tmp_path, t_end, released):
+    # The run starts at day 0, so the control's samples before it release
+    # nothing, whether or not --t-end cuts the control short.
+    control = tmp_path / "control.csv"
+    control.write_text("t,u_star\n-10,100\n10,100\n")
+    argv = ["simulate", "--strain", "wmel", "--control", str(control), "--t-end", str(t_end)]
+    assert run(argv, tmp_path) == 0
+    summary = json.loads((tmp_path / "simulate_wmel.json").read_text())
+    assert summary["total_released"] == released
 
 
 def test_simulate_without_releases(tmp_path):
