@@ -21,7 +21,6 @@ from .impulsive import (
     PeriodicImpulseSequence,
     aggregate_periodic,
     daily_impulses,
-    daily_window_totals,
     evaluate_schedule,
     excess_periodic,
     select_rule,

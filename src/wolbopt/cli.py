@@ -339,7 +339,7 @@ def cmd_phase(args, settings, scenario):
     name = scenario.params.name
     files = [(f"phase_{name}.csv", fileio.write_phase_csv, phase_field(scenario.params, xs, ys))]
     summary = {"grid": {"n": n, "max": 1.1 * bound}}
-    if eq.eu is not None:
+    if eq.eu is not None and eq.eu.stability == "saddle":
         curve = separatrix(scenario.params)
         files.append((f"separatrix_{name}.csv", fileio.write_separatrix_csv, curve))
         summary["separatrix_points"] = int(curve.shape[0])

@@ -255,6 +255,8 @@ def init_population(
     cfg: GAConfig, horizon_t: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Uniform random gene matrix respecting the block invariants."""
+    if horizon_t <= 0:
+        raise ValueError(f"horizon must be positive, not {horizon_t}")
     if horizon_t % cfg.block_p != 0:
         raise ValueError("horizon must be a multiple of block_p")
     n, p = cfg.pop_n, cfg.block_p

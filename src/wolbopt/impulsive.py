@@ -25,7 +25,7 @@ from .sim import ImpulseSchedule, SimOptions, first_basin_entry, sampled_rate, s
 
 @dataclass(frozen=True)
 class DailyImpulseSequence:
-    """Integer daily sizes, one per unit window of ``daily_window_totals``.
+    """Integer daily sizes, one per unit window [n - 1, n] of ``control_windows``.
 
     ``ceiling_margin`` is the smallest distance from a ceiled quantity to
     the nearest integer, on day ``ceiling_day``: a size decided by less
@@ -107,11 +107,6 @@ def control_windows(ctrl: ContinuousControl, edges: np.ndarray) -> tuple[np.ndar
     areas = np.diff(np.clip(knots, times[0], times[-1])) * (u[1:] + u[:-1]) / 2.0
     maxima = np.maximum(np.maximum.reduceat(u[:-1], at[:-1]), u[at[1:]])
     return np.add.reduceat(areas, at[:-1]), maxima
-
-
-def daily_window_totals(ctrl: ContinuousControl) -> np.ndarray:
-    """Integral of the control over each unit window."""
-    return control_windows(ctrl, np.arange(horizon_days(ctrl) + 1.0))[0]
 
 
 def daily_impulses(ctrl: ContinuousControl) -> DailyImpulseSequence:

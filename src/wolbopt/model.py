@@ -167,7 +167,7 @@ def equilibria(params: StrainParams) -> EquilibriumSet:
         )
     sigma = params.sigma
     e0 = Equilibrium(State(0.0, 0.0), _classify(params, State(0.0, 0.0)))
-    x_sharp = math.log(q.q_x) / sigma
+    x_sharp = absorbing_bound(params)
     ex = Equilibrium(State(x_sharp, 0.0), _classify(params, State(x_sharp, 0.0)))
 
     eu = es = ey = None
@@ -205,6 +205,7 @@ def in_secure_region(x, y, target: tuple[float, float]):
 
 
 def absorbing_bound(params: StrainParams) -> float:
-    """Upper bound on x + y that uncontrolled trajectories eventually obey."""
+    """x_sharp = ln(q_x)/sigma, the wild-only equilibrium's x: the upper bound
+    on x + y that uncontrolled trajectories eventually obey."""
     q = offspring_numbers(params)
     return math.log(q.q_x) / params.sigma

@@ -53,14 +53,6 @@ class Scenario:
         return secure_region(equilibria(self.params))
 
 
-def default_cap(params: StrainParams) -> float:
-    return PRESET_CAP_L.get(params.name, 750.0)
-
-
-def computed_x_sharp(params: StrainParams) -> float:
-    return equilibria(params).ex.state.x
-
-
 def build_scenario(
     params: StrainParams,
     initial_wild: Optional[float] = None,
@@ -71,9 +63,9 @@ def build_scenario(
     return Scenario(
         params=params,
         initial_wild=(
-            initial_wild if initial_wild is not None else computed_x_sharp(params)
+            initial_wild if initial_wild is not None else equilibria(params).ex.state.x
         ),
-        cap_l=cap_l if cap_l is not None else default_cap(params),
+        cap_l=cap_l if cap_l is not None else PRESET_CAP_L.get(params.name, 750.0),
         frequency=frequency,
         seed=seed,
     )

@@ -30,7 +30,6 @@ from .model import (
 )
 from .params import StrainParams
 
-STABLE_EIG_TOL = 1e-12
 SEPARATRIX_OFFSET = 1e-4  # saddle displacement, relative to its norm
 SEPARATRIX_ARC_STRIDE = 10.0  # individuals between separatrix points
 SAMPLE_STRIDE = 0.25  # days between the samples of an adaptive segment
@@ -479,19 +478,16 @@ def separatrix(params: StrainParams) -> np.ndarray:
     The backward field is normalized to unit speed so the polyline is
     sampled uniformly in arc length (``SEPARATRIX_ARC_STRIDE`` individuals
     between points) even where the flow is exponentially fast.  Points are
-    ordered along the curve and pass through the saddle.
+    ordered along the curve and pass through the saddle.  Raises
+    ``ValueError`` unless ``equilibria`` labels the coexistence pair's E_u
+    a saddle: that label is the only saddle test.
     """
     eq = equilibria(params)
-    if eq.eu is None:
+    if eq.eu is None or eq.eu.stability != "saddle":
         raise ValueError("no coexistence saddle: separatrix undefined")
     saddle = np.array([eq.eu.state.x, eq.eu.state.y])
-    jac = jacobian(params, eq.eu.state)
-    eigvals, eigvecs = np.linalg.eig(jac)
-    re = np.real(eigvals)
-    stable_idx = int(np.argmin(re))
-    if re[stable_idx] >= -STABLE_EIG_TOL or np.max(re) <= STABLE_EIG_TOL:
-        raise ValueError("saddle eigen-structure degenerate; cannot trace separatrix")
-    v = np.real(eigvecs[:, stable_idx])
+    eigvals, eigvecs = np.linalg.eig(jacobian(params, eq.eu.state))
+    v = np.real(eigvecs[:, int(np.argmin(np.real(eigvals)))])
     v = v / np.linalg.norm(v)
     bound = 1.5 * absorbing_bound(params)
     rhs = make_rhs(params)

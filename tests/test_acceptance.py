@@ -27,7 +27,6 @@ from wolbopt.ocp import _extremal_field, _hamiltonian
 from wolbopt.params import preset
 from wolbopt.scenarios import (
     build_scenario,
-    computed_x_sharp,
     ga_config,
     table2,
     table4,
@@ -314,7 +313,7 @@ def test_criterion6_determinism_row_independence():
 def test_criterion7_bistability(strain):
     params = preset(strain)
     curve = separatrix(params)
-    x_sharp = computed_x_sharp(params)
+    x_sharp = build_scenario(params).initial_wild
     xs = curve[:, 0]
     lo_x = float(np.quantile(xs, 0.15))
     hi_x = float(np.quantile(xs, 0.9))

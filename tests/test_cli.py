@@ -1,13 +1,15 @@
 import csv
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from wolbopt import cli, fileio
+from wolbopt import cli, fileio, sim
 from wolbopt.cli import main
-from wolbopt.model import State
+from wolbopt.model import State, equilibria
 from wolbopt.ocp import NEWTON_TOL, STATS_KEYS
+from wolbopt.params import preset
 from wolbopt.sim import ImpulseSchedule, SimOptions, first_basin_entry, simulate_impulsive
 
 
@@ -241,6 +243,23 @@ def test_phase_command(tmp_path, capsys):
         assert run(["phase", "--strain", "wmel", "--grid", grid], tmp_path / grid) == 2
         assert "--grid" in capsys.readouterr().err
         assert not (tmp_path / grid).exists()
+
+
+def test_phase_traces_separatrix_only_from_a_saddle(tmp_path, capsys, monkeypatch):
+    # ``equilibria``'s label is the one saddle test: an E_u it calls
+    # degenerate has no separatrix, in the library or in ``phase``.
+    wmel = preset("wmel")
+    eq = equilibria(wmel)
+    degenerate = replace(eq, eu=replace(eq.eu, stability="degenerate"))
+    for module in (sim, cli):
+        monkeypatch.setattr(module, "equilibria", lambda params: degenerate)
+    with pytest.raises(ValueError, match="no coexistence saddle"):
+        sim.separatrix(wmel)
+    assert run(["phase", "--strain", "wmel", "--grid", "10"], tmp_path) == 0
+    assert (tmp_path / "phase_wmel.csv").exists()
+    assert not (tmp_path / "separatrix_wmel.csv").exists()
+    summary = json.loads((tmp_path / "phase_wmel_summary.json").read_text())
+    assert "separatrix_points" not in summary
 
 
 def test_ga_command_small(tmp_path, capsys, wmel_scenario):

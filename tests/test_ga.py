@@ -398,6 +398,16 @@ def test_run_ga_zero_generations_returns_best_initial(wmel, wmel_target, wmel_sc
     assert res.report.fitness_f == f.max()
 
 
+def test_run_ga_rejects_non_positive_horizon(wmel, wmel_target, wmel_scenario):
+    # Horizon 0 passes the multiple-of-p check; without its own check it
+    # divides by zero, or fails inside the generator's draws.
+    for generations in (0, 1):
+        for horizon in (0, -14):
+            cfg = small_cfg(block_p=14, pop_n=12, generations_g=generations)
+            with pytest.raises(ValueError, match=f"horizon must be positive, not {horizon}"):
+                run_ga(cfg, horizon, wmel, wmel_target, wmel_scenario.initial_wild)
+
+
 def test_run_ga_reverified_by_adaptive_simulation(wmel, wmel_target, wmel_scenario):
     cfg = small_cfg(block_p=14, pop_n=30, generations_g=15, rng_seed=2)
     res = run_ga(cfg, 14, wmel, wmel_target, wmel_scenario.initial_wild)

@@ -6,10 +6,11 @@ import pytest
 from wolbopt.impulsive import (
     NoFeasibleRuleError,
     aggregate_periodic,
+    control_windows,
     daily_impulses,
-    daily_window_totals,
     evaluate_schedule,
     excess_periodic,
+    horizon_days,
     num_blocks,
     select_rule,
 )
@@ -32,20 +33,20 @@ def linear_control(u0: float, t_star: float, n: int = 400) -> ContinuousControl:
 
 def test_window_totals_constant_control():
     ctrl = constant_control(123.4, 6.0)
-    totals = daily_window_totals(ctrl)
+    totals = control_windows(ctrl, np.arange(horizon_days(ctrl) + 1.0))[0]
     assert totals.shape == (6,)
     assert np.allclose(totals, 123.4, rtol=1e-9)
 
 
 def test_window_totals_zero_control():
     ctrl = constant_control(0.0, 5.0)
-    assert np.allclose(daily_window_totals(ctrl), 0.0)
+    assert np.allclose(control_windows(ctrl, np.arange(horizon_days(ctrl) + 1.0))[0], 0.0)
 
 
 def test_window_totals_cover_partial_final_day():
     # Horizon 3.5 days: the 4th window integrates only half a day.
     ctrl = constant_control(100.0, 3.5)
-    totals = daily_window_totals(ctrl)
+    totals = control_windows(ctrl, np.arange(horizon_days(ctrl) + 1.0))[0]
     assert totals.shape == (4,)
     assert totals[:3] == pytest.approx([100.0] * 3, rel=1e-9)
     assert totals[3] == pytest.approx(50.0, rel=1e-6)
@@ -80,7 +81,8 @@ def test_windows_match_per_window_reference(seed):
     daily = daily_impulses(ctrl)
     assert daily.t_hat == math.ceil(t[-1]) and t[-1] % 1.0 != 0.0
     totals, sizes = zip(*(reference_day(ctrl, n) for n in range(1, daily.t_hat + 1)))
-    assert daily_window_totals(ctrl) == pytest.approx(totals, rel=1e-12, abs=1e-9)
+    assert control_windows(ctrl, np.arange(daily.t_hat + 1.0))[0] == pytest.approx(
+        totals, rel=1e-12, abs=1e-9)
     assert daily.sizes == sizes
     assert t0 < 1.0 or daily.sizes[0] == 0  # nothing is released before the grid
     assert daily.total >= np.trapezoid(v, t)
@@ -118,7 +120,8 @@ def test_daily_sizes_linear_control_trapezoid_exact():
 def test_daily_sizes_dominate_window_totals(wmel_solution, wmelpop_solution):
     for sol in (wmel_solution, wmelpop_solution):
         daily = daily_impulses(sol.control)
-        for size, total in zip(daily.sizes, daily_window_totals(sol.control)):
+        totals = control_windows(sol.control, np.arange(daily.t_hat + 1.0))[0]
+        for size, total in zip(daily.sizes, totals):
             assert size >= total - 1e-9
 
 
