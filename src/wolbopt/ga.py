@@ -7,9 +7,10 @@ Fitness is the reciprocal of the released total, penalized by p*L*T when
 the end state misses the secure region, so any feasible plan outranks
 every infeasible one.  Evaluation screens each plan at one RK4 substep
 per day and re-runs at four those within ``SCREEN_MARGIN`` of the region's
-edge, so every verdict is that of four substeps.  The kernel runs a batch
-of more than ``ROW_BATCH`` plans as arrays and a smaller one row by row
-on Python floats, with the same bits per row; an array RK4 step is about
+edge, so every verdict is that of four substeps.  The kernel is one
+``sim.rk4`` pass with the releases as jumps, over a batch of more than
+``ROW_BATCH`` plans as arrays or over a smaller one row by row on Python
+floats, with the same bits per row; an array RK4 step is about
 108 numpy calls at any row count, each on 0-d array constants, which numpy
 dispatches faster than Python floats.  Each generation is one
 propose-evaluate-keep step: tournament selection, block-aligned two-point
@@ -154,7 +155,7 @@ class EpsilonLoopResult:
 
 # Batches of at most this many rows run row by row on Python floats: an
 # array call costs about the same for 1 row as for 100, a float row costs
-# per row, and at every Table-4 horizon floats won at 16 rows, not at 24.
+# per row, and at every Table-4 horizon floats won at 16 rows, not at 20.
 ROW_BATCH = 16
 
 
@@ -167,26 +168,19 @@ def simulate_batch(
 ) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
     """Final states for a batch of plans; releases jump y at integer days.
 
-    Uses fixed-step RK4 between jumps (the flow is smooth and mild at
-    these tolerances); day t's release is applied after flowing through
-    [t-1, t], and the state after the final jump is what feasibility is
-    judged on.  When ``target`` is given, also returns first entry times
-    at substep resolution (NaN where never); no library code asks for
-    them, and the benchmark reads them to compare the kernel's verdicts
-    with the adaptive integrator's until it compares end states.  A batch
-    of more than ``ROW_BATCH`` rows runs as one array lane, a smaller one
-    as a float lane per row; both do the same IEEE operations on a row.
+    One ``rk4`` pass per lane, ``substeps`` fixed steps a day (the flow is
+    smooth and mild at these tolerances), takes day t's release as the jump
+    after its last step; feasibility is judged on the final state.  With a
+    ``target``, also returns the time of the first node inside (NaN where
+    never), a day's last node being post-release (the pre-release one adds
+    nothing, as a release only raises y); the benchmark alone reads it.  A
+    batch of more than ``ROW_BATCH`` rows runs as one array lane, a smaller
+    one as a float lane per row; both do the same IEEE operations on a row.
     """
-    b = genes.shape[0]
+    b, days = genes.shape
     x_end, y_end = np.empty(b), np.empty(b)
     entries = None if target is None else np.full(b, np.nan)
-    h = 1.0 / substeps
-    zero_control = [0.0] * (substeps + 1)
-    if target is not None:
-        # Each day's nodes: its substeps, then the state after its release.
-        node_t = np.array([day - 1 + (k + 1) * h if k < substeps else float(day)
-                           for day in range(1, genes.shape[1] + 1)
-                           for k in range(substeps + 1)])
+    h, steps = 1.0 / substeps, days * substeps
     if b > ROW_BATCH:
         # Looked up in the module at each call, so a wrapped ``rhs_arrays``
         # sees every evaluation of the array layout.
@@ -200,18 +194,14 @@ def simulate_batch(
         flow = make_rhs(params, lambda t: float(np.exp(t)))
         lanes = [(slice(i, i + 1), float(initial_wild), 0.0, row.tolist())
                  for i, row in enumerate(genes)]
-    for rows, x, y, columns in lanes:
-        inside = []  # ``in_secure_region`` at every node, in ``node_t`` order
-        for column in columns:
-            xs, ys = rk4(flow, x, y, zero_control, h)
-            x, y = xs[-1], ys[-1] + column
-            if target is not None:
-                inside += [in_secure_region(xk, yk, target) for xk, yk in zip(xs[1:], ys[1:])]
-                inside.append(in_secure_region(x, y, target))
-        x_end[rows], y_end[rows] = x, y
-        if inside:
-            inside = np.array(inside)
-            entries[rows] = np.where(inside.any(axis=0), node_t[inside.argmax(axis=0)], np.nan)
+    for rows, x, y, releases in lanes:
+        jumps = [None] * steps
+        jumps[substeps - 1::substeps] = releases
+        xs, ys = rk4(flow, x, y, [0.0] * (steps + 1), h, jumps)
+        x_end[rows], y_end[rows] = xs[-1], ys[-1]
+        if target is not None:
+            inside = in_secure_region(np.array(xs), np.array(ys), target)  # node i at h*i
+            entries[rows] = np.where(inside.any(axis=0), h * inside.argmax(axis=0), np.nan)
     return x_end, y_end, entries
 
 
@@ -298,7 +288,9 @@ def mutate(
 
     The gene of each block in a random block range is redrawn in
     [0, ``gene_cap``], at its position (an all-zero block gets a uniform
-    position).  At p = 1 this refills a random day range.
+    position).  At p = 1 this refills a random day range with one array
+    draw, the values and stream of a per-day loop: ``integers(0, 1)``
+    draws no bits, and a scalar draw takes the bits of one array element.
     """
     if rng.random() >= cfg.mutation_rate:
         return genes
@@ -307,12 +299,12 @@ def mutate(
     nb = genes.shape[0] // p
     b1 = int(rng.integers(0, nb))
     b2 = int(rng.integers(b1, nb))
+    if p == 1:
+        out[b1:b2 + 1] = rng.integers(0, cfg.gene_cap + 1, size=b2 - b1 + 1)
+        return out
     for bidx in range(b1, b2 + 1):
         block = out[bidx * p:(bidx + 1) * p]
         nz = np.nonzero(block)[0]
-        # At p = 1 ``integers(0, 1)`` draws no bits, and each scalar value
-        # draw takes the bits of one element of an array draw, so a day
-        # range is refilled with the draws of one array call.
         pos = int(nz[0]) if nz.size else int(rng.integers(0, p))
         block[:] = 0
         block[pos] = rng.integers(0, cfg.gene_cap + 1)

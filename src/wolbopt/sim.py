@@ -109,15 +109,17 @@ class IntegrationError(RuntimeError):
     """Integrator failure or tolerance-violating negativity."""
 
 
-def rk4(rhs, x, y, u: Sequence, h: float) -> tuple[list, list]:
+def rk4(rhs, x, y, u: Sequence, h: float, jumps: Optional[Sequence] = None) -> tuple[list, list]:
     """Fixed-step RK4 from (x, y), the drive ``u`` linearly interpolated
-    inside steps; returns the node lists (len(u) nodes).
+    inside steps; returns the node lists (len(u) nodes).  ``jumps[i]``,
+    unless None, is added to y after step i, and node i + 1 is post-jump.
 
     The one fixed-step integrator: the OCP's start pass runs it on floats,
     its shooting pass on (2, R) arrays with one step per row (negative on
     the rows that run backward), the GA kernel on arrays (one row per plan)
-    or on one plan's floats.  k2 and k3 get one midpoint object, and a step's last node is
-    the next step's first.  On arrays its constants are 0-d arrays.
+    or on one plan's floats, with the plan's releases as jumps.  k2 and k3
+    get one midpoint object, and a step's last node is the next step's
+    first.  On arrays its constants are 0-d arrays.
     """
     n = len(u) - 1
     xs = [x] * (n + 1)
@@ -136,6 +138,8 @@ def rk4(rhs, x, y, u: Sequence, h: float) -> tuple[list, list]:
         # every stored node would alias one array.
         x = x + h6 * (k1x + two * (k2x + k3x) + k4x)
         y = y + h6 * (k1y + two * (k2y + k3y) + k4y)
+        if jumps is not None and jumps[i] is not None:
+            y = y + jumps[i]
         xs[i + 1], ys[i + 1] = x, y
     return xs, ys
 

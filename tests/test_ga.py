@@ -23,10 +23,10 @@ from wolbopt.ga import (
     validate_plan,
 )
 from wolbopt.impulsive import evaluate_schedule
-from wolbopt.model import State, equilibria, in_secure_region
+from wolbopt.model import State, equilibria, in_secure_region, make_rhs
 from wolbopt.params import preset
 from wolbopt.scenarios import GA_CELLS, build_scenario, ga_config
-from wolbopt.sim import SimOptions, simulate_impulsive
+from wolbopt.sim import SimOptions, rk4, simulate_impulsive
 
 
 @pytest.fixture(scope="module")
@@ -230,6 +230,41 @@ def test_batch_layouts_bit_identical(strain, horizon, monkeypatch):
     assert simulate_batch(params, empty, x0, 4)[2] is None
 
 
+@pytest.mark.parametrize("substeps", [1, 4])
+def test_batch_entry_time_reads_the_node(wmel_scenario, substeps):
+    # The kernel's entry is the time of its first node inside the region,
+    # a day's last node being post-release; the same in either layout.
+    params, x0, target = wmel_scenario.params, wmel_scenario.initial_wild, wmel_scenario.target
+
+    def entry(row, where):
+        one = simulate_batch(params, row[None], x0, substeps, where)[2]
+        rows = np.repeat(row[None], ROW_BATCH + 1, 0)
+        many = simulate_batch(params, rows, x0, substeps, where)[2]
+        assert np.array_equal(many, np.repeat(one, ROW_BATCH + 1), equal_nan=True)
+        return float(one[0])
+
+    # Day 5's release lifts y from 0 above 250 while x stays at the wild
+    # equilibrium: its pre-release node is outside, its post-release inside.
+    caused = np.zeros(14, dtype=np.int64)
+    caused[4] = 500
+    assert entry(caused, (x0 + 1.0, 250.0)) == 5.0
+    # One day-1 release, after which x falls through x_u with y above y_u:
+    # the entry is the first substep node of day d inside, from the state
+    # after day d - 1 (the first day whose end state is inside is d).
+    between = np.zeros(14, dtype=np.int64)
+    between[0] = 8000
+    ends = [simulate_batch(params, between[None, :d], x0, substeps)[:2] for d in range(15)]
+    d = next(d for d, (x, y) in enumerate(ends) if in_secure_region(x[0], y[0], target))
+    xs, ys = rk4(make_rhs(params), float(ends[d - 1][0][0]), float(ends[d - 1][1][0]),
+                 [0.0] * (substeps + 1), 1.0 / substeps)
+    k = next(k for k in range(1, substeps + 1) if in_secure_region(xs[k], ys[k], target))
+    assert entry(between, target) == (d - 1) + k / substeps
+    assert d == 13 and (k < substeps) == (substeps == 4)  # 12.75 at 4 substeps
+    # A plan that never enters: no release, or one too small.
+    assert np.isnan(entry(np.zeros(14, dtype=np.int64), target))
+    assert np.isnan(entry(np.array([2000] + [0] * 13), target))
+
+
 def _tournament_picks(f, rng):
     """The parents ``_propose`` selects, read off its offspring: with
     one-day plans crossover swaps whole plans, and mutation is off, so the
@@ -353,6 +388,33 @@ def test_mutation_keeps_position_without_relocation():
         out = mutate(g, cfg, rng)
         nz = set(np.nonzero(out)[0].tolist())
         assert nz <= {4, 17}
+
+
+def _mutate_by_day(genes, cfg, rng):
+    """``mutate`` at p = 1 as its block loop of scalar draws, one day a block."""
+    if rng.random() >= cfg.mutation_rate:
+        return genes
+    out = genes.copy()
+    b1 = int(rng.integers(0, out.shape[0]))
+    b2 = int(rng.integers(b1, out.shape[0]))
+    for day in range(b1, b2 + 1):
+        if out[day] == 0:
+            rng.integers(0, 1)  # an empty block's position draw
+        out[day] = rng.integers(0, cfg.gene_cap + 1)
+    return out
+
+
+def test_daily_mutation_draws_as_the_day_loop():
+    # At p = 1 one array draw refills the day range: the same genes and
+    # the same generator state as the per-day scalar draws.
+    for cap_l, rate in ((750.0, 1.0), (1.0, 1.0), (1000.0, 0.5), (2.0**40, 1.0)):
+        cfg = GAConfig(cap_l=cap_l, mutation_rate=rate)
+        for horizon in (1, 2, 14, 65):
+            for seed in range(100):
+                genes = np.random.default_rng(seed).integers(0, 3, size=horizon) * 300
+                ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+                assert np.array_equal(mutate(genes, cfg, ours), _mutate_by_day(genes, cfg, ref))
+                assert ours.bit_generator.state == ref.bit_generator.state
 
 
 def test_run_ga_elitism_and_size(wmel, wmel_target, wmel_scenario):
