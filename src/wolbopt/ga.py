@@ -288,9 +288,7 @@ def mutate(
 
     The gene of each block in a random block range is redrawn in
     [0, ``gene_cap``], at its position (an all-zero block gets a uniform
-    position).  At p = 1 this refills a random day range with one array
-    draw, the values and stream of a per-day loop: ``integers(0, 1)``
-    draws no bits, and a scalar draw takes the bits of one array element.
+    position).  At p = 1 this refills a random day range.
     """
     if rng.random() >= cfg.mutation_rate:
         return genes
@@ -299,12 +297,12 @@ def mutate(
     nb = genes.shape[0] // p
     b1 = int(rng.integers(0, nb))
     b2 = int(rng.integers(b1, nb))
-    if p == 1:
-        out[b1:b2 + 1] = rng.integers(0, cfg.gene_cap + 1, size=b2 - b1 + 1)
-        return out
     for bidx in range(b1, b2 + 1):
         block = out[bidx * p:(bidx + 1) * p]
         nz = np.nonzero(block)[0]
+        # At p = 1 ``integers(0, 1)`` draws no bits, and each scalar value
+        # draw takes the bits of one element of an array draw, so a day
+        # range is refilled with the draws of one array call.
         pos = int(nz[0]) if nz.size else int(rng.integers(0, p))
         block[:] = 0
         block[pos] = rng.integers(0, cfg.gene_cap + 1)

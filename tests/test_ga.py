@@ -390,33 +390,6 @@ def test_mutation_keeps_position_without_relocation():
         assert nz <= {4, 17}
 
 
-def _mutate_by_day(genes, cfg, rng):
-    """``mutate`` at p = 1 as its block loop of scalar draws, one day a block."""
-    if rng.random() >= cfg.mutation_rate:
-        return genes
-    out = genes.copy()
-    b1 = int(rng.integers(0, out.shape[0]))
-    b2 = int(rng.integers(b1, out.shape[0]))
-    for day in range(b1, b2 + 1):
-        if out[day] == 0:
-            rng.integers(0, 1)  # an empty block's position draw
-        out[day] = rng.integers(0, cfg.gene_cap + 1)
-    return out
-
-
-def test_daily_mutation_draws_as_the_day_loop():
-    # At p = 1 one array draw refills the day range: the same genes and
-    # the same generator state as the per-day scalar draws.
-    for cap_l, rate in ((750.0, 1.0), (1.0, 1.0), (1000.0, 0.5), (2.0**40, 1.0)):
-        cfg = GAConfig(cap_l=cap_l, mutation_rate=rate)
-        for horizon in (1, 2, 14, 65):
-            for seed in range(100):
-                genes = np.random.default_rng(seed).integers(0, 3, size=horizon) * 300
-                ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-                assert np.array_equal(mutate(genes, cfg, ours), _mutate_by_day(genes, cfg, ref))
-                assert ours.bit_generator.state == ref.bit_generator.state
-
-
 def test_run_ga_elitism_and_size(wmel, wmel_target, wmel_scenario):
     cfg = small_cfg(block_p=14, pop_n=24, generations_g=12, rng_seed=5)
     res = run_ga(cfg, 14, wmel, wmel_target, wmel_scenario.initial_wild)
