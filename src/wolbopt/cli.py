@@ -26,11 +26,12 @@ import numpy as np
 
 from . import fileio
 from .ga import EpsilonLoopConfig, GAConfig, epsilon_loop, run_ga
-from .impulsive import control_windows, daily_impulses, evaluate_schedule
+from .impulsive import control_windows, evaluate_schedule
 from .model import State, absorbing_bound, equilibria, secure_region
 from .ocp import CapInfeasibleError, NonConvergenceError, OCPConfig, solve
 from .params import PRESET_NAMES, StrainParams, UnknownStrainError, parse_number, preset
 from .scenarios import (
+    GA_CELLS,
     Scenario,
     build_scenario,
     ga_cell,
@@ -384,12 +385,11 @@ def _reproduce_table2(args, settings):
             status = EXIT_FAILED
             continue
         files.append((f"ocp_{name}_control.csv", fileio.write_control_csv, sol))
-        rows, missing = table2(scenario, sol)
+        rows, missing, daily = table2(scenario, sol)
         for label in missing:
             print(f"{label}: does not enter the secure region", file=sys.stderr)
             status = EXIT_FAILED
         _print_rows(f"=== impulsive indicators: {name} ===", rows)
-        daily = daily_impulses(sol.control)
         print(
             f"  note: the daily sizes are ceilings; the closest call is day {daily.ceiling_day} "
             f"(size {daily.sizes[daily.ceiling_day - 1]}), {daily.ceiling_margin:.4f} from an integer"
@@ -404,14 +404,13 @@ def _reproduce_table4(args, settings):
     first = settings["scenario"].get("seed", 0)
     seeds = range(first, first + n_seeds)
     status = EXIT_OK
-    for name in PRESET_NAMES:
-        for freq in (1, 7, 14):
-            rows, best = table4(preset(name), freq, seeds, **settings["ga"])
-            if best is None:
-                print(f"{name} p={freq}: no feasible plan found", file=sys.stderr)
-                status = EXIT_FAILED
-                continue
-            _print_rows(f"=== discrete search: {name} p={freq} ===", rows)
+    for name, freq in GA_CELLS:
+        rows, best = table4(preset(name), freq, seeds, **settings["ga"])
+        if best is None:
+            print(f"{name} p={freq}: no feasible plan found", file=sys.stderr)
+            status = EXIT_FAILED
+            continue
+        _print_rows(f"=== discrete search: {name} p={freq} ===", rows)
     return status, []
 
 

@@ -86,9 +86,9 @@ def validate_plan(plan: ReleasePlan, cap_l: float) -> None:
 
 @dataclass(frozen=True)
 class GAConfig:
+    cap_l: float
     pop_n: int = 100
     generations_g: int = 100
-    cap_l: float = 750.0
     block_p: int = 1
     mutation_rate: float = 0.05
     rng_seed: int = 0

@@ -1,7 +1,7 @@
 """Free-terminal-time optimal release problem via the Pontryagin conditions.
 
 Objective: minimize integral of (P + u^2/2) dt subject to the release
-model, x(0) = x_sharp, y(0) = 0, terminal condition x(T) = terminal_x,
+model, x(0) = initial_x, y(0) = 0, terminal condition x(T) = terminal_x,
 0 <= u <= L, with T free.  The stationarity system couples the state pair
 to two adjoints, lambda' = -J^T lambda with lambda2(T) = 0, and the optimal
 control is the clamp of lambda2 to [0, L].  The problem is autonomous, so H
@@ -30,12 +30,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
 from . import model
-from .model import equilibria, rhs_arrays
+from .model import rhs_arrays
 from .params import StrainParams
 from .sim import rk4
 
@@ -72,17 +72,12 @@ make_jacobian = model.make_jacobian
 
 @dataclass(frozen=True)
 class OCPConfig:
-    """Solver configuration.
-
-    ``terminal_x`` defaults to one individual below the saddle abscissa
-    (the release stopping target); ``initial_x`` defaults to the wild-only
-    equilibrium computed from the parameters.
-    """
+    """Solver configuration; ``scenarios.ocp_config`` sets the two ends from the scenario."""
 
     cap_l: float
+    initial_x: float
+    terminal_x: float
     weight_p: float = 1e6
-    terminal_x: Optional[float] = None
-    initial_x: Optional[float] = None
     grid_n: int = 2000
 
     def __post_init__(self) -> None:
@@ -185,7 +180,7 @@ def _segments(n: int) -> tuple[int, int]:
     return m, -(-n // m)
 
 
-def _start(params: StrainParams, cfg: OCPConfig, x0: float, x_target: float, k: int, m: int):
+def _start(params: StrainParams, cfg: OCPConfig, k: int, m: int):
     """The Newton start: the shooting nodes (k, 4) and the horizon.
 
     One pass at a constant rate, in START_STEP-day steps until x crosses
@@ -202,7 +197,7 @@ def _start(params: StrainParams, cfg: OCPConfig, x0: float, x_target: float, k: 
     overshoots, the backward lambda2 sits at or below 0, where the clamp
     hides every control from the Newton system.
     """
-    cap, p = cfg.cap_l, cfg.weight_p
+    cap, p, x0, x_target = cfg.cap_l, cfg.weight_p, cfg.initial_x, cfg.terminal_x
     rhs = model.make_rhs(params)
 
     def reach(rate: float):
@@ -259,6 +254,7 @@ def solve(params: StrainParams, cfg: OCPConfig) -> OCPSolution:
     """Solve the free-time problem; see module docstring for the contract.
 
     Raises:
+        ValueError: terminal_x does not lie strictly between 0 and initial_x.
         CapInfeasibleError: the start pass does not reach the target
             within MAX_HORIZON days at the full cap (cap_l too small).
         CoarseGridError: RK4 overflows on the start's pass at this grid_n's
@@ -266,19 +262,14 @@ def solve(params: StrainParams, cfg: OCPConfig) -> OCPSolution:
         NonConvergenceError: Newton's line search or iteration budget is
             spent before the residual norm is below NEWTON_TOL.
     """
-    eq = equilibria(params)
-    if eq.eu is None:
-        raise ValueError("no coexistence equilibria; the release target is undefined")
-    x_target = cfg.terminal_x if cfg.terminal_x is not None else eq.eu.state.x - 1.0
-    x0 = cfg.initial_x if cfg.initial_x is not None else eq.ex.state.x
-    if not 0.0 < x_target < x0:
+    if not 0.0 < cfg.terminal_x < cfg.initial_x:
         raise ValueError("terminal_x must lie strictly between 0 and the initial state")
 
     n, cap, p = cfg.grid_n, cfg.cap_l, cfg.weight_p
     m, k = _segments(n)
     last = n - (k - 1) * m  # the last segment's steps
     field = _extremal_field(params, cap)
-    f1_0, f2_0 = make_rhs(params)(x0, 0.0, 0.0)
+    f1_0, f2_0 = make_rhs(params)(cfg.initial_x, 0.0, 0.0)
     # Rows of a pass: 6 blocks of k segments, the base nodes, then each of
     # the 4 node components perturbed, then T perturbed.  The last segment
     # runs backward from T, so its node is the terminal one.
@@ -331,7 +322,7 @@ def solve(params: StrainParams, cfg: OCPConfig) -> OCPSolution:
             norm = float(np.linalg.norm(residual))
         return norm, residual, jac[:, free], steps[..., :k]
 
-    nodes, T = _start(params, cfg, x0, x_target, k, m)
+    nodes, T = _start(params, cfg, k, m)
     norm, residual, jac, steps = shoot(nodes, T)
     if not math.isfinite(norm):
         raise CoarseGridError(

@@ -17,6 +17,7 @@ from typing import Iterable, Optional
 from . import ga
 from .ga import EpsilonLoopConfig, FitnessReport, GAConfig, ReleasePlan, best_feasible
 from .impulsive import (
+    DailyImpulseSequence,
     NoFeasibleRuleError,
     daily_impulses,
     evaluate_schedule,
@@ -72,7 +73,10 @@ def build_scenario(
 
 
 def ocp_config(scenario: Scenario, **overrides) -> OCPConfig:
-    fields = dict(cap_l=scenario.cap_l, initial_x=scenario.initial_wild)
+    """The scenario's OCP: from its initial wild population to one individual
+    below the saddle's x, under its cap, with ``overrides`` laid over that."""
+    fields = dict(cap_l=scenario.cap_l, initial_x=scenario.initial_wild,
+                  terminal_x=scenario.target[0] - 1.0)
     fields.update(overrides)
     return OCPConfig(**fields)
 
@@ -192,10 +196,13 @@ class Indicator:
         return (self.value - self.reference) / self.reference
 
 
-def table2(scenario: Scenario, sol: OCPSolution) -> tuple[list[Indicator], list[str]]:
-    """Table-2 rows of a preset's continuous optimum, and the labels of the
-    cells (daily, m=7, m=14) whose schedule never enters the secure region.
-    A daily cell that misses keeps its rows; a periodic one has no rule."""
+def table2(
+    scenario: Scenario, sol: OCPSolution
+) -> tuple[list[Indicator], list[str], DailyImpulseSequence]:
+    """Table-2 rows of a preset's continuous optimum, the labels of the
+    cells (daily, m=7, m=14) whose schedule never enters the secure region,
+    and the daily sequence the rows were built from.  A daily cell that
+    misses keeps its rows; a periodic one has no rule."""
     name = scenario.params.name
     ref = CONTINUOUS[name]
     rows = [
@@ -203,7 +210,8 @@ def table2(scenario: Scenario, sol: OCPSolution) -> tuple[list[Indicator], list[
         Indicator(f"{name} continuous total", sol.total_released, ref["total"]),
     ]
     missing = []
-    for m, cell in impulsive_cells(scenario, sol.control, (1, 7, 14)).items():
+    cells = impulsive_cells(scenario, sol.control, (1, 7, 14))
+    for m, cell in cells.items():
         label = f"{name} daily" if m == 1 else f"{name} m={m}"
         if cell is None or not cell[1].feasible:
             missing.append(label)
@@ -214,7 +222,7 @@ def table2(scenario: Scenario, sol: OCPSolution) -> tuple[list[Indicator], list[
         rule = "" if m == 1 else f" ({seq.rule})"
         rows.append(Indicator(f"{label} releases{rule}", rep.num_releases, count))
         rows.append(Indicator(f"{label} total", rep.overall_size, total))
-    return rows, missing
+    return rows, missing, cells[1][0]
 
 
 def table4(

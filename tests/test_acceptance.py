@@ -76,7 +76,7 @@ def test_criterion1_equilibria(strain):
 @pytest.mark.parametrize("strain", ["wmel", "wmelpop"])
 def test_criterion2_ocp_reproduction(strain, wmel_solution, wmelpop_solution):
     sol = _solution(strain, wmel_solution, wmelpop_solution)
-    rows, _ = table2(build_scenario(preset(strain)), sol)
+    rows, _, _ = table2(build_scenario(preset(strain)), sol)
     t_star, total = rows[:2]
     dev_t, dev_total = abs(t_star.deviation), abs(total.deviation)
     residuals_ok = sol.converged
@@ -99,7 +99,7 @@ def test_criterion2_ocp_reproduction(strain, wmel_solution, wmelpop_solution):
 @pytest.mark.parametrize("strain", ["wmel", "wmelpop"])
 def test_criterion3_impulsive_indicators(strain, wmel_solution, wmelpop_solution):
     sol = _solution(strain, wmel_solution, wmelpop_solution)
-    rows, missing = table2(build_scenario(preset(strain)), sol)
+    rows, missing, _ = table2(build_scenario(preset(strain)), sol)
     row = {r.label: r for r in rows}
     daily = row[f"{strain} daily releases"]
     checks = [("daily count", abs(daily.value - daily.reference) <= 1,

@@ -180,6 +180,17 @@ def test_ocp_terminal_x_out_of_range_exits_2(tmp_path, capsys):
     assert not (tmp_path / "ocp_wmel_summary.json").exists()
 
 
+def test_ocp_without_coexistence_exits_2(tmp_path, capsys):
+    """wmel with eta = 0.1 has no coexistence saddle, so no release target:
+    the scenario's target says so, and nothing is written."""
+    params = tmp_path / "strain.ini"
+    params.write_text("eta = 0.1\n")
+    out = tmp_path / "out"
+    assert main(["ocp", "--strain", "wmel", "--params", str(params), "--out", str(out)]) == 2
+    assert "no coexistence equilibria" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_out_of_range_scenario_exits_2(tmp_path, capsys, monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("a bad scenario reached a solver")

@@ -270,7 +270,7 @@ def _tournament_picks(f, rng):
     one-day plans crossover swaps whole plans, and mutation is off, so the
     offspring are the picks (row k holds the gene k)."""
     n = f.shape[0]
-    cfg = GAConfig(pop_n=n, mutation_rate=0.0)
+    cfg = GAConfig(cap_l=750.0, pop_n=n, mutation_rate=0.0)
     genes = np.arange(n, dtype=np.int64).reshape(n, 1)
     return sorted(_propose(genes, f, cfg, rng)[:, 0].tolist())
 
@@ -538,9 +538,9 @@ def test_epsilon_loop_runs_to_its_floor(wmel, wmel_target, wmel_scenario):
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        GAConfig(pop_n=0)
+        GAConfig(cap_l=750.0, pop_n=0)
     with pytest.raises(ValueError):
-        GAConfig(mutation_rate=1.5)
+        GAConfig(cap_l=750.0, mutation_rate=1.5)
     with pytest.raises(ValueError, match="cap_l"):
         GAConfig(cap_l=-3.0)
     # Below one individual a day every gene would be capped at 0.

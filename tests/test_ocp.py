@@ -16,7 +16,7 @@ from wolbopt.ocp import (
     objective,
     solve,
 )
-from wolbopt.scenarios import build_scenario, ocp_config
+from wolbopt.scenarios import build_scenario, impulsive_cells, ocp_config
 from wolbopt.sim import rk4
 
 from oracles import initial_release_adjoint
@@ -300,9 +300,39 @@ def test_unsettled_sweep_has_no_value(wmelpop, monkeypatch):
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        OCPConfig(cap_l=-1.0)
+        OCPConfig(cap_l=-1.0, initial_x=6786.0, terminal_x=4591.0)
     with pytest.raises(ValueError):
-        OCPConfig(cap_l=750.0, grid_n=3)
+        OCPConfig(cap_l=750.0, initial_x=6786.0, terminal_x=4591.0, grid_n=3)
+
+
+def test_ocp_config_sets_both_ends(wmel):
+    """The scenario's start and one individual below the saddle's x; an
+    override of the target wins."""
+    sc = build_scenario(wmel, initial_wild=7030.0)
+    cfg = ocp_config(sc)
+    assert (cfg.initial_x, cfg.terminal_x) == (7030.0, sc.target[0] - 1.0)
+    assert ocp_config(sc, terminal_x=5000.0).terminal_x == 5000.0
+
+
+# The published field density x(0) = 7,030 per hectare, in place of the
+# computed x_sharp ~ 6,786: t*, the continuous total, and the daily cell's
+# release count and total, at grid 2,000.
+FIELD_DENSITY_START = {
+    "wmel": (14.519992210039474, 6152.455714544825, 15, 6325),
+    "wmelpop": (58.301160922622536, 29376.718508932823, 59, 29666),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIELD_DENSITY_START))
+def test_published_field_density_start(name, request):
+    t_star, total, count, size = FIELD_DENSITY_START[name]
+    sc = build_scenario(request.getfixturevalue(name), initial_wild=7030.0)
+    sol = solve(sc.params, ocp_config(sc))
+    assert sol.control.t_star == pytest.approx(t_star, rel=1e-9)
+    assert sol.total_released == pytest.approx(total, rel=1e-9)
+    _, report = impulsive_cells(sc, sol.control, (1,))[1]
+    assert (report.num_releases, report.overall_size) == (count, size)
+    assert report.feasible
 
 
 def test_solver_converges_from_many_starts(wmel, wmelpop):
