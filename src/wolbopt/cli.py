@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import os
 import re
 import sys
@@ -67,12 +68,13 @@ def _section_keys(cls, supplied_by_scenario=()) -> dict:
 
 
 # The keys of each config section and their types.  ``[scenario] strain``
-# names the preset that becomes ``Scenario.params`` and ``[strain]``
-# overrides its fields; the stage configs take the scenario's fields from
-# the scenario alone, so no section contradicts it.
+# names the preset that becomes ``Scenario.params``; ``[strain]`` overrides
+# its numbers but not its name, which the files, cap and GA cell follow.
+# The stage configs take the scenario's fields from it alone, so none
+# contradicts it.
 _SECTIONS = {
     "scenario": {"strain": str, **_section_keys(Scenario, {"params"})},
-    "strain": _section_keys(StrainParams),
+    "strain": _section_keys(StrainParams, {"name"}),
     "ocp": _section_keys(OCPConfig, {"cap_l", "initial_x"}),
     "ga": _section_keys(GAConfig, {"cap_l", "block_p", "rng_seed"}),
     "sim": _section_keys(SimOptions),
@@ -274,10 +276,8 @@ def cmd_impulsive(args, settings, scenario):
 def cmd_ga(args, settings, scenario):
     if args.seeds is not None:
         raise UsageError("--seeds applies only to --reproduce table4")
-    loop_only = [f"--{k.replace('_', '-')}" for k in ("epsilon_step", "restarts")
-                 if getattr(args, k) is not None]
-    if loop_only and args.epsilon0 is None:
-        raise UsageError(f"{', '.join(loop_only)} applies only to the epsilon loop (--epsilon0)")
+    if args.restarts is not None and args.epsilon0 is None:
+        raise UsageError("--restarts applies only to the epsilon loop (--epsilon0)")
     if args.horizon is not None and args.epsilon0 is not None:
         raise UsageError("--horizon does not apply to the epsilon loop (--epsilon0 starts it)")
     target = scenario.target
@@ -287,7 +287,6 @@ def cmd_ga(args, settings, scenario):
     if args.epsilon0 is not None:
         loop_cfg = EpsilonLoopConfig(
             epsilon_0=args.epsilon0,
-            step=scenario.frequency if args.epsilon_step is None else args.epsilon_step,
             **({} if args.restarts is None else {"restarts_per_epsilon": args.restarts}),
         )
         res = epsilon_loop(loop_cfg, gcfg, scenario.params, target, scenario.initial_wild)
@@ -356,7 +355,7 @@ def _check_reproducible(args, settings: dict[str, dict]) -> None:
     ]
     rejected += [
         f"--{k.replace('_', '-')}"
-        for k in ("params", "horizon", "epsilon0", "epsilon_step", "restarts")
+        for k in ("params", "horizon", "epsilon0", "restarts")
         if getattr(args, k, None) is not None
     ]
     if settings["strain"] and not args.params:
@@ -415,11 +414,13 @@ def _reproduce_table4(args, settings):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    # No prefixes: a removed flag must not come back as a prefix of another.
+    strict = functools.partial(argparse.ArgumentParser, allow_abbrev=False)
+    parser = strict(
         prog="wolbopt",
         description="Plan optimal release schedules of infected mosquitoes.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=strict)
 
     def common(p):
         p.add_argument("--strain", help=f"preset name ({', '.join(PRESET_NAMES)})")
@@ -469,7 +470,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ga.add_argument("--pop-n", type=int, default=None)
     p_ga.add_argument("--generations", dest="generations_g", type=int, default=None)
     p_ga.add_argument("--epsilon0", type=int, default=None, help="run the epsilon loop")
-    p_ga.add_argument("--epsilon-step", type=int, default=None)
     p_ga.add_argument("--restarts", type=int, default=None,
                       help="GA runs per epsilon round "
                       f"(default {EpsilonLoopConfig.restarts_per_epsilon})")

@@ -18,9 +18,9 @@ crossover (all pairs' cuts from one draw call) and segment mutation
 propose offspring, one batch call evaluates them, and truncation survival
 keeps the best of parents and offspring, so the best plan is never lost.
 
-The outer epsilon loop shrinks the horizon while feasible plans keep
-appearing, warm-starting each round with truncations of the previous
-round's best plans.
+The outer epsilon loop shrinks the horizon by one block while feasible
+plans keep appearing, warm-starting each round with truncations of the
+previous round's best plans.
 """
 
 from __future__ import annotations
@@ -112,18 +112,16 @@ class GAConfig:
 class FitnessReport:
     j_value: int
     feasible: bool
-    fitness_f: float
 
 
 @dataclass(frozen=True)
 class EpsilonLoopConfig:
     epsilon_0: int
-    step: int
     restarts_per_epsilon: int = 3
 
     def __post_init__(self) -> None:
-        if self.epsilon_0 <= 0 or self.step <= 0:
-            raise ValueError("epsilon_0 and step must be positive")
+        if self.epsilon_0 <= 0:
+            raise ValueError("epsilon_0 must be positive")
         if self.restarts_per_epsilon < 1:
             raise ValueError("restarts_per_epsilon must be at least 1")
 
@@ -146,11 +144,14 @@ class GAResult:
 
 @dataclass
 class EpsilonLoopResult:
-    horizon: Optional[int]
     best: Optional[ReleasePlan]
     report: Optional[FitnessReport]
     per_epsilon: list[tuple[int, Optional[int]]]  # (epsilon, best feasible J or None)
     stats: dict[str, int] = field(default_factory=dict)  # summed over its runs
+
+    @property
+    def horizon(self) -> Optional[int]:
+        return None if self.best is None else self.best.horizon_t
 
 
 # Batches of at most this many rows run row by row on Python floats: an
@@ -363,7 +364,7 @@ def run_ga(
         history.append(GenerationRecord(gen, float(fit[best]), int(j[best]), int(feas.sum())))
     genes, fit, j, feas, _ = pop
     best = int(np.argmax(fit))
-    report = FitnessReport(int(j[best]), bool(feas[best]), float(fit[best]))
+    report = FitnessReport(int(j[best]), bool(feas[best]))
     return GAResult(ReleasePlan(genes[best].copy(), cfg.block_p), report, history, dict(stats))
 
 
@@ -409,17 +410,17 @@ def epsilon_loop(
     a repaired variant rolls the dropped releases into the remaining tail
     up to the gene cap.  The loop ends at the first horizon where no run
     finds a feasible plan, or below one block, so it runs at most
-    epsilon_0 / step rounds; it returns the smallest feasible horizon with
-    its best plan.
+    epsilon_0 / p rounds, stepping by the block period p; it returns the
+    smallest feasible horizon with its best plan.
     """
     p = ga_cfg.block_p
-    if loop_cfg.epsilon_0 % p or loop_cfg.step % p:
-        raise ValueError("epsilon_0 and step must be multiples of block_p")
+    if loop_cfg.epsilon_0 % p:
+        raise ValueError("epsilon_0 must be a multiple of block_p")
     best: Optional[GAResult] = None
     carry: list[np.ndarray] = []
     per_epsilon: list[tuple[int, Optional[int]]] = []
     stats = Counter(rows_screened=0, rows_rerun=0)
-    for round_idx, eps in enumerate(range(loop_cfg.epsilon_0, p - 1, -loop_cfg.step)):
+    for round_idx, eps in enumerate(range(loop_cfg.epsilon_0, p - 1, -p)):
         # Carried plans come from longer horizons (eps only shrinks).
         seeds = [s for arr in carry for s in (arr[:eps], _roll_tail(arr, eps, ga_cfg))]
         runs = [
@@ -438,12 +439,5 @@ def epsilon_loop(
         per_epsilon.append((eps, round_best.report.j_value))
         best = round_best
         carry = [best.best.genes] + carry[:2]
-    if best is None:
-        return EpsilonLoopResult(None, None, None, per_epsilon, dict(stats))
-    return EpsilonLoopResult(
-        horizon=best.best.horizon_t,
-        best=best.best,
-        report=best.report,
-        per_epsilon=per_epsilon,
-        stats=dict(stats),
-    )
+    plan, report = (best.best, best.report) if best else (None, None)
+    return EpsilonLoopResult(plan, report, per_epsilon, dict(stats))

@@ -61,12 +61,13 @@ def build_scenario(
     frequency: int = 1,
     seed: int = 0,
 ) -> Scenario:
+    """The default cap is the preset's L: a strain that is not a preset passes ``cap_l``."""
     return Scenario(
         params=params,
         initial_wild=(
             initial_wild if initial_wild is not None else equilibria(params).ex.state.x
         ),
-        cap_l=cap_l if cap_l is not None else PRESET_CAP_L.get(params.name, 750.0),
+        cap_l=cap_l if cap_l is not None else PRESET_CAP_L[params.name],
         frequency=frequency,
         seed=seed,
     )
@@ -121,9 +122,9 @@ def ga_cell(strain_name: str, frequency: int) -> GACell:
 
 
 def epsilon_config(cell: GACell, frequency: int) -> EpsilonLoopConfig:
-    return EpsilonLoopConfig(
-        epsilon_0=cell.epsilon_0, step=frequency, restarts_per_epsilon=1
-    )
+    """One GA run a round.  The loop steps by the block period, so
+    ``frequency`` is unused; it stays while ``perfbench`` passes it."""
+    return EpsilonLoopConfig(epsilon_0=cell.epsilon_0, restarts_per_epsilon=1)
 
 
 def best_ga_plan(

@@ -42,6 +42,39 @@ def test_equilibria_with_param_override(tmp_path):
     assert summary["equilibria"]["Eu"]["x"] == pytest.approx(859.5, abs=1)
 
 
+def test_overridden_preset_keeps_its_cap(tmp_path, capsys):
+    # An overridden wmelpop is still wmelpop: its files and its cap (1000,
+    # not wmel's 750) follow the preset, and no file renames it.
+    override = tmp_path / "p.ini"
+    override.write_text("delta_n = 1/30\n")
+    argv = ["equilibria", "--strain", "wmelpop", "--params", str(override)]
+    assert run(argv, tmp_path) == 0
+    summary = json.loads((tmp_path / "equilibria_wmelpop.json").read_text())
+    assert summary["scenario"]["cap_l"] == 1000.0
+    assert summary["scenario"]["strain"]["name"] == "wmelpop"
+    (tmp_path / "equilibria_wmelpop.json").unlink()
+    override.write_text("name = mypop\ndelta_n = 1/30\n")
+    assert run(argv, tmp_path) == 2
+    assert "unknown [strain] option 'name'" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.json"))
+
+
+def test_flags_are_taken_only_as_spelled(tmp_path, capsys):
+    # A prefix of a flag is not that flag, and the removed --epsilon-step
+    # is unknown: argparse exits 2 from ``main``.
+    for argv in (
+        ["ga", "--strain", "wmel", "--gen", "1"],
+        ["simulate", "--strain", "wmel", "--t", "30"],
+        ["ga", "--strain", "wmel", "--epsilon", "21"],
+        ["ga", "--strain", "wmel", "--epsilon0", "21", "--epsilon-step", "7"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            run(argv, tmp_path)
+        assert exc.value.code == 2, argv
+        assert "unrecognized arguments" in capsys.readouterr().err, argv
+    assert not tmp_path.exists() or not any(tmp_path.iterdir())
+
+
 def test_params_file_takes_only_strain(tmp_path, capsys):
     override = tmp_path / "p.ini"
     for extra, named in (("[ocp]\ngrid_n = 5\n", "[ocp]"), ("[gaa]\nx = 1\n", "[gaa]")):
@@ -53,16 +86,17 @@ def test_params_file_takes_only_strain(tmp_path, capsys):
 
 
 def test_params_file_overrides(tmp_path, capsys):
-    # Checked and parsed like [strain]: rationals, a new name, and an
-    # unknown key named in the message.
+    # Checked and parsed like [strain]: rationals, and an unknown key named
+    # in the message.  The name is the preset's, so it is not a key.
     override = tmp_path / "p.ini"
-    override.write_text("name = custom\ndelta_n = 1/30\n")
+    override.write_text("delta_n = 1/30\n")
     assert run(["equilibria", "--strain", "wmel", "--params", str(override)], tmp_path) == 0
-    summary = json.loads((tmp_path / "equilibria_custom.json").read_text())
+    summary = json.loads((tmp_path / "equilibria_wmel.json").read_text())
     assert summary["scenario"]["strain"]["delta_n"] == 1 / 30
-    override.write_text("not_a_field = 1\n")
-    assert run(["equilibria", "--strain", "wmel", "--params", str(override)], tmp_path) == 2
-    assert "unknown [strain] option 'not_a_field'" in capsys.readouterr().err
+    for key in ("not_a_field", "name"):
+        override.write_text(f"{key} = custom\n")
+        assert run(["equilibria", "--strain", "wmel", "--params", str(override)], tmp_path) == 2
+        assert f"unknown [strain] option {key!r}" in capsys.readouterr().err
     # A malformed line is named by the file's own number: the [strain]
     # header put before a headerless file is not counted.
     override.write_text("delta_n = 1/30\nsigma\n")
@@ -351,10 +385,8 @@ def test_ga_rejects_flags_it_would_ignore(tmp_path, capsys):
         (base + ["--seeds", "9"], "--seeds"),
         (["ga", "--reproduce", "table4", "--restarts", "7"], "--restarts"),
         (base + ["--restarts", "2"], "--restarts"),
-        (base + ["--epsilon-step", "7"], "--epsilon-step"),
         (base + ["--epsilon0", "28"], "--horizon"),
         (base[:-1] + ["0"], "--horizon"),
-        (loop + ["--epsilon-step", "0"], "step"),
         (loop + ["--restarts", "0"], "restarts"),
         (both, "--schedule or --control"),
     ):

@@ -425,12 +425,13 @@ def test_run_ga_zero_generations_returns_best_initial(wmel, wmel_target, wmel_sc
     cfg = small_cfg(block_p=14, pop_n=12, generations_g=0, rng_seed=3)
     res = run_ga(cfg, 14, wmel, wmel_target, wmel_scenario.initial_wild)
     genes = init_population(cfg, 14, np.random.default_rng(3))
-    f, *_ = evaluate_population(
+    f, j, feas, _ = evaluate_population(
         wmel, genes, wmel_target, wmel_scenario.initial_wild, cfg
     )
+    best = int(np.argmax(f))
     assert res.history == []
-    assert np.array_equal(res.best.genes, genes[int(np.argmax(f))])
-    assert res.report.fitness_f == f.max()
+    assert np.array_equal(res.best.genes, genes[best])
+    assert res.report == FitnessReport(int(j[best]), bool(feas[best]))
 
 
 def test_run_ga_rejects_non_positive_horizon(wmel, wmel_target, wmel_scenario):
@@ -477,7 +478,7 @@ def test_run_ga_golden(wmel, wmel_target, wmel_scenario):
 
 def test_epsilon_loop_golden(wmel, wmel_target, wmel_scenario):
     cfg = small_cfg(pop_n=20, generations_g=8, cap_l=1000.0)
-    loop = EpsilonLoopConfig(epsilon_0=18, step=1, restarts_per_epsilon=2)
+    loop = EpsilonLoopConfig(epsilon_0=18, restarts_per_epsilon=2)
     res = epsilon_loop(loop, cfg, wmel, wmel_target, wmel_scenario.initial_wild)
     assert res.per_epsilon == [(18, 5017), (17, 4636), (16, 4929), (15, 5228), (14, None)]
     assert res.horizon == 15
@@ -489,20 +490,20 @@ def test_epsilon_loop_golden(wmel, wmel_target, wmel_scenario):
 
 def test_best_feasible_lowest_j_earliest_on_ties():
     def result(j, feasible):
-        report = FitnessReport(j_value=j, feasible=feasible, fitness_f=0.0)
-        return EpsilonLoopResult(horizon=None, best=None, report=report, per_epsilon=[])
+        report = FitnessReport(j_value=j, feasible=feasible)
+        return EpsilonLoopResult(best=None, report=report, per_epsilon=[])
 
     a, b, c = result(5, True), result(3, True), result(3, True)
     assert best_feasible([result(1, False), a, b, c]) is b
     assert best_feasible([result(1, False)]) is None
-    none = EpsilonLoopResult(horizon=None, best=None, report=None, per_epsilon=[])
+    none = EpsilonLoopResult(best=None, report=None, per_epsilon=[])
     assert best_feasible([none, a]) is a
     assert best_feasible([]) is None
 
 
 def test_epsilon_loop_reports_infeasible_start(wmel, wmel_target, wmel_scenario):
     cfg = small_cfg(pop_n=10, generations_g=3)
-    loop = EpsilonLoopConfig(epsilon_0=2, step=1, restarts_per_epsilon=1)
+    loop = EpsilonLoopConfig(epsilon_0=2, restarts_per_epsilon=1)
     res = epsilon_loop(loop, cfg, wmel, wmel_target, wmel_scenario.initial_wild)
     assert res.horizon is None
     assert res.best is None
@@ -513,7 +514,7 @@ def test_epsilon_loop_shrinks_horizon(wmel, wmel_target, wmel_scenario):
     cfg = GAConfig(
         pop_n=40, generations_g=25, cap_l=750.0, block_p=14, rng_seed=4
     )
-    loop = EpsilonLoopConfig(epsilon_0=42, step=14, restarts_per_epsilon=1)
+    loop = EpsilonLoopConfig(epsilon_0=42, restarts_per_epsilon=1)
     res = epsilon_loop(loop, cfg, wmel, wmel_target, wmel_scenario.initial_wild)
     assert res.horizon == 14
     assert res.report.feasible
@@ -528,7 +529,7 @@ def test_epsilon_loop_runs_to_its_floor(wmel, wmel_target, wmel_scenario):
     """The loop has no round cap: it shrinks the horizon one day a round
     until a round finds no feasible plan, here after 55 rounds."""
     cfg = ga_config(wmel_scenario, pop_n=8, generations_g=1)
-    loop = EpsilonLoopConfig(epsilon_0=70, step=1, restarts_per_epsilon=1)
+    loop = EpsilonLoopConfig(epsilon_0=70, restarts_per_epsilon=1)
     res = epsilon_loop(loop, cfg, wmel, wmel_target, wmel_scenario.initial_wild)
     assert [e for e, _ in res.per_epsilon] == list(range(70, 15, -1))
     assert res.per_epsilon[-2:] == [(17, 5772), (16, None)]
@@ -547,7 +548,7 @@ def test_config_validation():
     with pytest.raises(ValueError, match="cap_l"):
         GAConfig(cap_l=0.5)
     with pytest.raises(ValueError):
-        EpsilonLoopConfig(epsilon_0=0, step=1)
+        EpsilonLoopConfig(epsilon_0=0)
 
 
 @settings(max_examples=30, deadline=None)

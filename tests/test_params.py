@@ -1,12 +1,16 @@
+from dataclasses import replace
+
 import pytest
 
 from wolbopt.params import (
+    PRESET_CAP_L,
     StrainParams,
     UnknownStrainError,
     offspring_numbers,
     parse_number,
     preset,
 )
+from wolbopt.scenarios import build_scenario
 
 
 def test_presets_load():
@@ -14,6 +18,16 @@ def test_presets_load():
     assert preset("WMELPOP").name == "wmelpop"
     with pytest.raises(UnknownStrainError):
         preset("walbB")
+
+
+def test_scenario_cap_defaults_to_the_presets_only():
+    for name, cap in PRESET_CAP_L.items():
+        assert build_scenario(preset(name)).cap_l == cap
+    # No preset, no default cap: a renamed strain does not get wmel's.
+    custom = replace(preset("wmel"), name="custom")
+    with pytest.raises(KeyError):
+        build_scenario(custom)
+    assert build_scenario(custom, cap_l=500.0).cap_l == 500.0
 
 
 def test_preset_values_exact(wmel):
