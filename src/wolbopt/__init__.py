@@ -7,7 +7,6 @@ discrete release plans.
 """
 
 from .ga import (
-    EpsilonLoopConfig,
     FitnessReport,
     GAConfig,
     GAResult,

@@ -26,7 +26,7 @@ from typing import Optional, get_type_hints
 import numpy as np
 
 from . import fileio
-from .ga import EpsilonLoopConfig, GAConfig, epsilon_loop, run_ga
+from .ga import GAConfig, epsilon_loop, run_ga
 from .impulsive import control_windows, evaluate_schedule
 from .model import State, absorbing_bound, equilibria, secure_region
 from .ocp import CapInfeasibleError, NonConvergenceError, OCPConfig, solve
@@ -276,8 +276,6 @@ def cmd_impulsive(args, settings, scenario):
 def cmd_ga(args, settings, scenario):
     if args.seeds is not None:
         raise UsageError("--seeds applies only to --reproduce table4")
-    if args.restarts is not None and args.epsilon0 is None:
-        raise UsageError("--restarts applies only to the epsilon loop (--epsilon0)")
     if args.horizon is not None and args.epsilon0 is not None:
         raise UsageError("--horizon does not apply to the epsilon loop (--epsilon0 starts it)")
     target = scenario.target
@@ -285,11 +283,7 @@ def cmd_ga(args, settings, scenario):
     name = scenario.params.name
     files = []
     if args.epsilon0 is not None:
-        loop_cfg = EpsilonLoopConfig(
-            epsilon_0=args.epsilon0,
-            **({} if args.restarts is None else {"restarts_per_epsilon": args.restarts}),
-        )
-        res = epsilon_loop(loop_cfg, gcfg, scenario.params, target, scenario.initial_wild)
+        res = epsilon_loop(args.epsilon0, gcfg, scenario.params, target, scenario.initial_wild)
         if res.best is None:
             print("no feasible plan at the initial horizon", file=sys.stderr)
             return EXIT_FAILED, {"stats": res.stats, "feasible": False}, files
@@ -297,8 +291,6 @@ def cmd_ga(args, settings, scenario):
         summary = {"per_epsilon": [{"epsilon": e, "best_j": j} for e, j in res.per_epsilon]}
     else:
         horizon = ga_cell(name, scenario.frequency).horizon if args.horizon is None else args.horizon
-        if horizon <= 0 or horizon % scenario.frequency:
-            raise UsageError("--horizon must be a positive multiple of the release period")
         result = run_ga(gcfg, horizon, scenario.params, target, scenario.initial_wild)
         plan, report, stats = result.best, result.report, result.stats
         summary = {}
@@ -355,7 +347,7 @@ def _check_reproducible(args, settings: dict[str, dict]) -> None:
     ]
     rejected += [
         f"--{k.replace('_', '-')}"
-        for k in ("params", "horizon", "epsilon0", "restarts")
+        for k in ("params", "horizon", "epsilon0")
         if getattr(args, k, None) is not None
     ]
     if settings["strain"] and not args.params:
@@ -470,9 +462,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ga.add_argument("--pop-n", type=int, default=None)
     p_ga.add_argument("--generations", dest="generations_g", type=int, default=None)
     p_ga.add_argument("--epsilon0", type=int, default=None, help="run the epsilon loop")
-    p_ga.add_argument("--restarts", type=int, default=None,
-                      help="GA runs per epsilon round "
-                      f"(default {EpsilonLoopConfig.restarts_per_epsilon})")
     p_ga.add_argument("--seeds", type=int, default=None,
                       help="seed count for --reproduce (default 5)")
     p_ga.add_argument("--reproduce", choices=["table4"], default=None)

@@ -114,18 +114,6 @@ class FitnessReport:
     feasible: bool
 
 
-@dataclass(frozen=True)
-class EpsilonLoopConfig:
-    epsilon_0: int
-    restarts_per_epsilon: int = 3
-
-    def __post_init__(self) -> None:
-        if self.epsilon_0 <= 0:
-            raise ValueError("epsilon_0 must be positive")
-        if self.restarts_per_epsilon < 1:
-            raise ValueError("restarts_per_epsilon must be at least 1")
-
-
 @dataclass
 class GenerationRecord:
     generation: int
@@ -395,49 +383,42 @@ def _roll_tail(genes: np.ndarray, eps: int, cfg: GAConfig) -> np.ndarray:
 
 
 def epsilon_loop(
-    loop_cfg: EpsilonLoopConfig,
+    epsilon_0: int,
     ga_cfg: GAConfig,
     params: StrainParams,
     target: tuple[float, float],
     initial_wild: float,
 ) -> EpsilonLoopResult:
-    """Shrink the horizon while the GA keeps finding feasible plans.
+    """Shrink the horizon from ``epsilon_0`` while the GA keeps finding
+    feasible plans.
 
-    Each epsilon round runs ``restarts_per_epsilon`` independent GA runs
-    (seeds derived from the base seed) whose initial populations are
-    seeded with truncations of the best plans found at the previous
-    epsilon; truncation drops trailing days (whole blocks for p > 1), and
-    a repaired variant rolls the dropped releases into the remaining tail
-    up to the gene cap.  The loop ends at the first horizon where no run
-    finds a feasible plan, or below one block, so it runs at most
+    Round k runs one GA, seeded ``rng_seed + 1000 k``, whose initial
+    population holds truncations of the last three rounds' best plans;
+    truncation drops trailing days (whole blocks for p > 1), and a
+    repaired variant rolls the dropped releases into the remaining tail up
+    to the gene cap.  The loop ends at the first horizon where the run
+    finds no feasible plan, or below one block, so it runs at most
     epsilon_0 / p rounds, stepping by the block period p; it returns the
     smallest feasible horizon with its best plan.
     """
     p = ga_cfg.block_p
-    if loop_cfg.epsilon_0 % p:
-        raise ValueError("epsilon_0 must be a multiple of block_p")
+    if epsilon_0 <= 0 or epsilon_0 % p:
+        raise ValueError(f"epsilon_0 must be a positive multiple of block_p {p}, not {epsilon_0}")
     best: Optional[GAResult] = None
     carry: list[np.ndarray] = []
     per_epsilon: list[tuple[int, Optional[int]]] = []
     stats = Counter(rows_screened=0, rows_rerun=0)
-    for round_idx, eps in enumerate(range(loop_cfg.epsilon_0, p - 1, -p)):
+    for round_idx, eps in enumerate(range(epsilon_0, p - 1, -p)):
         # Carried plans come from longer horizons (eps only shrinks).
         seeds = [s for arr in carry for s in (arr[:eps], _roll_tail(arr, eps, ga_cfg))]
-        runs = [
-            run_ga(
-                replace(ga_cfg, rng_seed=ga_cfg.rng_seed + 1000 * round_idx + restart),
-                eps, params, target, initial_wild, seeds,
-            )
-            for restart in range(loop_cfg.restarts_per_epsilon)
-        ]
-        for run in runs:
-            stats.update(run.stats)
-        round_best = best_feasible(runs)
-        if round_best is None:
+        run = run_ga(replace(ga_cfg, rng_seed=ga_cfg.rng_seed + 1000 * round_idx),
+                     eps, params, target, initial_wild, seeds)
+        stats.update(run.stats)
+        if not run.report.feasible:
             per_epsilon.append((eps, None))
             break
-        per_epsilon.append((eps, round_best.report.j_value))
-        best = round_best
+        per_epsilon.append((eps, run.report.j_value))
+        best = run
         carry = [best.best.genes] + carry[:2]
     plan, report = (best.best, best.report) if best else (None, None)
     return EpsilonLoopResult(plan, report, per_epsilon, dict(stats))

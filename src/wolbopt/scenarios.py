@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from . import ga
-from .ga import EpsilonLoopConfig, FitnessReport, GAConfig, ReleasePlan, best_feasible
+from .ga import FitnessReport, GAConfig, ReleasePlan, best_feasible
 from .impulsive import (
     DailyImpulseSequence,
     NoFeasibleRuleError,
@@ -121,10 +121,10 @@ def ga_cell(strain_name: str, frequency: int) -> GACell:
     return GACell(horizon=horizon, floor_search=False, epsilon_0=horizon)
 
 
-def epsilon_config(cell: GACell, frequency: int) -> EpsilonLoopConfig:
-    """One GA run a round.  The loop steps by the block period, so
-    ``frequency`` is unused; it stays while ``perfbench`` passes it."""
-    return EpsilonLoopConfig(epsilon_0=cell.epsilon_0, restarts_per_epsilon=1)
+def epsilon_config(cell: GACell, frequency: int) -> int:
+    """The epsilon loop's start horizon, ``cell.epsilon_0``, for
+    ``perfbench``, which passes ``frequency`` (unused)."""
+    return cell.epsilon_0
 
 
 def best_ga_plan(
@@ -145,7 +145,7 @@ def best_ga_plan(
         args = (scenario.params, scenario.target, scenario.initial_wild)
         # Looked up in ``ga`` at each call, so a wrapped search sees it.
         if cell.floor_search:
-            res = ga.epsilon_loop(epsilon_config(cell, frequency), cfg, *args)
+            res = ga.epsilon_loop(cell.epsilon_0, cfg, *args)
         else:
             res = ga.run_ga(cfg, cell.horizon, *args)
         runs.append((res, scenario))

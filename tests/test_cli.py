@@ -10,6 +10,7 @@ from wolbopt.cli import main
 from wolbopt.model import State, equilibria
 from wolbopt.ocp import NEWTON_TOL, STATS_KEYS
 from wolbopt.params import preset
+from wolbopt.scenarios import best_ga_plan
 from wolbopt.sim import ImpulseSchedule, SimOptions, first_basin_entry, simulate_impulsive
 
 
@@ -61,12 +62,14 @@ def test_overridden_preset_keeps_its_cap(tmp_path, capsys):
 
 def test_flags_are_taken_only_as_spelled(tmp_path, capsys):
     # A prefix of a flag is not that flag, and the removed --epsilon-step
-    # is unknown: argparse exits 2 from ``main``.
+    # and --restarts are unknown: argparse exits 2 from ``main``.
     for argv in (
         ["ga", "--strain", "wmel", "--gen", "1"],
         ["simulate", "--strain", "wmel", "--t", "30"],
         ["ga", "--strain", "wmel", "--epsilon", "21"],
         ["ga", "--strain", "wmel", "--epsilon0", "21", "--epsilon-step", "7"],
+        ["ga", "--strain", "wmel", "--epsilon0", "21", "--restarts", "0"],
+        ["ga", "--reproduce", "table4", "--restarts", "7"],
     ):
         with pytest.raises(SystemExit) as exc:
             run(argv, tmp_path)
@@ -346,13 +349,26 @@ def test_ga_epsilon_loop_command(tmp_path):
     assert run(argv, tmp_path) == 0
     summary = json.loads((tmp_path / "ga_wmel_summary.json").read_text())
     assert summary["per_epsilon"] == [
-        {"epsilon": 16, "best_j": 5680},
-        {"epsilon": 15, "best_j": 5957},
+        {"epsilon": 16, "best_j": 6222},
+        {"epsilon": 15, "best_j": 6355},
         {"epsilon": 14, "best_j": None},
     ]
-    assert summary["horizon"] == 15 and summary["j_value"] == 5957
+    assert summary["horizon"] == 15 and summary["j_value"] == 6355
     assert (tmp_path / "ga_wmel_plan.csv").exists()
     assert not (tmp_path / "ga_wmel_history.csv").exists()
+
+
+def test_cli_epsilon_loop_is_table4_seed_search(tmp_path):
+    """``ga --epsilon0`` runs one GA a round: its plan, horizon and J are
+    those of Table 4's search for the same seed."""
+    argv = ["ga", "--strain", "wmel", "--epsilon0", "21", "--seed", "2",
+            "--pop-n", "20", "--generations", "3"]
+    assert run(argv, tmp_path) == 0
+    summary = json.loads((tmp_path / "ga_wmel_summary.json").read_text())
+    plan, report, horizon, _ = best_ga_plan(preset("wmel"), 1, [2], pop_n=20, generations_g=3)
+    assert (summary["horizon"], summary["j_value"]) == (horizon, report.j_value) == (15, 6241)
+    written = fileio.read_schedule_csv(tmp_path / "ga_wmel_plan.csv")
+    assert written.entries == plan.schedule().entries
 
 
 def test_ga_without_a_feasible_plan_exits_1(tmp_path, capsys):
@@ -374,7 +390,6 @@ def test_ga_unpublished_cell(tmp_path):
 
 def test_ga_rejects_flags_it_would_ignore(tmp_path, capsys):
     base = ["ga", "--strain", "wmel", "--frequency", "14", "--horizon", "14"]
-    # 0 is a value, not "unset": it must not fall back to the default.
     loop = base[:-2] + ["--epsilon0", "28"]
     sched, ctrl = tmp_path / "s.csv", tmp_path / "c.csv"
     sched.write_text("day,size\n1,3000\n")
@@ -383,11 +398,11 @@ def test_ga_rejects_flags_it_would_ignore(tmp_path, capsys):
     both = ["simulate", "--strain", "wmel", "--schedule", str(sched), "--control", str(ctrl)]
     for argv, flag in (
         (base + ["--seeds", "9"], "--seeds"),
-        (["ga", "--reproduce", "table4", "--restarts", "7"], "--restarts"),
-        (base + ["--restarts", "2"], "--restarts"),
         (base + ["--epsilon0", "28"], "--horizon"),
-        (base[:-1] + ["0"], "--horizon"),
-        (loop + ["--restarts", "0"], "restarts"),
+        # 0 is a value, not "unset": it must not fall back to the default.
+        (base[:-1] + ["0"], "horizon must be positive, not 0"),
+        (base[:-1] + ["5"], "horizon must be a multiple of block_p"),
+        (loop[:-1] + ["0"], "epsilon_0 must be a positive multiple of block_p 14, not 0"),
         (both, "--schedule or --control"),
     ):
         assert run(argv, tmp_path) == 2

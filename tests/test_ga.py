@@ -6,7 +6,6 @@ from wolbopt import ga
 from wolbopt.ga import (
     ROW_BATCH,
     SCREEN_MARGIN,
-    EpsilonLoopConfig,
     EpsilonLoopResult,
     FitnessReport,
     GAConfig,
@@ -478,8 +477,7 @@ def test_run_ga_golden(wmel, wmel_target, wmel_scenario):
 
 def test_epsilon_loop_golden(wmel, wmel_target, wmel_scenario):
     cfg = small_cfg(pop_n=20, generations_g=8, cap_l=1000.0)
-    loop = EpsilonLoopConfig(epsilon_0=18, restarts_per_epsilon=2)
-    res = epsilon_loop(loop, cfg, wmel, wmel_target, wmel_scenario.initial_wild)
+    res = epsilon_loop(18, cfg, wmel, wmel_target, wmel_scenario.initial_wild)
     assert res.per_epsilon == [(18, 5017), (17, 4636), (16, 4929), (15, 5228), (14, None)]
     assert res.horizon == 15
     assert res.best.genes.tolist() == [
@@ -503,8 +501,7 @@ def test_best_feasible_lowest_j_earliest_on_ties():
 
 def test_epsilon_loop_reports_infeasible_start(wmel, wmel_target, wmel_scenario):
     cfg = small_cfg(pop_n=10, generations_g=3)
-    loop = EpsilonLoopConfig(epsilon_0=2, restarts_per_epsilon=1)
-    res = epsilon_loop(loop, cfg, wmel, wmel_target, wmel_scenario.initial_wild)
+    res = epsilon_loop(2, cfg, wmel, wmel_target, wmel_scenario.initial_wild)
     assert res.horizon is None
     assert res.best is None
     assert res.per_epsilon == [(2, None)]
@@ -514,8 +511,7 @@ def test_epsilon_loop_shrinks_horizon(wmel, wmel_target, wmel_scenario):
     cfg = GAConfig(
         pop_n=40, generations_g=25, cap_l=750.0, block_p=14, rng_seed=4
     )
-    loop = EpsilonLoopConfig(epsilon_0=42, restarts_per_epsilon=1)
-    res = epsilon_loop(loop, cfg, wmel, wmel_target, wmel_scenario.initial_wild)
+    res = epsilon_loop(42, cfg, wmel, wmel_target, wmel_scenario.initial_wild)
     assert res.horizon == 14
     assert res.report.feasible
     epsilons = [e for e, _ in res.per_epsilon]
@@ -529,15 +525,14 @@ def test_epsilon_loop_runs_to_its_floor(wmel, wmel_target, wmel_scenario):
     """The loop has no round cap: it shrinks the horizon one day a round
     until a round finds no feasible plan, here after 55 rounds."""
     cfg = ga_config(wmel_scenario, pop_n=8, generations_g=1)
-    loop = EpsilonLoopConfig(epsilon_0=70, restarts_per_epsilon=1)
-    res = epsilon_loop(loop, cfg, wmel, wmel_target, wmel_scenario.initial_wild)
+    res = epsilon_loop(70, cfg, wmel, wmel_target, wmel_scenario.initial_wild)
     assert [e for e, _ in res.per_epsilon] == list(range(70, 15, -1))
     assert res.per_epsilon[-2:] == [(17, 5772), (16, None)]
     assert res.horizon == 17
     assert res.report.j_value == 5772
 
 
-def test_config_validation():
+def test_config_validation(wmel, wmel_target, wmel_scenario):
     with pytest.raises(ValueError):
         GAConfig(cap_l=750.0, pop_n=0)
     with pytest.raises(ValueError):
@@ -547,8 +542,11 @@ def test_config_validation():
     # Below one individual a day every gene would be capped at 0.
     with pytest.raises(ValueError, match="cap_l"):
         GAConfig(cap_l=0.5)
-    with pytest.raises(ValueError):
-        EpsilonLoopConfig(epsilon_0=0)
+    # The start horizon is a positive multiple of the block period.
+    for epsilon_0, block_p in ((0, 1), (10, 7)):
+        with pytest.raises(ValueError, match="epsilon_0"):
+            epsilon_loop(epsilon_0, small_cfg(block_p=block_p), wmel, wmel_target,
+                         wmel_scenario.initial_wild)
 
 
 @settings(max_examples=30, deadline=None)
